@@ -47,6 +47,7 @@ from .counterexample import (
     ratio_gate,
     refute_class_T,
 )
+from .density_io import SCHEMA_VERSION
 from .errors import (
     DegenerateRadii,
     DensityFormatError,
@@ -61,9 +62,8 @@ from .minimize import (
     radial_cost,
     trace_implicit_curves,
 )
-from .mot import discretize, graph_triples, monge_cost, solve_exact
+from .mot import LpCertificate, discretize, monge_cost, solve_exact
 
-SCHEMA_VERSION = 1
 _COLLINEAR_TOL = 1e-6
 
 
@@ -258,7 +258,7 @@ def cmd_solve(args) -> int:
         "tol": args.tol,
         "verdict": "monge-optimal" if optimal else "monge-suboptimal",
     }
-    if exact.certificate is not None and hasattr(exact.certificate, "duality_gap"):
+    if isinstance(exact.certificate, LpCertificate):
         payload["lp_certificate"] = {
             "marginal_residual": exact.certificate.marginal_residual,
             "max_dual_violation": exact.certificate.max_dual_violation,
@@ -381,7 +381,7 @@ def _sweep_grid(lo: float, hi: float, steps: int) -> np.ndarray:
 
 
 def cmd_sweep(args) -> int:
-    config = {"command": "sweep", "what": args.what, "seed": args.seed}
+    config = {"command": "sweep", "what": args.what}
     if args.what == "condition":
         if args.r3_min is None or args.r3_max is None:
             raise _UsageError("condition sweep needs --r3-min and --r3-max")
@@ -473,13 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radialmot",
         description="Radial three-marginal Coulomb transport toolkit",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for randomized sweeps (echoed in outputs; "
-        "current commands are deterministic)",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

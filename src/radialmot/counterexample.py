@@ -16,9 +16,10 @@ The recipe needs two ingredients on the bounded part of the support:
   condition, and h >= 0 is a bump whose jet at 0 is chosen so the full
   density matches rho2 at s2 to order C^k.  The jets come from the
   mass-preservation differential equation rho(psi(x)) psi'(x) = rho1(x)
-  expanded as a truncated power series; the first bump derivative always
-  works out to h'(0) = 2 rho(0)/rho(s2) - 7, which is why the boundary
-  gate is 7/2.
+  expanded as a truncated power series, and phi(x, T(x)) is expanded the
+  same way in 40-digit decimal arithmetic; the first bump derivative
+  always works out to h'(0) = 2 rho(0)/rho(s2) - 7, which is why the
+  boundary gate is 7/2.
 
 Because psi dominates phi along the graph, every orbit (x, T x, T^2 x) of
 the decreasing-decreasing-increasing branch map satisfies the alignment
@@ -31,13 +32,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from typing import Callable, Sequence
 
 import numpy as np
-import sympy
 
-from .costs import Radii, alignment_condition, c_pi, phi_threshold
-from .density import PolySegment, PushforwardTailSegment, RadialDensity
+from .costs import Radii, alignment_condition, c_pi
+from .density import (
+    PolySegment,
+    PushforwardTailSegment,
+    RadialDensity,
+    SegmentStack,
+)
 from .errors import (
     CertificationError,
     DensityError,
@@ -47,7 +53,7 @@ from .errors import (
     RegionEmpty,
     ViolationNotFound,
 )
-from .maps import SeidlMap, build_map
+from .maps import build_map
 from .minimize import MinimizeOptions, radial_cost
 from .mot import MongeTriple, _apply_swap
 
@@ -74,6 +80,11 @@ __all__ = [
 RATIO_THRESHOLD = (1.0 + 2.0 * math.sqrt(3.0)) / 5.0
 BOUNDARY_RATIO_THRESHOLD = 3.5
 _GUARD = 1e-12
+# halving budget of find_eps_M, bisection budget of each window search,
+# and halving budget of the bump's plateau onset delta
+_EPS_HALVINGS = 200
+_WINDOW_BISECTIONS = 200
+_DELTA_HALVINGS = 60
 
 
 def ratio_gate(s1: float, s2: float) -> bool:
@@ -139,7 +150,7 @@ class EpsM:
     limit: float
 
 
-def find_eps_M(s1: float, s2: float, max_halvings: int = 200) -> EpsM:
+def find_eps_M(s1: float, s2: float) -> EpsM:
     """Window parameters for the swap argument, or EpsMInfeasible.
 
     Bisects eps downward from (s2 - s1)/2 until the finite-window
@@ -153,7 +164,7 @@ def find_eps_M(s1: float, s2: float, max_halvings: int = 200) -> EpsM:
             f"{RATIO_THRESHOLD:.6f}; limit margin {limit_margin(s1, s2):.6f}"
         )
     eps = (s2 - s1) / 2.0
-    for _ in range(max_halvings):
+    for _ in range(_EPS_HALVINGS):
         delta = _window_margin(s1, s2, eps)
         if delta > 0.0:
             break
@@ -226,12 +237,32 @@ def check_graph_condition(rho: RadialDensity, n: int = 64) -> GraphConditionRepo
 
 
 def _series_mul(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    out = np.zeros(order + 1)
+    """Cauchy product truncated after x^order; float or Decimal entries."""
+    out = np.zeros(order + 1, dtype=np.result_type(a, b))
     for i in range(min(len(a), order + 1)):
         if a[i] == 0.0:
             continue
         top = min(len(b), order + 1 - i)
         out[i : i + top] += a[i] * b[:top]
+    return out
+
+
+def _series_recip(a: np.ndarray, order: int) -> np.ndarray:
+    """1/a truncated after x^order; needs a[0] != 0."""
+    out = np.zeros(order + 1, dtype=a.dtype)
+    out[0] = 1 / a[0]
+    for n in range(1, order + 1):
+        out[n] = -sum(a[m] * out[n - m] for m in range(1, n + 1)) / a[0]
+    return out
+
+
+def _series_sqrt(a: np.ndarray, order: int) -> np.ndarray:
+    """Square root of a Decimal series truncated after x^order; a[0] > 0."""
+    out = np.zeros(order + 1, dtype=object)
+    out[0] = a[0].sqrt()
+    for n in range(1, order + 1):
+        cross = sum(out[m] * out[n - m] for m in range(1, n))
+        out[n] = (a[n] - cross) / (2 * out[0])
     return out
 
 
@@ -288,17 +319,20 @@ def _poly_taylor(coeffs: Sequence[float], x0: float, order: int) -> np.ndarray:
 
 def _phi_graph_derivs(t_coeffs: np.ndarray, order: int) -> list[float]:
     """Derivatives of phi(x, T(x)) at x = 0, with T given by its Taylor
-    polynomial; symbolic differentiation keeps high-order terms exact."""
-    x = sympy.Symbol("x")
-    b = sum(sympy.Float(float(c), 30) * x**m for m, c in enumerate(t_coeffs))
-    disc = b**2 + 12 * x * b - 4 * x**2
-    expr = (5 * x * b + b**2 + (x + b) * sympy.sqrt(disc)) / (2 * (b - x))
-    out = []
-    for j in range(order + 1):
-        if j > 0:
-            expr = sympy.diff(expr, x)
-        out.append(float(expr.subs(x, 0).evalf(30)))
-    return out
+    polynomial: phi evaluated on truncated power series in 40-digit decimal
+    arithmetic, so every returned derivative is correctly rounded.  T(0) =
+    s2 > 0 keeps the square root and the reciprocal regular at 0."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        b = np.array([Decimal(float(c)) for c in t_coeffs], dtype=object)
+        x = np.zeros(order + 1, dtype=object)
+        x[1] = Decimal(1)
+        bb = _series_mul(b, b, order)
+        xb = _series_mul(x, b, order)
+        root = _series_sqrt(bb + 12 * xb - 4 * _series_mul(x, x, order), order)
+        num = 5 * xb + bb + _series_mul(x + b, root, order)
+        phi = _series_mul(num, _series_recip(2 * (b - x), order), order)
+        return [float(phi[j] * math.factorial(j)) for j in range(order + 1)]
 
 
 def _phi_partials(a: float, b: float) -> tuple[float, float, float]:
@@ -381,12 +415,12 @@ class _HProfile:
         ) * ds
 
 
-def _choose_delta(derivs: Sequence[float], s1: float, max_halvings: int = 60) -> float:
+def _choose_delta(derivs: Sequence[float], s1: float) -> float:
     """Largest delta = s1/2^j whose Taylor polynomial stays positive on
     (0, delta]; the jet has h(0) = 0 and h'(0) > 0 so this terminates."""
     poly = np.polynomial.Polynomial([d / math.factorial(j) for j, d in enumerate(derivs)])
     delta = s1 / 2.0
-    for _ in range(max_halvings):
+    for _ in range(_DELTA_HALVINGS):
         roots = [
             complex(z).real
             for z in np.atleast_1d(poly.roots())
@@ -402,37 +436,6 @@ def _choose_delta(derivs: Sequence[float], s1: float, max_halvings: int = 60) ->
 
 # ---------------------------------------------------------------------------
 # builder
-
-
-class _SegmentStack:
-    """Partial cdf/quantile over an ordered list of bounded segments."""
-
-    def __init__(self, segments: Sequence):
-        self.segments = list(segments)
-        self.cum = np.concatenate(
-            [[0.0], np.cumsum([s.mass for s in self.segments])]
-        )
-        self.total = float(self.cum[-1])
-
-    def mass_below(self, x: float) -> float:
-        total = 0.0
-        for i, seg in enumerate(self.segments):
-            if x <= seg.lo:
-                break
-            total = float(self.cum[i]) + seg.mass_below(x)
-        return total
-
-    def pdf(self, x: float) -> float:
-        for seg in self.segments:
-            if seg.lo <= x <= seg.hi:
-                return seg.pdf(x)
-        return 0.0
-
-    def quantile(self, m: float) -> float:
-        m = min(max(m, 0.0), self.total)
-        i = int(np.searchsorted(self.cum[1:], m, side="left"))
-        i = min(i, len(self.segments) - 1)
-        return self.segments[i].quantile_within(m - float(self.cum[i]))
 
 
 @dataclass(frozen=True)
@@ -591,12 +594,12 @@ def build_counterexample_density(
             f"{expected_h1!r}; jet solver inconsistency"
         )
 
-    stack12 = _SegmentStack([*rho1, *rho2])
-    stack1 = _SegmentStack(rho1)
-    stack2 = _SegmentStack(rho2)
+    stack12 = SegmentStack([*rho1, *rho2])
+    stack1 = SegmentStack(rho1)
+    stack2 = SegmentStack(rho2)
 
     def t_map(x: float) -> float:
-        return stack12.quantile(2.0 / 3.0 - stack12.mass_below(x))
+        return stack12.mass_quantile(2.0 / 3.0 - stack12.mass_below(x))
 
     def t_map_prime(x: float) -> float:
         return -stack1.pdf(x) / stack2.pdf(t_map(x))
@@ -623,7 +626,7 @@ def build_counterexample_density(
     delta = _choose_delta(h_derivs, s1)
     h_profile = _HProfile(h_derivs, delta)
     worst = -math.inf
-    for _ in range(60):
+    for _ in range(_DELTA_HALVINGS):
         seam = np.linspace(delta / 8.0, min(2.0 * delta, s1 * (1.0 - 1e-6)), 241)
         dpsi = np.array(
             [
@@ -663,7 +666,7 @@ def build_counterexample_density(
         forward_prime=psi_prime,
         source_pdf=stack1.pdf,
         source_mass_below=stack1.mass_below,
-        source_quantile=stack1.quantile,
+        source_quantile=stack1.mass_quantile,
     )
     spec = TailSpec(
         order=k,
@@ -821,7 +824,6 @@ def find_violation(
     rho: RadialDensity,
     epsm: EpsM | None = None,
     opts: MinimizeOptions = MinimizeOptions(),
-    max_bisect: int = 200,
 ) -> ViolationCertificate:
     """Monotonicity violation for the DDI branch map via window bisection.
 
@@ -844,7 +846,7 @@ def find_violation(
 
     x_orbit = None
     x = min(eps, s1) / 2.0
-    for _ in range(max_bisect):
+    for _ in range(_WINDOW_BISECTIONS):
         orbit = ddi.orbit(x)
         if (
             orbit[0] < eps
@@ -862,7 +864,7 @@ def find_violation(
 
     y_orbit = None
     d = min(eps, s1) / 2.0
-    for _ in range(max_bisect):
+    for _ in range(_WINDOW_BISECTIONS):
         y = s1 - d
         orbit = ddi.orbit(y)
         if s1 - eps < orbit[0] and s1 < orbit[1] < s1 + eps and orbit[2] > m_far:

@@ -10,10 +10,12 @@ Three segment kinds cover everything the package needs:
   map with known derivative, which represents an unbounded smooth tail
   exactly, with forward quantiles and root-found inverse values.
 
-The cumulative distribution is assembled segment by segment, and the
+One SegmentStack assembles the cumulative mass segment by segment, for
+whole densities and for the partial stacks of the tail builder alike.  The
 quantile is the lower generalized inverse inf{x : F(x) >= p}, so a mass
 sitting exactly at a gap boundary resolves to the left endpoint of the
-gap.  Total mass must be 1 within 1e-10 at construction time.
+gap.  A RadialDensity adds validation on top: total mass must be 1 within
+1e-10 at construction time.
 """
 
 from __future__ import annotations
@@ -278,7 +280,52 @@ class PushforwardTailSegment:
         return float(self._forward(self._source_quantile(m)))
 
 
-class RadialDensity:
+class SegmentStack:
+    """Cumulative mass over ordered disjoint segments: pointwise density,
+    mass below a point and the lower mass quantile.
+
+    Segments must come sorted by their left ends; gaps between them carry
+    no mass.  The total is whatever the segments carry, so a stack may
+    hold only part of a density (the tail builder stacks the first two
+    pieces this way).
+    """
+
+    def __init__(self, segments: Sequence):
+        self.segments = tuple(segments)
+        self._cum = np.concatenate(
+            [[0.0], np.cumsum([s.mass for s in self.segments])]
+        )
+        self._los = [s.lo for s in self.segments]
+
+    @property
+    def total(self) -> float:
+        return float(self._cum[-1])
+
+    def pdf(self, x: float) -> float:
+        x = float(x)
+        i = bisect_right(self._los, x) - 1
+        if i < 0:
+            return 0.0
+        seg = self.segments[i]
+        if x > seg.hi:
+            return 0.0
+        return seg.pdf(x)
+
+    def mass_below(self, x: float) -> float:
+        i = bisect_right(self._los, x) - 1
+        if i < 0:
+            return 0.0
+        return float(self._cum[i]) + self.segments[i].mass_below(x)
+
+    def mass_quantile(self, m: float) -> float:
+        """Lower quantile of mass m, clamped to [0, total]."""
+        m = min(max(m, 0.0), self.total)
+        i = int(np.searchsorted(self._cum[1:], m, side="left"))
+        i = min(i, len(self.segments) - 1)
+        return self.segments[i].quantile_within(m - float(self._cum[i]))
+
+
+class RadialDensity(SegmentStack):
     """Probability density on [0, inf) given by ordered disjoint segments.
 
     Gaps between segments are allowed (zero density there).  Total mass
@@ -303,11 +350,8 @@ class RadialDensity:
             raise DensityError(
                 f"segment masses sum to {total!r}, expected 1 within {_MASS_TOL}"
             )
-        self.segments = tuple(segs)
-        cum = np.concatenate([[0.0], np.cumsum([s.mass for s in segs])])
-        cum[-1] = 1.0
-        self._cum = cum
-        self._los = [s.lo for s in segs]
+        super().__init__(segs)
+        self._cum[-1] = 1.0
 
     @property
     def support_lo(self) -> float:
@@ -317,25 +361,8 @@ class RadialDensity:
     def support_hi(self) -> float:
         return self.segments[-1].hi
 
-    def pdf(self, x: float) -> float:
-        x = float(x)
-        if x < self.support_lo:
-            return 0.0
-        i = bisect_right(self._los, x) - 1
-        if i < 0:
-            return 0.0
-        seg = self.segments[i]
-        if x > seg.hi:
-            return 0.0
-        return seg.pdf(x)
-
     def cdf(self, x: float) -> float:
-        x = float(x)
-        if x <= self.support_lo:
-            return 0.0
-        i = bisect_right(self._los, x) - 1
-        seg = self.segments[i]
-        return min(float(self._cum[i]) + seg.mass_below(x), 1.0)
+        return min(self.mass_below(float(x)), 1.0)
 
     def quantile(self, p: float) -> float:
         """Lower quantile inf{x : F(x) >= p}; p=0 gives the support's left
@@ -343,14 +370,9 @@ class RadialDensity:
         p = float(p)
         if not 0.0 <= p <= 1.0:
             raise DensityError(f"quantile needs p in [0, 1], got {p!r}")
-        if p == 0.0:
-            return self.support_lo
         if p == 1.0:
             return self.support_hi
-        i = int(np.searchsorted(self._cum[1:], p, side="left"))
-        i = min(i, len(self.segments) - 1)
-        seg = self.segments[i]
-        return seg.quantile_within(p - float(self._cum[i]))
+        return self.mass_quantile(p)
 
     def tertiles(self) -> Tertiles:
         s1 = self.quantile(1.0 / 3.0)
@@ -365,7 +387,7 @@ class RadialDensity:
         """Sum of segment masses; with quadrature=True, an independent
         adaptive-quadrature evaluation of the density instead."""
         if not quadrature:
-            return float(self._cum[-1])
+            return self.total
         from scipy.integrate import quad
 
         total = 0.0

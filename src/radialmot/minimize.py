@@ -5,7 +5,7 @@ strictly ordered radii, has no coincidences at all, so a dense grid scan
 followed by damped Newton refinement finds the global minimum reliably.
 The grid exploits separability: f decomposes into three one-dimensional
 profiles (one per pair), so the full n x n table is assembled from three
-length-n arrays and a circulant index gather instead of n^2 evaluations.
+length-n arrays and a strided circulant view instead of n^2 evaluations.
 
 Stationary points solve the closed-form gradient system; a multistart
 Newton iteration run in lockstep over all starts converges quadratically
@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import brentq
 
 from .costs import (
@@ -58,32 +58,29 @@ __all__ = [
 
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
+# value tolerance when comparing refined candidates
+_TOL = 1e-10
+# nodes per angle for the stationary multistart sweep
+_START_GRID = 128
+# torus radius merging coincident stationary points
+_DEDUP_TOL = 1e-6
+# Newton iteration cap for both refinement and the sweep
+_MAX_ITER = 80
+# relative window above the grid minimum whose nodes are all refined, so
+# exact symmetry ties are broken deterministically
+_TIE_WINDOW = 1e-7
+# cap on the number of refined tie candidates
+_MAX_CANDIDATES = 12
 
 
 @dataclass(frozen=True)
 class MinimizeOptions:
-    """Knobs for the grid scan and Newton stages.
-
-    grid: nodes per angle for the global scan (grid x grid table).
-    tol: value tolerance used when comparing refined candidates.
-    start_grid: nodes per angle for the stationary multistart sweep.
-    dedup_tol: torus radius merging coincident stationary points.
-    max_iter: Newton iteration cap for both refinement and the sweep.
-    tie_window: relative window above the grid minimum whose nodes are
-        all refined, so exact symmetry ties are broken deterministically.
-    max_candidates: cap on the number of refined tie candidates.
-    """
+    """Nodes per angle for the global scan (grid x grid table)."""
 
     grid: int = 256
-    tol: float = 1e-10
-    start_grid: int = 128
-    dedup_tol: float = 1e-6
-    max_iter: int = 80
-    tie_window: float = 1e-7
-    max_candidates: int = 12
 
     def __post_init__(self) -> None:
-        if self.grid < 8 or self.start_grid < 8:
+        if self.grid < 8:
             raise ValueError("grids must have at least 8 nodes per angle")
 
 
@@ -139,12 +136,6 @@ class CurveBundle:
     max_confinement_violation: float
 
 
-@lru_cache(maxsize=8)
-def _circulant_index(n: int) -> np.ndarray:
-    k = np.arange(n)
-    return (k[:, None] - k[None, :]) % n
-
-
 def _check_not_all_infinite(r: Radii) -> None:
     zeros = sum(1 for v in r.as_tuple() if v == 0.0)
     if zeros >= 2:
@@ -161,13 +152,11 @@ def _energy(r: Radii, a: float, b: float) -> float:
     return f12 + f13 + f23
 
 
-def _refine_minimum(
-    r: Radii, a: float, b: float, opts: MinimizeOptions
-) -> tuple[float, float, float, int]:
+def _refine_minimum(r: Radii, a: float, b: float) -> tuple[float, float, float, int]:
     """Damped Newton descent from a grid node; value never increases."""
     fval = _energy(r, a, b)
     iters = 0
-    for _ in range(opts.max_iter):
+    for _ in range(_MAX_ITER):
         g, h = grad_hess(r, (a, b))
         gn = math.hypot(g[0], g[1])
         if gn <= 1e-12 * max(1.0, abs(fval)):
@@ -223,29 +212,35 @@ def radial_cost(
         fa = _inv_dist(r.r1, r.r2, base)
         fb = _inv_dist(r.r1, r.r3, base)
         fc = _inv_dist(r.r2, r.r3, diff)
-    f = fa[:, None] + fb[None, :] + fc[_circulant_index(n)]
+    # f[k, l] = fa[k] + fb[l] + fc[(k - l) % n], the circulant term as a
+    # strided view: f is then the only grid-sized array a call allocates,
+    # whereas freeing several per call let malloc trim the heap and fault
+    # its pages back in on every call
+    circulant = sliding_window_view(np.concatenate([fc, fc]), n)[1:, ::-1]
+    f = fa[:, None] + fb[None, :]
+    f += circulant
     grid_min = float(np.min(f))
     if not math.isfinite(grid_min):
         raise AllInfinite(f"no finite configuration found for radii {r.as_tuple()}")
 
-    window = opts.tie_window * max(1.0, abs(grid_min))
+    window = _TIE_WINDOW * max(1.0, abs(grid_min))
     ii, jj = np.nonzero(f <= grid_min + window)
     vals = f[ii, jj]
-    order = np.argsort(vals, kind="stable")[: opts.max_candidates]
+    order = np.argsort(vals, kind="stable")[:_MAX_CANDIDATES]
 
     best: tuple[float, float, float] | None = None
     total_iters = 0
     for k in order:
         a0 = float(base[ii[k]])
         b0 = float(base[jj[k]])
-        fval, a, b, iters = _refine_minimum(r, a0, b0, opts)
+        fval, a, b, iters = _refine_minimum(r, a0, b0)
         total_iters += iters
         a, b = canonical_angle(a), canonical_angle(b)
         if best is None:
             best = (fval, a, b)
             continue
         lower = min(fval, best[0])
-        if abs(fval - best[0]) <= opts.tol * max(1.0, abs(lower)):
+        if abs(fval - best[0]) <= _TOL * max(1.0, abs(lower)):
             best = (lower, *min((a, b), (best[1], best[2])))
         elif fval < best[0]:
             best = (fval, a, b)
@@ -290,15 +285,13 @@ def _classify(h: np.ndarray) -> str:
 _CORNERS = ((0.0, 0.0), (0.0, _PI), (_PI, 0.0), (_PI, _PI))
 
 
-def find_stationary_points(
-    r: Radii | tuple, opts: MinimizeOptions = MinimizeOptions()
-) -> StationaryReport:
+def find_stationary_points(r: Radii | tuple) -> StationaryReport:
     """All gradient zeros of the energy found from a dense multistart sweep.
 
-    Newton iterations run in lockstep over a start_grid x start_grid set of
-    initial angle pairs; non-converged starts are dropped, survivors are
-    deduplicated within dedup_tol on the torus and classified by Hessian
-    eigenvalue signs.  The four corner configurations are stationary for
+    Newton iterations run in lockstep over a 128 x 128 set of initial angle
+    pairs; non-converged starts are dropped, survivors are deduplicated
+    within 1e-6 on the torus and classified by Hessian eigenvalue signs.
+    The four corner configurations are stationary for
     every radius triple and always appear.
 
     Requires strictly ordered positive radii so the energy is smooth on
@@ -311,12 +304,12 @@ def find_stationary_points(
             "stationary sweep needs r1 > 0; at r1 = 0 the gradient system "
             "degenerates to a one-parameter family"
         )
-    n0 = opts.start_grid
+    n0 = _START_GRID
     g = -_PI + _TWO_PI * np.arange(n0) / n0
     a = np.repeat(g, n0).astype(float)
     b = np.tile(g, n0).astype(float)
 
-    for _ in range(opts.max_iter):
+    for _ in range(_MAX_ITER):
         g1, g2, h11, h12, h22 = _grad_hess_arrays(r, a, b)
         gn = np.hypot(g1, g2)
         if np.all(gn <= 1e-13):
@@ -344,7 +337,7 @@ def find_stationary_points(
     for pa, pb, pg in pts:
         hit = False
         for qa, qb, _ in reps:
-            if torus_distance((pa, pb), (qa, qb)) <= opts.dedup_tol:
+            if torus_distance((pa, pb), (qa, qb)) <= _DEDUP_TOL:
                 hit = True
                 break
         if not hit:
@@ -365,7 +358,7 @@ def find_stationary_points(
 
     only_corners = all(
         min(torus_distance(p.config.as_tuple(), c) for c in _CORNERS)
-        <= opts.dedup_tol
+        <= _DEDUP_TOL
         for p in points
     )
     return StationaryReport(

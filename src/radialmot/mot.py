@@ -54,7 +54,6 @@ __all__ = [
     "monge_cost",
     "probe_cyclical_monotonicity",
     "c_1d",
-    "reflect_density",
     "ReflectedLineDensity",
     "one_d_increasing_map_check",
     "lift_radial_triple",
@@ -73,22 +72,6 @@ def c_1d(x1: float, x2: float, x3: float) -> float:
             return math.inf
         out += 1.0 / d
     return out
-
-
-class _CachedRadialCost:
-    """Memoized radial_cost values keyed by the exact radius triple."""
-
-    def __init__(self, opts: MinimizeOptions):
-        self.opts = opts
-        self._store: dict[tuple[float, float, float], float] = {}
-
-    def __call__(self, r1: float, r2: float, r3: float) -> float:
-        key = (r1, r2, r3)
-        hit = self._store.get(key)
-        if hit is None:
-            hit = radial_cost(Radii(r1, r2, r3), self.opts).value
-            self._store[key] = hit
-        return hit
 
 
 @dataclass(frozen=True)
@@ -147,10 +130,6 @@ class MongeCertificate:
     tau: tuple[int, ...]
     exhaustive_pairs: bool
 
-    @property
-    def certified(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -171,14 +150,12 @@ def discretize(
     if n < 1:
         raise ValueError("need at least one atom")
     atoms = np.array([rho.quantile((k + 0.5) / n) for k in range(n)])
-    cache = _CachedRadialCost(opts)
     cost = np.empty((n, n, n))
     for i in range(n):
         for j in range(i, n):
             for k in range(j, n):
-                key = (atoms[i], atoms[j], atoms[k])
                 try:
-                    v = cache(*key)
+                    v = radial_cost(Radii(atoms[i], atoms[j], atoms[k]), opts).value
                 except AllInfinite:
                     v = math.inf
                 for p in set(itertools.permutations((i, j, k))):
@@ -481,12 +458,6 @@ class ReflectedLineDensity:
             if h > l:
                 total += self.rho.cdf(h) - self.rho.cdf(l)
         return total
-
-
-def reflect_density(rho: RadialDensity) -> ReflectedLineDensity:
-    """Line density equal to rho on the outer thirds and to the mirrored
-    middle third on [-s2, -s1]; total mass stays 1."""
-    return ReflectedLineDensity(rho)
 
 
 @dataclass(frozen=True)

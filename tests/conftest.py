@@ -42,7 +42,8 @@ def blocks():
 @pytest.fixture(scope="session")
 def cex():
     """The generated counterexample density, matched to fourth order at
-    the second tertile; shared because the build runs sympy jets."""
+    the second tertile; shared because the build probes the pushforward
+    map's slope at several hundred points."""
     return example_counterexample_density(s1=0.9, s2=1.0, ratio=4.0, k=4)
 
 

@@ -284,33 +284,3 @@ class TestTopLevel:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
-
-    def test_seed_echoed_in_sweep_config(self, capsys):
-        code, out, _ = run(
-            capsys,
-            [
-                "--seed",
-                "7",
-                "sweep",
-                "--what",
-                "condition",
-                "--r3-min",
-                "14",
-                "--r3-max",
-                "15",
-                "--steps",
-                "2",
-                "--json",
-            ],
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["config"]["seed"] == 7
-
-    def test_seed_in_csv_config_echo(self, capsys):
-        code, out, _ = run(
-            capsys,
-            ["--seed", "3", "sweep", "--what", "condition", "--r3-min", "14", "--r3-max", "15", "--steps", "2"],
-        )
-        assert code == 0
-        assert "# seed=3" in out

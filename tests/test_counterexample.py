@@ -1,6 +1,10 @@
 """Constructed density with a heavy tail and its monotonicity refutations."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from radialmot import (
     ratio_gate,
     refute_class_T,
 )
+import radialmot
 from radialmot.counterexample import _choose_delta
 
 
@@ -214,6 +219,41 @@ class TestConstruction:
         # halving budget
         with pytest.raises(JetNotPositive):
             _choose_delta((0.0, -1.0, 0.0), s1=0.9)
+
+
+# h_taylor of example_counterexample_density(0.9, 1.0, 4.0, k) is the first
+# k + 2 entries of this jet; the values were frozen from the symbolic
+# differentiation the power series replaced
+_H_TAYLOR_K4 = (
+    0.0,
+    1.0,
+    -103.2427983539094,
+    836884.3804298134,
+    -64759161.85540825,
+    1022926782555.4731,
+)
+
+
+class TestJets:
+    @pytest.mark.parametrize("k", range(5))
+    def test_h_taylor_frozen(self, k):
+        got = example_counterexample_density(0.9, 1.0, 4.0, k).tail_spec.h_taylor
+        want = _H_TAYLOR_K4[: k + 2]
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a == pytest.approx(b, rel=1e-14, abs=0.0)
+
+    def test_import_leaves_sympy_unloaded(self):
+        src = str(Path(radialmot.__file__).resolve().parents[1])
+        code = "import sys, radialmot; print('sympy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestViolation:

@@ -4,7 +4,13 @@ import math
 
 import pytest
 
-from radialmot import PATTERNS, build_map, check_map
+from radialmot import (
+    PATTERNS,
+    SeidlMap,
+    build_map,
+    check_map,
+    example_counterexample_density,
+)
 
 
 class TestPatternTable:
@@ -93,3 +99,31 @@ class TestDiagnostics:
     def test_probe_count_recorded(self, uniform):
         diag = check_map(build_map(uniform, "DDI"), n_probe=55)
         assert diag.n_probes == 55
+
+
+class TestCycleToleranceRelative:
+    """The cycle check scales with max(1, |x|).  The far-tail probes of this
+    counterexample sit near x = 298, where the three quantile inversions of
+    a cycle leave absolute errors of 2e-9 to 5e-9 (about 1e-11 relative)."""
+
+    @pytest.fixture(scope="class")
+    def far_tail(self):
+        return example_counterexample_density(s1=0.9573, s2=1.0, ratio=4.697, k=1)
+
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_far_tail_probes_pass(self, far_tail, pattern):
+        assert far_tail.quantile(299.5 / 300) == pytest.approx(297.8, abs=0.1)
+        diag = check_map(build_map(far_tail, pattern), n_probe=300)
+        assert diag.max_cycle_error > 1e-9
+        assert diag.ok, diag.violations
+
+    def test_perturbed_map_still_fails(self, far_tail):
+        class Perturbed(SeidlMap):
+            def __call__(self, x):
+                return super().__call__(x) * (1.0 + 1e-9)
+
+        smap = build_map(far_tail, "III")
+        broken = Perturbed(smap.density, smap.pattern, smap.tertiles)
+        diag = check_map(broken, n_probe=300)
+        assert not diag.cycle_ok
+        assert not diag.ok

@@ -8,6 +8,7 @@ import pytest
 from radialmot import (
     LpCertificate,
     MongeCertificate,
+    ReflectedLineDensity,
     SizeExceeded,
     build_map,
     c_1d,
@@ -18,7 +19,6 @@ from radialmot import (
     monge_cost,
     one_d_increasing_map_check,
     probe_cyclical_monotonicity,
-    reflect_density,
     solve_exact,
 )
 
@@ -156,7 +156,7 @@ class TestCyclicalMonotonicityProbe:
 
 class TestReflectedLine:
     def test_pdf_placement(self, blocks):
-        line = reflect_density(blocks)
+        line = ReflectedLineDensity(blocks)
         third = 1.0 / 3.0
         assert line.pdf(0.5) == pytest.approx(third, abs=1e-12)
         assert line.pdf(-2.5) == pytest.approx(third, abs=1e-12)
@@ -165,7 +165,7 @@ class TestReflectedLine:
         assert line.pdf(-0.5) == 0.0
 
     def test_total_mass_preserved(self, blocks):
-        line = reflect_density(blocks)
+        line = ReflectedLineDensity(blocks)
         assert line.interval_mass(-20.0, 20.0) == pytest.approx(1.0, abs=1e-12)
         assert line.interval_mass(-20.0, 0.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
