@@ -555,6 +555,10 @@ def main(argv=None) -> int:
     except RadialMotError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except OverflowError:
+        # float powers in the closed forms overflow near 1e150
+        print("error: floating-point overflow: input too large", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

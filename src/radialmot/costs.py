@@ -216,6 +216,71 @@ def _inv_dist_d2(ri: float, rj: float, theta):
     return -ri * rj * _q_poly(ri, rj, t) * d ** -2.5
 
 
+# Scalar pair terms in plain floats.  They are the array formulas above
+# operation for operation, and math.cos/sin and float ** give the same bits
+# as numpy's scalars; only a power whose IEEE result is +inf (a zero base or
+# an overflow) raises in Python, so _pow maps it back to +inf.
+
+
+def _pow(d: float, e: float) -> float:
+    """d ** e for d >= 0 and e < 0, +inf where IEEE pow gives +inf."""
+    try:
+        return d ** e
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def _chord_sq(ri: float, rj: float, c: float) -> float:
+    """pair_distance_sq from c = cos(theta); max keeps a NaN, like np.maximum."""
+    return max(ri * ri + rj * rj - 2.0 * ri * rj * c, 0.0)
+
+
+def _pair_terms(
+    r1: float, r2: float, r3: float, a: float, b: float
+) -> tuple[float, float, float]:
+    """F12(a), F13(b), F23(a - b); +inf on coincidence."""
+    return (
+        _pow(_chord_sq(r1, r2, math.cos(a)), -0.5),
+        _pow(_chord_sq(r1, r3, math.cos(b)), -0.5),
+        _pow(_chord_sq(r2, r3, math.cos(a - b)), -0.5),
+    )
+
+
+def _pair_derivs(
+    ri: float, rj: float, t: float, c: float, d: float
+) -> tuple[float, float]:
+    """F'(t) and F''(t) from c = cos(t) and d = pair_distance_sq."""
+    return (
+        -ri * rj * math.sin(t) * _pow(d, -1.5),
+        -ri * rj * _q_poly(ri, rj, c) * _pow(d, -2.5),
+    )
+
+
+def _grad_hess_terms(
+    r1: float, r2: float, r3: float, a: float, b: float
+) -> tuple[float, float, float, float, float]:
+    """Gradient (g1, g2) and Hessian entries (h11, h12, h22) of f at (a, b).
+
+    Raises :class:`SingularConfiguration` when a pair distance vanishes.
+    """
+    t23 = a - b
+    c12, c13, c23 = math.cos(a), math.cos(b), math.cos(t23)
+    d12 = _chord_sq(r1, r2, c12)
+    d13 = _chord_sq(r1, r3, c13)
+    d23 = _chord_sq(r2, r3, c23)
+    if d12 == 0.0 or d13 == 0.0 or d23 == 0.0:
+        pairs = ((r1, r2, a, d12), (r1, r3, b, d13), (r2, r3, t23, d23))
+        for ri, rj, t, d in pairs:
+            if d == 0.0:
+                raise SingularConfiguration(
+                    f"coincident pair at radii ({ri}, {rj}), relative angle {t}"
+                )
+    p12, s12 = _pair_derivs(r1, r2, a, c12, d12)
+    p13, s13 = _pair_derivs(r1, r3, b, c13, d13)
+    p23, s23 = _pair_derivs(r2, r3, t23, c23, d23)
+    return p12 + p23, p13 - p23, s12 + s23, -s23, s13 + s23
+
+
 def full_cost(r: Radii | tuple, config: AngularConfig | tuple) -> CostBreakdown:
     """Total Coulomb energy and its pairwise breakdown at one configuration.
 
@@ -225,10 +290,7 @@ def full_cost(r: Radii | tuple, config: AngularConfig | tuple) -> CostBreakdown:
     r = Radii.of(r)
     if not isinstance(config, AngularConfig):
         config = AngularConfig(*config)
-    a, b = config.alpha, config.beta
-    f12 = float(_inv_dist(r.r1, r.r2, a))
-    f13 = float(_inv_dist(r.r1, r.r3, b))
-    f23 = float(_inv_dist(r.r2, r.r3, a - b))
+    f12, f13, f23 = _pair_terms(r.r1, r.r2, r.r3, config.alpha, config.beta)
     return CostBreakdown(f12, f13, f23, f12 + f13 + f23)
 
 
@@ -244,26 +306,10 @@ def grad_hess(
     r = Radii.of(r)
     if not isinstance(config, AngularConfig):
         config = AngularConfig(*config)
-    a, b = config.alpha, config.beta
-    pairs = (
-        (r.r1, r.r2, a),
-        (r.r1, r.r3, b),
-        (r.r2, r.r3, a - b),
+    g1, g2, h11, h12, h22 = _grad_hess_terms(
+        r.r1, r.r2, r.r3, config.alpha, config.beta
     )
-    for ri, rj, t in pairs:
-        if pair_distance_sq(ri, rj, t) == 0.0:
-            raise SingularConfiguration(
-                f"coincident pair at radii ({ri}, {rj}), relative angle {t}"
-            )
-    d12 = float(_inv_dist_d1(r.r1, r.r2, a))
-    d13 = float(_inv_dist_d1(r.r1, r.r3, b))
-    d23 = float(_inv_dist_d1(r.r2, r.r3, a - b))
-    s12 = float(_inv_dist_d2(r.r1, r.r2, a))
-    s13 = float(_inv_dist_d2(r.r1, r.r3, b))
-    s23 = float(_inv_dist_d2(r.r2, r.r3, a - b))
-    grad = np.array([d12 + d23, d13 - d23])
-    hess = np.array([[s12 + s23, -s23], [-s23, s13 + s23]])
-    return grad, hess
+    return np.array([g1, g2]), np.array([[h11, h12], [h12, h22]])
 
 
 def alignment_condition(r: Radii | tuple) -> float:

@@ -6,6 +6,9 @@ followed by damped Newton refinement finds the global minimum reliably.
 The grid exploits separability: f decomposes into three one-dimensional
 profiles (one per pair), so the full n x n table is assembled from three
 length-n arrays and a strided circulant view instead of n^2 evaluations.
+The refinement of the few grid nodes near the minimum runs on plain
+floats with the scalar pair terms of :mod:`costs`, which give numpy's
+results bit for bit at a fraction of the per-call cost.
 
 Stationary points solve the closed-form gradient system; a multistart
 Newton iteration run in lockstep over all starts converges quadratically
@@ -34,11 +37,12 @@ from scipy.optimize import brentq
 from .costs import (
     AngularConfig,
     Radii,
+    _grad_hess_terms,
     _inv_dist,
     _inv_dist_d1,
     _inv_dist_d2,
+    _pair_terms,
     canonical_angle,
-    full_cost,
     g_profile,
     grad_hess,
     torus_distance,
@@ -145,30 +149,34 @@ def _check_not_all_infinite(r: Radii) -> None:
         )
 
 
-def _energy(r: Radii, a: float, b: float) -> float:
-    f12 = float(_inv_dist(r.r1, r.r2, a))
-    f13 = float(_inv_dist(r.r1, r.r3, b))
-    f23 = float(_inv_dist(r.r2, r.r3, a - b))
-    return f12 + f13 + f23
+def _refine_minimum(
+    r1: float, r2: float, r3: float, a: float, b: float
+) -> tuple[float, float, float, int]:
+    """Damped Newton descent from a grid node; value never increases.
 
-
-def _refine_minimum(r: Radii, a: float, b: float) -> tuple[float, float, float, int]:
-    """Damped Newton descent from a grid node; value never increases."""
-    fval = _energy(r, a, b)
+    Plain floats throughout: the derivatives are taken at the canonical
+    angles, the energy at the raw iterate."""
+    f12, f13, f23 = _pair_terms(r1, r2, r3, a, b)
+    fval = f12 + f13 + f23
     iters = 0
     for _ in range(_MAX_ITER):
-        g, h = grad_hess(r, (a, b))
-        gn = math.hypot(g[0], g[1])
+        g1, g2, h11, h12, h22 = _grad_hess_terms(
+            r1, r2, r3, canonical_angle(a), canonical_angle(b)
+        )
+        gn = math.hypot(g1, g2)
         if gn <= 1e-12 * max(1.0, abs(fval)):
             break
-        det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
-        if det > 0.0 and h[0, 0] > 0.0:
-            sa = -(h[1, 1] * g[0] - h[0, 1] * g[1]) / det
-            sb = -(h[0, 0] * g[1] - h[1, 0] * g[0]) / det
+        det = h11 * h22 - h12 * h12
+        if det > 0.0 and h11 > 0.0:
+            sa = -(h22 * g1 - h12 * g2) / det
+            sb = -(h11 * g2 - h12 * g1) / det
         else:
-            # Hessian not positive definite: fall back to scaled descent
-            hn = max(abs(h).max(), 1e-12)
-            sa, sb = -g[0] / hn, -g[1] / hn
+            # Hessian not positive definite: fall back to scaled descent.
+            # A NaN entry makes the scale NaN, as numpy's max does, and
+            # the NaN step then stops the descent
+            mags = (abs(h11), abs(h12), abs(h22))
+            hn = math.nan if math.isnan(sum(mags)) else max(*mags, 1e-12)
+            sa, sb = -g1 / hn, -g2 / hn
         sn = math.hypot(sa, sb)
         if sn > 0.7:
             sa, sb = sa * 0.7 / sn, sb * 0.7 / sn
@@ -176,7 +184,8 @@ def _refine_minimum(r: Radii, a: float, b: float) -> tuple[float, float, float, 
         accepted = False
         for _ in range(40):
             na, nb = a + t * sa, b + t * sb
-            nf = _energy(r, na, nb)
+            f12, f13, f23 = _pair_terms(r1, r2, r3, na, nb)
+            nf = f12 + f13 + f23
             if nf <= fval:
                 accepted = True
                 break
@@ -224,16 +233,16 @@ def radial_cost(
         raise AllInfinite(f"no finite configuration found for radii {r.as_tuple()}")
 
     window = _TIE_WINDOW * max(1.0, abs(grid_min))
-    ii, jj = np.nonzero(f <= grid_min + window)
-    vals = f[ii, jj]
-    order = np.argsort(vals, kind="stable")[:_MAX_CANDIDATES]
+    # split flat indices into (row, column) only for the kept candidates:
+    # when many nodes tie, a full split holds two more grid-sized arrays
+    flat = np.flatnonzero(f <= grid_min + window)
+    order = np.argsort(f.ravel()[flat], kind="stable")[:_MAX_CANDIDATES]
+    rows, cols = np.divmod(flat[order], n)
 
     best: tuple[float, float, float] | None = None
     total_iters = 0
-    for k in order:
-        a0 = float(base[ii[k]])
-        b0 = float(base[jj[k]])
-        fval, a, b, iters = _refine_minimum(r, a0, b0)
+    for a0, b0 in zip(base[rows].tolist(), base[cols].tolist()):
+        fval, a, b, iters = _refine_minimum(r.r1, r.r2, r.r3, a0, b0)
         total_iters += iters
         a, b = canonical_angle(a), canonical_angle(b)
         if best is None:

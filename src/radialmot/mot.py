@@ -4,9 +4,14 @@ reference costs.
 A density is discretized into n equal-mass atoms at quantile midpoints.
 The symmetric three-marginal problem over those atoms is solved two ways:
 
-* "lp": the full linear program over coupling tensors with the three
-  uniform marginals, solved by HiGHS and then certified independently
-  (marginal residuals, dual feasibility, duality gap, all at 1e-9);
+* "lp": the symmetric linear program, one column per sorted atom triple
+  and one uniform-marginal row per atom, solved by HiGHS at 1e-10
+  feasibility tolerances.  Symmetrizing an optimal coupling keeps it
+  optimal, so this has the optimum of the full program over n^3 coupling
+  tensors (Friesecke & Voegler, SIAM J. Math. Anal. 2018).  The returned
+  coupling and duals are those of the full program, and they are certified
+  independently (marginal residuals, dual feasibility, duality gap, all
+  at 1e-9);
 * "brute-monge": exact minimization over permutation-pair couplings
   (id, sigma, tau), by full lexicographic enumeration up to n = 6 and by
   per-sigma optimal assignment for n in {7, 8}.
@@ -60,6 +65,9 @@ __all__ = [
 ]
 
 _CERT_TOL = 1e-9
+# HiGHS primal and dual feasibility tolerances; at its default 1e-7 the
+# duals can miss the 1e-9 certificate
+_LP_TOL = 1e-10
 _BIG = 1e30
 
 
@@ -139,6 +147,24 @@ class SolveResult:
     certificate: LpCertificate | MongeCertificate
 
 
+def _sorted_triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays of all sorted triples i <= j <= k, in lexicographic order."""
+    t = np.array(
+        list(itertools.combinations_with_replacement(range(n), 3)), dtype=np.intp
+    )
+    return t[:, 0], t[:, 1], t[:, 2]
+
+
+def _symmetric_tensor(n: int, ii, jj, kk, values: np.ndarray) -> np.ndarray:
+    """Dense n x n x n tensor holding values[t] at every permutation of the
+    sorted triple (ii[t], jj[t], kk[t]) and zero elsewhere."""
+    out = np.zeros((n, n, n))
+    idx = (ii, jj, kk)
+    for p in itertools.permutations(range(3)):
+        out[idx[p[0]], idx[p[1]], idx[p[2]]] = values
+    return out
+
+
 def discretize(
     rho: RadialDensity, n: int, opts: MinimizeOptions = MinimizeOptions()
 ) -> DiscreteProblem:
@@ -150,54 +176,65 @@ def discretize(
     if n < 1:
         raise ValueError("need at least one atom")
     atoms = np.array([rho.quantile((k + 0.5) / n) for k in range(n)])
-    cost = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                try:
-                    v = radial_cost(Radii(atoms[i], atoms[j], atoms[k]), opts).value
-                except AllInfinite:
-                    v = math.inf
-                for p in set(itertools.permutations((i, j, k))):
-                    cost[p] = v
-    return DiscreteProblem(atoms=atoms, cost=cost)
+    ii, jj, kk = _sorted_triples(n)
+    r = atoms.tolist()
+    values = np.empty(ii.size)
+    for t, (i, j, k) in enumerate(zip(ii.tolist(), jj.tolist(), kk.tolist())):
+        try:
+            values[t] = radial_cost(Radii(r[i], r[j], r[k]), opts).value
+        except AllInfinite:
+            values[t] = math.inf
+    return DiscreteProblem(atoms=atoms, cost=_symmetric_tensor(n, ii, jj, kk, values))
 
 
 def _solve_lp(problem: DiscreteProblem) -> SolveResult:
+    """The symmetric LP: one column per finite sorted triple.
+
+    The cost tensor is symmetric, so symmetrizing any optimal coupling
+    leaves an optimal one, and a symmetric coupling is fixed by the total
+    weight x_t of each sorted triple t.  Its marginal at atom i is
+    sum_t x_t count_i(t) / 3, which gives n rows instead of 3n, and the
+    dual u yields the full LP's duals (u/3, u/3, u/3).
+    """
     n = problem.n
-    c_full = problem.cost.reshape(-1)
-    finite = np.isfinite(c_full)
+    ii, jj, kk = _sorted_triples(n)
+    c = problem.cost[ii, jj, kk]
+    finite = np.isfinite(c)
     if not np.any(finite):
         raise InfeasibleCost("every coupling entry has infinite cost")
-    idx = np.nonzero(finite)[0]
-    c = c_full[idx]
-    ii, jj, kk = np.unravel_index(idx, (n, n, n))
+    ii, jj, kk, c = ii[finite], jj[finite], kk[finite], c[finite]
 
-    m = idx.size
-    rows = np.concatenate([ii, n + jj, 2 * n + kk])
+    m = c.size
+    rows = np.concatenate([ii, jj, kk])
     cols = np.concatenate([np.arange(m)] * 3)
-    data = np.ones(rows.size)
     from scipy.sparse import csr_matrix
 
-    a_eq = csr_matrix((data, (rows, cols)), shape=(3 * n, m))
-    b_eq = np.full(3 * n, 1.0 / n)
+    # duplicate (row, column) entries add up to count_i(t)
+    a_eq = csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, m)) / 3.0
+    b_eq = np.full(n, 1.0 / n)
 
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    tols = dict(
+        dual_feasibility_tolerance=_LP_TOL, primal_feasibility_tolerance=_LP_TOL
+    )
+    res = linprog(
+        c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs", options=tols
+    )
     if res.status != 0:
         raise InfeasibleCost(f"linear program failed: {res.message}")
 
-    weights = np.zeros(n * n * n)
-    weights[idx] = res.x
-    coupling = Coupling(weights=weights.reshape(n, n, n))
+    # a sorted triple's weight is split evenly over its distinct
+    # permutations: 1, 3 or 6 of them
+    n_perms = np.array([1.0, 3.0, 6.0])[(ii < jj).astype(int) + (jj < kk)]
+    coupling = Coupling(weights=_symmetric_tensor(n, ii, jj, kk, res.x / n_perms))
 
-    duals = np.asarray(res.eqlin.marginals)
-    u, v, w = duals[:n], duals[n : 2 * n], duals[2 * n :]
+    u = np.asarray(res.eqlin.marginals)
+    third = u / 3.0
     # dual feasibility over all finite columns, in one vector pass
-    slack = c - (u[ii] + v[jj] + w[kk])
-    max_dual_violation = float(max(0.0, -slack.min())) if slack.size else 0.0
-    dual_obj = float(b_eq @ duals)
+    slack = c - (third[ii] + third[jj] + third[kk])
+    max_dual_violation = float(max(0.0, -slack.min()))
+    dual_obj = float(b_eq @ u)
     cert = LpCertificate(
-        duals=(u, v, w),
+        duals=(third, third, third),
         marginal_residual=coupling.marginal_residual(),
         max_dual_violation=max_dual_violation,
         duality_gap=float(res.fun - dual_obj),

@@ -75,6 +75,14 @@ class TestCost:
         assert code == 1
         assert "error" in err
 
+    def test_overflow_is_an_error_line(self, capsys):
+        # alignment_condition's cubes overflow at this scale
+        code, out, err = run(capsys, ["cost", "1e150", "2e150", "3e151"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestMap:
     def test_table_output(self, capsys, blocks_file):

@@ -9,6 +9,7 @@ from radialmot import (
     AllInfinite,
     DegenerateRadii,
     MinimizeOptions,
+    alignment_condition,
     c_delta,
     c_pi,
     find_stationary_points,
@@ -82,6 +83,88 @@ class TestRadialCost:
         opts = MinimizeOptions(grid=64)
         res = radial_cost((1.0, 2.0, 14.0), opts)
         assert res.value <= c_pi((1.0, 2.0, 14.0)) + 1e-12
+
+
+# radial_cost outputs pinned bit for bit: value, argmin, grid value as
+# float.hex, then candidates and Newton iterations
+KERNEL_PINS = {
+    "aligned": (
+        (1.0, 2.0, 15.0),
+        ("0x1.dab623dab623ep-2", "-0x1.921fb54442d18p+1", "0x0.0p+0"),
+        "0x1.dab623dab623ep-2",
+        1,
+        0,
+    ),
+    "unaligned": (
+        (1.0, 2.0, 14.0),
+        ("0x1.e419ca626b250p-2", "-0x1.8f6ae83278b49p+1", "0x1.004e39000d270p-2"),
+        "0x1.e419d5c163b1ep-2",
+        4,
+        14,
+    ),
+    # P = -0.009: the interior basin is shallow next to the corner saddle
+    "saddle_adjacent": (
+        (0.0665, 0.0718, 5.503),
+        ("0x1.e603be626c37bp+2", "-0x1.921fb54442d18p+1", "0x0.0p+0"),
+        "0x1.e603be626c37cp+2",
+        12,
+        55,
+    ),
+    # the derivatives overflow (gradient inf, Hessian NaN), so the descent
+    # step is NaN and no step is taken
+    "overflow_1e-102": (
+        (7.9263306018765e-102, 3.99493811827473e-105, 5.846079755145051e-105),
+        ("0x1.6bdae351cbee2p+345", "-0x1.921fb54442d00p-6", "0x1.8efb75d9ba4bep+1"),
+        "0x1.6bdae351cbee2p+345",
+        12,
+        0,
+    ),
+    # the gradient is far below the stopping test's absolute 1e-12, so
+    # Newton takes no step and the grid value stands, although
+    # 1e-140 * radial_cost(1, 2, 14) is 4.7275463e-141
+    "scale_1e140": (
+        (1e140, 2e140, 1.4e141),
+        ("0x1.cd31bac5ed85fp-467", "-0x1.921fb54442d18p+1", "-0x1.921fb54442d00p-6"),
+        "0x1.cd31bac5ed85fp-467",
+        12,
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_PINS))
+def test_radial_cost_bitwise_pin(case):
+    r, (value, alpha, beta), grid_value, candidates, iterations = KERNEL_PINS[case]
+    res = radial_cost(r)
+    got = (res.value.hex(), res.argmin.alpha.hex(), res.argmin.beta.hex())
+    assert got == (value, alpha, beta)
+    assert res.grid_value.hex() == grid_value
+    assert (res.candidates, res.iterations) == (candidates, iterations)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the 1e-10 relative tie merge absorbs non-collinear candidates",
+)
+def test_aligned_large_ratio_argmin_collinear():
+    # `radialmot cost 1 2 1e6` prints `argmin collinear = no` while P ~ 1e18
+    r = (1.0, 2.0, 1e6)
+    assert alignment_condition(r) > 1e17
+    res = radial_cost(r)
+    assert torus_distance(res.argmin.as_tuple(), (PI, 0.0)) <= 1e-6
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="an 8-node grid seeds only the corner saddle, which Newton keeps",
+)
+def test_coarse_grid_leaves_saddle_corner():
+    # `radialmot cost 1 2 14 --grid 8` returns c_pi although P = -80 makes
+    # the collinear corner a saddle
+    r = (1.0, 2.0, 14.0)
+    assert alignment_condition(r) == -80.0
+    res = radial_cost(r, MinimizeOptions(grid=8))
+    assert res.value < c_pi(r)
 
 
 class TestStationaryPoints:

@@ -4,16 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
 
 from radialmot import (
     LpCertificate,
     MongeCertificate,
     ReflectedLineDensity,
     SizeExceeded,
+    block_density,
     build_map,
     c_1d,
     c_pi,
     discretize,
+    example_counterexample_density,
     graph_triples,
     lift_radial_triple,
     monge_cost,
@@ -108,6 +112,71 @@ class TestSolveExact:
         prob = discretize(blocks, 2)
         with pytest.raises(ValueError):
             solve_exact(prob, method="annealing")
+
+
+def _full_lp_value(problem) -> float:
+    """Reference optimum: the LP over every finite entry of the n^3 tensor
+    with the three uniform marginals as 3n rows."""
+    n = problem.n
+    c = problem.cost.reshape(-1)
+    idx = np.flatnonzero(np.isfinite(c))
+    ii, jj, kk = np.unravel_index(idx, (n, n, n))
+    m = idx.size
+    rows = np.concatenate([ii, n + jj, 2 * n + kk])
+    cols = np.concatenate([np.arange(m)] * 3)
+    a_eq = csr_matrix((np.ones(rows.size), (rows, cols)), shape=(3 * n, m))
+    res = linprog(
+        c[idx],
+        A_eq=a_eq,
+        b_eq=np.full(3 * n, 1.0 / n),
+        bounds=(0, None),
+        method="highs",
+        options={
+            "dual_feasibility_tolerance": 1e-10,
+            "primal_feasibility_tolerance": 1e-10,
+        },
+    )
+    assert res.status == 0
+    return float(res.fun)
+
+
+@pytest.fixture(scope="module")
+def tail_k1():
+    return example_counterexample_density(s1=0.9, s2=1.0, ratio=4.0, k=1)
+
+
+class TestSymmetricLp:
+    @pytest.mark.parametrize("n", [6, 9])
+    @pytest.mark.parametrize("density", ["blocks", "tail_k1"])
+    def test_matches_full_lp(self, request, density, n):
+        prob = discretize(request.getfixturevalue(density), n)
+        res = solve_exact(prob, method="lp")
+        assert res.value == pytest.approx(_full_lp_value(prob), rel=1e-12, abs=1e-12)
+        if n <= 8:
+            brute = solve_exact(prob, method="brute")
+            assert brute.value == pytest.approx(res.value, abs=1e-9)
+
+        # the returned duals are feasible for the full n^3 problem, and the
+        # coupling has uniform marginals and reproduces the value
+        c = prob.cost
+        fin = np.isfinite(c)
+        u, v, w = res.certificate.duals
+        slack = c - (u[:, None, None] + v[None, :, None] + w[None, None, :])
+        assert slack[fin].min() >= -1e-9
+        assert (u.sum() + v.sum() + w.sum()) / n == pytest.approx(res.value, abs=1e-9)
+        assert res.coupling.weights.shape == (n, n, n)
+        assert res.coupling.marginal_residual() <= 1e-9
+        assert res.coupling.cost_against(c) == pytest.approx(res.value, abs=1e-9)
+        weights = res.coupling.weights
+        assert np.allclose(np.transpose(weights, (1, 0, 2)), weights, atol=1e-15)
+        assert np.allclose(np.transpose(weights, (2, 1, 0)), weights, atol=1e-15)
+
+    def test_seed1_block_density_certifies(self):
+        # with HiGHS at its default 1e-7 tolerances the full LP failed its
+        # certificate here with a dual violation near 1e-7
+        rho = block_density([(0.650, 1.921), (2.366, 3.451), (94.128, 94.695)])
+        res = solve_exact(discretize(rho, 27), method="lp")
+        assert res.certificate.certified
 
 
 class TestMongeCost:
