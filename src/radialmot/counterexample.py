@@ -43,6 +43,7 @@ from .density import (
     PushforwardTailSegment,
     RadialDensity,
     SegmentStack,
+    _horner,
 )
 from .errors import (
     CertificationError,
@@ -383,35 +384,36 @@ class _HProfile:
     Equal to its Taylor polynomial p on [0, delta/2], constant p(delta/2)
     beyond delta, and a smooth convex blend of the two in between, which
     keeps the profile strictly positive on (0, s1] whenever p is positive
-    up to delta/2.
+    up to delta/2.  p and p' are ascending coefficient tuples evaluated by
+    ``density._horner``, bit for bit what numpy's Polynomial gives.
     """
 
     def __init__(self, derivs: Sequence[float], delta: float):
-        coeffs = [d / math.factorial(j) for j, d in enumerate(derivs)]
-        self.poly = np.polynomial.Polynomial(coeffs)
-        self.dpoly = self.poly.deriv()
+        self.poly = tuple(float(d) / math.factorial(j) for j, d in enumerate(derivs))
+        # numpy's polyder: the coefficient of x^(j-1) is j * c_j
+        self.dpoly = tuple(j * c for j, c in enumerate(self.poly) if j)
         self.delta = float(delta)
-        self.plateau = float(self.poly(self.delta / 2.0))
+        self.plateau = _horner(self.poly, self.delta / 2.0)
 
     def __call__(self, x: float) -> float:
         if x <= self.delta / 2.0:
-            return float(self.poly(x))
+            return float(_horner(self.poly, x))
         if x >= self.delta:
             return self.plateau
         u = (x - self.delta / 2.0) / (self.delta / 2.0)
         s = _smoothstep(u)
-        return self.plateau + (float(self.poly(x)) - self.plateau) * (1.0 - s)
+        return self.plateau + (float(_horner(self.poly, x)) - self.plateau) * (1.0 - s)
 
     def prime(self, x: float) -> float:
         if x <= self.delta / 2.0:
-            return float(self.dpoly(x))
+            return float(_horner(self.dpoly, x))
         if x >= self.delta:
             return 0.0
         u = (x - self.delta / 2.0) / (self.delta / 2.0)
         s = _smoothstep(u)
         ds = _smoothstep_d1(u) * 2.0 / self.delta
-        return float(self.dpoly(x)) * (1.0 - s) - (
-            float(self.poly(x)) - self.plateau
+        return float(_horner(self.dpoly, x)) * (1.0 - s) - (
+            float(_horner(self.poly, x)) - self.plateau
         ) * ds
 
 
@@ -601,9 +603,6 @@ def build_counterexample_density(
     def t_map(x: float) -> float:
         return stack12.mass_quantile(2.0 / 3.0 - stack12.mass_below(x))
 
-    def t_map_prime(x: float) -> float:
-        return -stack1.pdf(x) / stack2.pdf(t_map(x))
-
     probes = np.unique(
         np.concatenate(
             [
@@ -612,36 +611,36 @@ def build_counterexample_density(
                 s1 * np.geomspace(1e-9, 0.5, 40),
             ]
         )
-    )
+    ).tolist()
 
     def graph_prime(x: float) -> float:
         b = t_map(x)
         _, da, db = _phi_partials(x, b)
-        return da + db * t_map_prime(x)
+        return da + db * (-stack1.pdf(x) / stack2.pdf(b))
 
     # shrinking delta both restores positivity of the jet polynomial and
     # tames the blend slope, so one halving loop covers monotonicity too;
     # the blend seam [delta/2, delta] moves with delta, so it gets its own
-    # dense probes every iteration (the global grid can straddle it)
+    # dense probes every iteration (the global grid can straddle it).  The
+    # graph slope on the fixed probes does not depend on delta: it is
+    # computed once, and each halving only adds the new bump slope there.
+    probe_slopes = [graph_prime(x) for x in probes]
     delta = _choose_delta(h_derivs, s1)
     h_profile = _HProfile(h_derivs, delta)
     worst = -math.inf
     for _ in range(_DELTA_HALVINGS):
-        seam = np.linspace(delta / 8.0, min(2.0 * delta, s1 * (1.0 - 1e-6)), 241)
-        dpsi = np.array(
-            [
-                graph_prime(float(x)) + h_profile.prime(float(x))
-                for x in np.concatenate([probes, seam])
-            ]
-        )
+        seam = np.linspace(
+            delta / 8.0, min(2.0 * delta, s1 * (1.0 - 1e-6)), 241
+        ).tolist()
+        dpsi = [g + h_profile.prime(x) for g, x in zip(probe_slopes, probes)]
+        dpsi += [graph_prime(x) + h_profile.prime(x) for x in seam]
         worst = float(np.min(dpsi))
         if worst > 0.0:
             break
         delta /= 2.0
         h_profile = _HProfile(h_derivs, delta)
     else:
-        all_probes = np.concatenate([probes, seam])
-        bad = float(all_probes[int(np.argmin(dpsi))])
+        bad = (probes + seam)[int(np.argmin(dpsi))]
         raise DensityError(
             f"pushforward map fails to increase near x={bad:.6g} "
             f"(psi'={worst:.3e}); adjust the pieces or the bump"

@@ -16,13 +16,20 @@ quantile is the lower generalized inverse inf{x : F(x) >= p}, so a mass
 sitting exactly at a gap boundary resolves to the left endpoint of the
 gap.  A RadialDensity adds validation on top: total mass must be 1 within
 1e-10 at construction time.
+
+Polynomial pieces are evaluated on plain floats by a scalar Horner loop.
+numpy's Polynomial evaluation is the identity domain map 0 + 1*x followed
+by the Horner recurrence c[-1] + x*0, then c_i + acc*x; the loop performs
+the same IEEE operations in the same order, so its values equal numpy's
+bit for bit without numpy's per-call overhead.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,12 +72,26 @@ def _real_roots_in(coeffs_poly: np.polynomial.Polynomial, lo: float, hi: float):
     return out
 
 
+def _horner(coeffs: tuple[float, ...], x: float) -> float:
+    """np.polynomial.Polynomial(coeffs)(x) on plain floats, bit for bit;
+    the domain map 0 + 1*x turns -0.0 into 0.0, as numpy's does."""
+    x = 0.0 + 1.0 * x
+    acc = coeffs[-1] + x * 0
+    for c in coeffs[-2::-1]:
+        acc = c + acc * x
+    return acc
+
+
 class PolySegment:
     """Polynomial density piece on a bounded interval [lo, hi].
 
     coeffs are ascending power-basis coefficients of the density itself.
     The piece must be nonnegative on its interval; this is verified at the
     endpoints and at all interior critical points of the polynomial.
+
+    The density and its antiderivative are coefficient tuples evaluated by
+    the scalar Horner loop; numpy's Polynomial only supplies the
+    antiderivative coefficients and the critical points at construction.
     """
 
     kind = "poly"
@@ -83,12 +104,12 @@ class PolySegment:
         self.lo = float(lo)
         self.hi = float(hi)
         self.coeffs = tuple(float(c) for c in coeffs)
-        self._poly = np.polynomial.Polynomial(self.coeffs)
-        self._anti = self._poly.integ()
-        self._anti_lo = float(self._anti(self.lo))
-        self.mass = float(self._anti(self.hi)) - self._anti_lo
-        crit = _real_roots_in(self._poly.deriv(), self.lo, self.hi)
-        vals = [float(self._poly(x)) for x in [self.lo, self.hi, *crit]]
+        poly = np.polynomial.Polynomial(self.coeffs)
+        self._anti = tuple(float(c) for c in poly.integ().coef)
+        self._anti_lo = _horner(self._anti, self.lo)
+        self.mass = _horner(self._anti, self.hi) - self._anti_lo
+        crit = _real_roots_in(poly.deriv(), self.lo, self.hi)
+        vals = [_horner(self.coeffs, x) for x in [self.lo, self.hi, *crit]]
         low = min(vals)
         if low < -1e-12 * max(1.0, max(abs(v) for v in vals)):
             raise DensityError(
@@ -99,14 +120,14 @@ class PolySegment:
             raise DensityError("poly segment carries no mass")
 
     def pdf(self, x: float) -> float:
-        return max(float(self._poly(x)), 0.0)
+        return max(float(_horner(self.coeffs, x)), 0.0)
 
     def mass_below(self, x: float) -> float:
         if x <= self.lo:
             return 0.0
         if x >= self.hi:
             return self.mass
-        return min(max(float(self._anti(x)) - self._anti_lo, 0.0), self.mass)
+        return min(max(float(_horner(self._anti, x)) - self._anti_lo, 0.0), self.mass)
 
     def quantile_within(self, m: float) -> float:
         m = min(max(m, 0.0), self.mass)
@@ -114,7 +135,7 @@ class PolySegment:
             return self.lo
         if m == self.mass:
             return self.hi
-        if self._poly.degree() == 0:
+        if len(self.coeffs) == 1:
             return self.lo + m / self.coeffs[0]
         x = float(
             brentq(
@@ -292,14 +313,14 @@ class SegmentStack:
 
     def __init__(self, segments: Sequence):
         self.segments = tuple(segments)
-        self._cum = np.concatenate(
-            [[0.0], np.cumsum([s.mass for s in self.segments])]
-        )
+        # plain floats summed in order, bit for bit numpy's cumsum; a list,
+        # so that RadialDensity can pin the total to exactly 1
+        self._cum = [0.0, *accumulate(s.mass for s in self.segments)]
         self._los = [s.lo for s in self.segments]
 
     @property
     def total(self) -> float:
-        return float(self._cum[-1])
+        return self._cum[-1]
 
     def pdf(self, x: float) -> float:
         x = float(x)
@@ -315,14 +336,13 @@ class SegmentStack:
         i = bisect_right(self._los, x) - 1
         if i < 0:
             return 0.0
-        return float(self._cum[i]) + self.segments[i].mass_below(x)
+        return self._cum[i] + self.segments[i].mass_below(x)
 
     def mass_quantile(self, m: float) -> float:
         """Lower quantile of mass m, clamped to [0, total]."""
         m = min(max(m, 0.0), self.total)
-        i = int(np.searchsorted(self._cum[1:], m, side="left"))
-        i = min(i, len(self.segments) - 1)
-        return self.segments[i].quantile_within(m - float(self._cum[i]))
+        i = min(bisect_left(self._cum, m, 1) - 1, len(self.segments) - 1)
+        return self.segments[i].quantile_within(m - self._cum[i])
 
 
 class RadialDensity(SegmentStack):

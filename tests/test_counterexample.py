@@ -12,6 +12,7 @@ import pytest
 from radialmot import (
     BOUNDARY_RATIO_THRESHOLD,
     RATIO_THRESHOLD,
+    DensityError,
     EpsMInfeasible,
     GateFailed,
     JetNotPositive,
@@ -254,6 +255,52 @@ class TestJets:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert out.stdout.strip() == "False"
+
+
+class TestBuildPins:
+    """Tail builds of the seed-1 cex-build benchmark round, bit for bit as
+    recorded before the density layer moved to scalar Horner evaluation."""
+
+    def test_k2_tail(self):
+        rho = example_counterexample_density(
+            s1=0.926193142634143, s2=1.0, ratio=3.732988291532693, k=2
+        )
+        spec = rho.tail_spec
+        assert spec.delta.hex() == "0x1.da35fcd2c9456p-10"
+        assert spec.plateau.hex() == "0x1.803b9b9056406p-11"
+        assert [v.hex() for v in spec.h_taylor] == [
+            "0x0.0p+0",
+            "0x1.dd28f723dee20p-2",
+            "-0x1.74edec02279a0p+6",
+            "0x1.59f9ad856a7d1p+21",
+        ]
+        tail = {
+            1.001: ("0x1.cf6682ea2195bp-1", "0x1.55d22b8765c80p-1"),
+            1.1: ("0x1.e8b8ce4994b55p-2", "0x1.73f2999694840p-1"),
+            2.0: ("0x1.5c4fc4f9299e5p-5", "0x1.c6e05d535db94p-1"),
+            10.0: ("0x1.b31306cca8ebfp-9", "0x1.e78285d8bc390p-1"),
+            100.0: ("0x1.0821431bc3980p-14", "0x1.fca400fe57f75p-1"),
+        }
+        for y, (pdf, cdf) in tail.items():
+            assert (rho.pdf(y).hex(), rho.cdf(y).hex()) == (pdf, cdf)
+        quantiles = {
+            0.7: "0x1.0c9424c506020p+0",
+            0.9: "0x1.3863ac651ef8cp+1",
+            0.99: "0x1.00ab9eb65f397p+6",
+            0.999: "0x1.53a9d82eed910p+9",
+        }
+        for p, q in quantiles.items():
+            assert rho.quantile(p).hex() == q
+
+    def test_k3_density_error(self):
+        with pytest.raises(DensityError) as err:
+            example_counterexample_density(
+                s1=0.961492451625062, s2=1.0, ratio=6.27870189758566, k=3
+            )
+        assert str(err.value) == (
+            "pushforward map fails to increase near x=4.35712e-20 "
+            "(psi'=-4.479e+00); adjust the pieces or the bump"
+        )
 
 
 class TestViolation:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from scipy.optimize import brentq
+
 from radialmot import (
     DensityError,
     PolySegment,
@@ -11,6 +13,7 @@ from radialmot import (
     block_density,
     uniform_density,
 )
+from radialmot.density import SegmentStack
 
 
 class TestPolySegment:
@@ -40,6 +43,107 @@ class TestPolySegment:
     def test_bad_interval_rejected(self):
         with pytest.raises(DensityError):
             PolySegment(1.0, 1.0, [1.0])
+
+
+class _NumpyPolySegment:
+    """PolySegment's arithmetic written with np.polynomial.Polynomial, as
+    the reference for the scalar Horner evaluation."""
+
+    def __init__(self, lo, hi, coeffs):
+        self.lo, self.hi = lo, hi
+        self.poly = np.polynomial.Polynomial(coeffs)
+        self.anti = self.poly.integ()
+        self.anti_lo = float(self.anti(lo))
+        self.mass = float(self.anti(hi)) - self.anti_lo
+
+    def pdf(self, x):
+        return max(float(self.poly(x)), 0.0)
+
+    def mass_below(self, x):
+        if x <= self.lo:
+            return 0.0
+        if x >= self.hi:
+            return self.mass
+        return min(max(float(self.anti(x)) - self.anti_lo, 0.0), self.mass)
+
+    def quantile_within(self, m):
+        m = min(max(m, 0.0), self.mass)
+        if m == 0.0:
+            return self.lo
+        if m == self.mass:
+            return self.hi
+        if self.poly.degree() == 0:
+            return self.lo + m / self.poly.coef[0]
+        x = float(
+            brentq(
+                lambda t: self.mass_below(t) - m,
+                self.lo,
+                self.hi,
+                xtol=1e-14,
+                rtol=8.9e-16,
+            )
+        )
+        for _ in range(2):
+            d = self.pdf(x)
+            if d > 1e-12:
+                x = min(max(x - (self.mass_below(x) - m) / d, self.lo), self.hi)
+        return x
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+def test_poly_segment_bitwise_equals_numpy_polynomial(degree):
+    rng = np.random.default_rng(100 + degree)
+    mismatches = []
+    for _ in range(12):
+        lo = float(rng.choice([0.0, -1.0, rng.uniform(0.0, 5.0)]))
+        hi = lo + float(rng.uniform(0.01, 3.0))
+        coeffs = rng.normal(size=degree + 1)
+        # lift the constant term until the piece is positive on [lo, hi]
+        reach = max(abs(lo), abs(hi))
+        coeffs[0] = 0.1 + sum(abs(c) * reach**j for j, c in enumerate(coeffs))
+        coeffs = [float(c) for c in coeffs]
+        seg, ref = PolySegment(lo, hi, coeffs), _NumpyPolySegment(lo, hi, coeffs)
+        assert seg.mass == ref.mass
+        xs = [lo, hi, -0.0, 0.0, lo - 1.0, hi + 1.0, np.nextafter(lo, hi)]
+        xs += rng.uniform(lo, hi, 40).tolist()
+        for x in xs:
+            if seg.pdf(x) != ref.pdf(x) or seg.mass_below(x) != ref.mass_below(x):
+                mismatches.append((coeffs, lo, hi, x))
+        ms = [0.0, -0.1, seg.mass, 1.1 * seg.mass, seg.mass_below(0.5 * (lo + hi))]
+        ms += rng.uniform(0.0, seg.mass, 12).tolist()
+        for m in ms:
+            if seg.quantile_within(m) != ref.quantile_within(m):
+                mismatches.append((coeffs, lo, hi, "m", m))
+    assert mismatches == []
+
+
+class TestSegmentStack:
+    def test_cumulative_mass_matches_numpy_cumsum(self):
+        segs = [
+            PolySegment(0.0, 0.3, [1.1, 0.2]),
+            PolySegment(0.3, 0.7, [0.7]),
+            PolySegment(1.0, 2.5, [0.1, 0.3, 0.05]),
+        ]
+        stack = SegmentStack(segs)
+        cum = np.concatenate([[0.0], np.cumsum([s.mass for s in segs])])
+        assert list(stack._cum) == cum.tolist()
+        assert stack.total == float(cum[-1])
+
+    def test_mass_at_a_cumulative_boundary_resolves_left(self):
+        # the lower quantile of a mass that ends a segment is that
+        # segment's right end, not the next segment's left end
+        segs = [
+            PolySegment(0.0, 1.0, [0.25]),
+            PolySegment(2.0, 3.0, [0.5]),
+            PolySegment(5.0, 6.0, [0.25]),
+        ]
+        stack = SegmentStack(segs)
+        assert list(stack._cum) == [0.0, 0.25, 0.75, 1.0]
+        assert stack.mass_quantile(0.25) == 1.0
+        assert stack.mass_quantile(0.75) == 3.0
+        assert stack.mass_quantile(np.nextafter(0.25, 1.0)) == 2.0
+        assert stack.mass_quantile(0.0) == 0.0
+        assert stack.mass_quantile(2.0) == 6.0
 
 
 class TestTableSegment:
