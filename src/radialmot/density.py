@@ -22,6 +22,11 @@ numpy's Polynomial evaluation is the identity domain map 0 + 1*x followed
 by the Horner recurrence c[-1] + x*0, then c_i + acc*x; the loop performs
 the same IEEE operations in the same order, so its values equal numpy's
 bit for bit without numpy's per-call overhead.
+
+Quantiles of constant and linear pieces are closed form; higher degrees,
+table pieces and the tail inverse use Brent.  Segments reject non-finite
+inputs and any mass that is not finite and positive, so a NaN never
+reaches the cumulative stack.
 """
 
 from __future__ import annotations
@@ -92,6 +97,13 @@ class PolySegment:
     The density and its antiderivative are coefficient tuples evaluated by
     the scalar Horner loop; numpy's Polynomial only supplies the
     antiderivative coefficients and the critical points at construction.
+
+    quantile_within inverts mass_below: a constant piece by division, a
+    linear piece by the quadratic root in t = x - lo,
+    t = 2m / (p + sqrt(p^2 + 2qm)) with p the density at lo and q the
+    slope (no cancellation, and it covers q = 0 and p = 0), and higher
+    degrees by Brent.  Linear and higher pieces then take two Newton
+    polish steps against mass_below.
     """
 
     kind = "poly"
@@ -104,6 +116,8 @@ class PolySegment:
         self.lo = float(lo)
         self.hi = float(hi)
         self.coeffs = tuple(float(c) for c in coeffs)
+        if not all(math.isfinite(c) for c in self.coeffs):
+            raise DensityError(f"non-finite poly coefficients {self.coeffs}")
         poly = np.polynomial.Polynomial(self.coeffs)
         self._anti = tuple(float(c) for c in poly.integ().coef)
         self._anti_lo = _horner(self._anti, self.lo)
@@ -116,8 +130,10 @@ class PolySegment:
                 f"poly segment dips negative on [{self.lo}, {self.hi}] "
                 f"(min value {low:.3e})"
             )
-        if self.mass <= 0.0:
-            raise DensityError("poly segment carries no mass")
+        if not 0.0 < self.mass < math.inf:
+            raise DensityError(
+                f"poly segment mass {self.mass!r} is not finite and positive"
+            )
 
     def pdf(self, x: float) -> float:
         return max(float(_horner(self.coeffs, x)), 0.0)
@@ -137,15 +153,21 @@ class PolySegment:
             return self.hi
         if len(self.coeffs) == 1:
             return self.lo + m / self.coeffs[0]
-        x = float(
-            brentq(
-                lambda t: self.mass_below(t) - m,
-                self.lo,
-                self.hi,
-                xtol=_QUANTILE_XTOL,
-                rtol=8.9e-16,
+        if len(self.coeffs) == 2:
+            # p*t + q*t^2/2 = m in t = x - lo, by the root that does not cancel
+            p, q = _horner(self.coeffs, self.lo), self.coeffs[1]
+            t = 2.0 * m / (p + math.sqrt(max(p * p + 2.0 * q * m, 0.0)))
+            x = min(max(self.lo + t, self.lo), self.hi)
+        else:
+            x = float(
+                brentq(
+                    lambda t: self.mass_below(t) - m,
+                    self.lo,
+                    self.hi,
+                    xtol=_QUANTILE_XTOL,
+                    rtol=8.9e-16,
+                )
             )
-        )
         # two Newton polish steps where the density is bounded away from 0
         for _ in range(2):
             d = self.pdf(x)
@@ -168,6 +190,8 @@ class TableSegment:
         ds = np.asarray(density, dtype=float)
         if xs.ndim != 1 or xs.size < 2 or xs.shape != ds.shape:
             raise DensityError("table segment needs matching 1-d x and density")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ds))):
+            raise DensityError("table segment x and density must be finite")
         if not np.all(np.diff(xs) > 0):
             raise DensityError("table segment x grid must be strictly increasing")
         if np.any(ds < 0):
@@ -179,8 +203,10 @@ class TableSegment:
         self._interp = PchipInterpolator(xs, ds, extrapolate=False)
         self._anti = self._interp.antiderivative()
         self.mass = float(self._anti(self.hi) - self._anti(self.lo))
-        if self.mass <= 0.0:
-            raise DensityError("table segment carries no mass")
+        if not 0.0 < self.mass < math.inf:
+            raise DensityError(
+                f"table segment mass {self.mass!r} is not finite and positive"
+            )
 
     def pdf(self, x: float) -> float:
         if x < self.lo or x > self.hi:
@@ -247,8 +273,10 @@ class PushforwardTailSegment:
         self._source_pdf = source_pdf
         self._source_mass_below = source_mass_below
         self._source_quantile = source_quantile
-        if self.mass <= 0.0:
-            raise DensityError("tail segment carries no mass")
+        if not 0.0 < self.mass < math.inf:
+            raise DensityError(
+                f"tail segment mass {self.mass!r} is not finite and positive"
+            )
 
     def inverse(self, y: float) -> float:
         """Source point mapping to tail point y; bracketed bisection plus
@@ -366,7 +394,7 @@ class RadialDensity(SegmentStack):
                     f"segments overlap near [{b.lo}, {a.hi}]"
                 )
         total = sum(s.mass for s in segs)
-        if abs(total - 1.0) > _MASS_TOL:
+        if not abs(total - 1.0) <= _MASS_TOL:  # NaN-safe
             raise DensityError(
                 f"segment masses sum to {total!r}, expected 1 within {_MASS_TOL}"
             )

@@ -45,28 +45,37 @@ def _fail(i: int | None, msg: str) -> DensityFormatError:
     return DensityFormatError(f"{where}: {msg}")
 
 
+def _is_number(v) -> bool:
+    """A finite JSON number; Python's json also reads NaN, Infinity and
+    integers beyond the float range."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _float_list(i: int, name: str, raw, min_len: int = 1) -> list[float]:
     if not isinstance(raw, list) or len(raw) < min_len:
         raise _fail(i, f"{name} must be a list of at least {min_len} numbers")
-    out = []
     for v in raw:
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
+        if not _is_number(v):
             raise _fail(i, f"{name} contains a non-number: {v!r}")
-        out.append(float(v))
-    return out
+    return [float(v) for v in raw]
 
 
 def _parse_interval(i: int, raw, allow_unbounded: bool) -> tuple[float, float | None]:
     if not isinstance(raw, list) or len(raw) != 2:
         raise _fail(i, "interval must be a [lo, hi] pair")
     lo, hi = raw
-    if not isinstance(lo, (int, float)) or isinstance(lo, bool):
+    if not _is_number(lo):
         raise _fail(i, f"interval lower end must be a number, got {lo!r}")
     if hi is None:
         if not allow_unbounded:
             raise _fail(i, "only pushforward-tail segments may be unbounded")
         return float(lo), None
-    if not isinstance(hi, (int, float)) or isinstance(hi, bool):
+    if not _is_number(hi):
         raise _fail(i, f"interval upper end must be a number or null, got {hi!r}")
     return float(lo), float(hi)
 
@@ -128,6 +137,9 @@ def from_dict(doc) -> RadialDensity:
             k = data.get("k")
             if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= 4:
                 raise _fail(i, f"k must be an integer in [0, 4], got {k!r}")
+            delta = data.get("delta")
+            if delta is not None and not _is_number(delta):
+                raise _fail(i, f"delta must be a number or null, got {delta!r}")
             tail_request = {
                 "index": i,
                 "lo": lo,
@@ -135,7 +147,7 @@ def from_dict(doc) -> RadialDensity:
                 "h_taylor": _float_list(i, "h_taylor", data.get("h_taylor"))
                 if data.get("h_taylor") is not None
                 else None,
-                "delta": data.get("delta"),
+                "delta": delta,
             }
         else:
             raise _fail(i, f"unknown kind {kind!r}")
@@ -179,7 +191,7 @@ def _rebuild_with_tail(segments, req) -> RadialDensity:
         ):
             raise _fail(i, f"stored h_taylor {stored} disagrees with rebuilt {got}")
     if req["delta"] is not None:
-        if abs(float(req["delta"]) - rebuilt.tail_spec.delta) > 1e-12:
+        if abs(req["delta"] - rebuilt.tail_spec.delta) > 1e-12:
             raise _fail(i, "stored delta disagrees with rebuilt profile")
     return rebuilt
 

@@ -258,8 +258,12 @@ class TestJets:
 
 
 class TestBuildPins:
-    """Tail builds of the seed-1 cex-build benchmark round, bit for bit as
-    recorded before the density layer moved to scalar Horner evaluation."""
+    """Tail builds of the seed-1 cex-build benchmark round.  delta, plateau,
+    h_taylor and the k=3 message are bit for bit as recorded before the
+    density layer moved to scalar Horner evaluation.  The tail pdf, cdf and
+    quantiles are recorded after linear pieces got their closed-form
+    quantile; the values before that change must still agree within 1e-12
+    relative."""
 
     def test_k2_tail(self):
         rho = example_counterexample_density(
@@ -274,23 +278,34 @@ class TestBuildPins:
             "-0x1.74edec02279a0p+6",
             "0x1.59f9ad856a7d1p+21",
         ]
+        # y: (pdf, cdf) now, then (pdf, cdf) before the closed form
         tail = {
-            1.001: ("0x1.cf6682ea2195bp-1", "0x1.55d22b8765c80p-1"),
-            1.1: ("0x1.e8b8ce4994b55p-2", "0x1.73f2999694840p-1"),
-            2.0: ("0x1.5c4fc4f9299e5p-5", "0x1.c6e05d535db94p-1"),
-            10.0: ("0x1.b31306cca8ebfp-9", "0x1.e78285d8bc390p-1"),
-            100.0: ("0x1.0821431bc3980p-14", "0x1.fca400fe57f75p-1"),
+            1.001: ("0x1.cf6682ea216dbp-1", "0x1.55d22b8765c89p-1",
+                    "0x1.cf6682ea2195bp-1", "0x1.55d22b8765c80p-1"),
+            1.1: ("0x1.e8b8ce4994b64p-2", "0x1.73f299969483fp-1",
+                  "0x1.e8b8ce4994b55p-2", "0x1.73f2999694840p-1"),
+            2.0: ("0x1.5c4fc4f9299ddp-5", "0x1.c6e05d535db95p-1",
+                  "0x1.5c4fc4f9299e5p-5", "0x1.c6e05d535db94p-1"),
+            10.0: ("0x1.b31306cca8ea4p-9", "0x1.e78285d8bc390p-1",
+                   "0x1.b31306cca8ebfp-9", "0x1.e78285d8bc390p-1"),
+            100.0: ("0x1.0821431bc39bfp-14", "0x1.fca400fe57f74p-1",
+                    "0x1.0821431bc3980p-14", "0x1.fca400fe57f75p-1"),
         }
-        for y, (pdf, cdf) in tail.items():
-            assert (rho.pdf(y).hex(), rho.cdf(y).hex()) == (pdf, cdf)
+        for y, (pdf, cdf, pdf_before, cdf_before) in tail.items():
+            got = (rho.pdf(y), rho.cdf(y))
+            assert (got[0].hex(), got[1].hex()) == (pdf, cdf)
+            assert got[0] == pytest.approx(float.fromhex(pdf_before), rel=1e-12)
+            assert got[1] == pytest.approx(float.fromhex(cdf_before), rel=1e-12)
         quantiles = {
-            0.7: "0x1.0c9424c506020p+0",
-            0.9: "0x1.3863ac651ef8cp+1",
-            0.99: "0x1.00ab9eb65f397p+6",
-            0.999: "0x1.53a9d82eed910p+9",
+            0.7: ("0x1.0c9424c50602cp+0", "0x1.0c9424c506020p+0"),
+            0.9: ("0x1.3863ac651ef8dp+1", "0x1.3863ac651ef8cp+1"),
+            0.99: ("0x1.00ab9eb65f3aep+6", "0x1.00ab9eb65f397p+6"),
+            0.999: ("0x1.53a9d82eed910p+9", "0x1.53a9d82eed910p+9"),
         }
-        for p, q in quantiles.items():
-            assert rho.quantile(p).hex() == q
+        for p, (q, q_before) in quantiles.items():
+            got = rho.quantile(p)
+            assert got.hex() == q
+            assert got == pytest.approx(float.fromhex(q_before), rel=1e-12)
 
     def test_k3_density_error(self):
         with pytest.raises(DensityError) as err:

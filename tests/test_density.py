@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.optimize import brentq
 from radialmot import (
     DensityError,
     PolySegment,
+    PushforwardTailSegment,
     RadialDensity,
     TableSegment,
     block_density,
@@ -92,8 +94,11 @@ class _NumpyPolySegment:
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
 def test_poly_segment_bitwise_equals_numpy_polynomial(degree):
+    """pdf and mass_below equal numpy's bit for bit at every degree, and so
+    do quantiles except at degree 1, whose closed form is checked for
+    accuracy against a 60-digit root instead."""
     rng = np.random.default_rng(100 + degree)
-    mismatches = []
+    mismatches, ulps_new, ulps_brent = [], [], []
     for _ in range(12):
         lo = float(rng.choice([0.0, -1.0, rng.uniform(0.0, 5.0)]))
         hi = lo + float(rng.uniform(0.01, 3.0))
@@ -112,9 +117,35 @@ def test_poly_segment_bitwise_equals_numpy_polynomial(degree):
         ms = [0.0, -0.1, seg.mass, 1.1 * seg.mass, seg.mass_below(0.5 * (lo + hi))]
         ms += rng.uniform(0.0, seg.mass, 12).tolist()
         for m in ms:
-            if seg.quantile_within(m) != ref.quantile_within(m):
+            q, q_ref = seg.quantile_within(m), ref.quantile_within(m)
+            if degree == 1 and 0.0 < m < seg.mass:
+                ulps_new.append(_linear_root_ulps(seg, m, q))
+                ulps_brent.append(_linear_root_ulps(seg, m, q_ref))
+            elif q != q_ref:
                 mismatches.append((coeffs, lo, hi, "m", m))
     assert mismatches == []
+    if degree == 1:
+        # closed form + polish against the numpy reference's Brent + polish
+        assert max(ulps_new) <= 16.0
+        assert np.mean(ulps_new) <= np.mean(ulps_brent)
+
+
+def _linear_root_ulps(seg, m, x):
+    """Distance from x to the 60-digit root of anti(x) - anti(lo) = m, with
+    anti the segment's own float antiderivative coefficients evaluated
+    exactly, in ulps of the interval scale max(|lo|, |hi|): the float
+    antiderivative carries rounding at that scale, so a root near 0 on an
+    interval like [-1, 1] cannot be resolved to its own ulp."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a0, a1, a2 = (Decimal(c) for c in seg._anti)
+        lo = Decimal(seg.lo)
+        target = (a2 * lo + a1) * lo + a0 + Decimal(m)
+        r = Decimal(x)
+        for _ in range(6):
+            r -= ((a2 * r + a1) * r + a0 - target) / (2 * a2 * r + a1)
+        scale = Decimal(math.ulp(max(abs(seg.lo), abs(seg.hi))))
+        return float(abs(Decimal(x) - r) / scale)
 
 
 class TestSegmentStack:
@@ -144,6 +175,45 @@ class TestSegmentStack:
         assert stack.mass_quantile(np.nextafter(0.25, 1.0)) == 2.0
         assert stack.mass_quantile(0.0) == 0.0
         assert stack.mass_quantile(2.0) == 6.0
+
+
+def _blow_up(x):
+    """An increasing map of [0, 1) onto [1, inf)."""
+    return 1.0 + x / (1.0 - x) if x < 1.0 else math.inf
+
+
+def _tail(forward):
+    src = PolySegment(0.0, 1.0, [1.0 / 3.0])
+    return PushforwardTailSegment(
+        lo=1.0,
+        source_mass=src.mass,
+        x_hi=1.0,
+        forward=forward,
+        forward_prime=lambda x: 1.0 / (1.0 - x) ** 2,
+        source_pdf=src.pdf,
+        source_mass_below=src.mass_below,
+        source_quantile=src.quantile_within,
+    )
+
+
+class TestTailInverse:
+    def test_inverts_at_and_between_walk_points(self):
+        seg = _tail(_blow_up)
+        walk = [1.0 - 0.5**k for k in range(1, 40)]
+        points = walk + [0.5 * (a + b) for a, b in zip(walk, walk[1:])]
+        points += [0.002, 0.37, 1.0 - 1e-13, 1.0 - 3e-15]
+        for x in points:
+            assert seg.inverse(_blow_up(x)) == pytest.approx(x, rel=1e-14)
+
+    def test_at_or_below_lo_is_zero(self):
+        seg = _tail(_blow_up)
+        assert seg.inverse(1.0) == 0.0
+        assert seg.inverse(0.5) == 0.0
+
+    def test_nan_is_rejected(self):
+        seg = _tail(_blow_up)
+        with pytest.raises(DensityError, match="bracket"):
+            seg.inverse(math.nan)
 
 
 class TestTableSegment:

@@ -2,12 +2,21 @@
 
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radialmot import (
     DensityFormatError,
+    PolySegment,
+    RadialDensity,
+    RadialMotError,
+    TableSegment,
+    block_density,
+    example_counterexample_density,
     from_dict,
     load,
     save,
@@ -122,3 +131,112 @@ class TestValidation:
         del doc["segments"][0]["data"]["coeffs"]
         with pytest.raises(DensityFormatError, match="segment 0"):
             from_dict(doc)
+
+
+class TestNonFiniteNumbers:
+    """Python's json reads NaN and Infinity; neither may reach a density."""
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_poly_coefficient(self, bad):
+        text = (
+            '{"schema_version": 1, "segments": [{"kind": "poly", '
+            f'"interval": [0, 1], "data": {{"coeffs": [{bad}]}}}}]}}'
+        )
+        with pytest.raises(DensityFormatError, match="segment 0"):
+            from_dict(json.loads(text))
+
+    def test_table_value(self):
+        doc = {
+            "schema_version": 1,
+            "segments": [
+                {
+                    "kind": "table",
+                    "interval": [0.0, 1.0],
+                    "data": {"x": [0.0, 0.5, 1.0], "density": [1.0, math.nan, 1.0]},
+                }
+            ],
+        }
+        with pytest.raises(DensityFormatError, match="segment 0"):
+            from_dict(doc)
+
+    @pytest.mark.parametrize("delta", ["x", [1], {}, math.nan, math.inf])
+    def test_tail_delta(self, delta):
+        doc = to_dict(example_counterexample_density(s1=0.9, s2=1.0, ratio=4.0, k=1))
+        doc["segments"][-1]["data"]["delta"] = delta
+        with pytest.raises(DensityFormatError, match="delta"):
+            from_dict(doc)
+
+    def test_segments_reject_non_finite_inputs(self):
+        with pytest.raises(RadialMotError):
+            PolySegment(0.0, 1.0, [math.nan])
+        with pytest.raises(RadialMotError):
+            PolySegment(0.0, 1.0, [1.0, math.inf])
+        with pytest.raises(RadialMotError):
+            TableSegment([0.0, 1.0], [1.0, math.nan])
+        with pytest.raises(RadialMotError):
+            TableSegment([0.0, math.inf], [1.0, 1.0])
+
+    def test_nan_total_mass_rejected(self):
+        class NanMass:
+            lo, hi, mass = 0.0, 1.0, math.nan
+
+        with pytest.raises(RadialMotError, match="sum"):
+            RadialDensity([NanMass()])
+
+
+def _valid_documents():
+    xs = np.linspace(2.0, 3.0, 5)
+    return [
+        to_dict(block_density([(0.0, 1.0), (2.0, 3.0), (15.0, 16.0)])),
+        to_dict(RadialDensity([PolySegment(0.0, 1.0, [0.5, 1.0])])),
+        to_dict(
+            RadialDensity(
+                [PolySegment(0.0, 1.0, [0.5]), TableSegment(xs, np.full(5, 0.5))]
+            )
+        ),
+        to_dict(example_counterexample_density(s1=0.9, s2=1.0, ratio=4.0, k=1)),
+    ]
+
+
+_DOCUMENTS = _valid_documents()
+
+
+def _sites(node, path=()):
+    """(path, is_number) for every number leaf and every dict key: the
+    numbers get replaced, the keys dropped."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,), False
+            yield from _sites(value, path + (key,))
+    elif isinstance(node, list):
+        for j, value in enumerate(node):
+            yield from _sites(value, path + (j,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path, True
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_mutated_documents_load_or_raise_typed(data):
+    """A valid document with one number replaced by NaN, +-Infinity, a
+    string, a list or null, or with one key dropped, either loads as a
+    density with a finite total and finite pdf values or raises a
+    RadialMotError; never a silent non-finite value, never a traceback."""
+    doc = copy.deepcopy(data.draw(st.sampled_from(_DOCUMENTS)))
+    path, is_number = data.draw(st.sampled_from(list(_sites(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if is_number:
+        parent[path[-1]] = data.draw(
+            st.sampled_from([math.nan, math.inf, -math.inf, "x", [1.0], None])
+        )
+    else:
+        del parent[path[-1]]
+    try:
+        rho = from_dict(json.loads(json.dumps(doc)))
+    except RadialMotError:
+        return
+    assert math.isfinite(rho.total)
+    for x in (0.0, 0.5, 1.0, 1.5, 2.5, 15.5, 100.0):
+        assert math.isfinite(rho.pdf(x))
