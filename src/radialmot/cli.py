@@ -48,16 +48,9 @@ from .counterexample import (
     refute_class_T,
 )
 from .density_io import SCHEMA_VERSION
-from .errors import (
-    DegenerateRadii,
-    DensityFormatError,
-    InvalidRadii,
-    RadialMotError,
-    SizeExceeded,
-)
+from .errors import DegenerateRadii, DensityFormatError, InvalidRadii, RadialMotError
 from .maps import PATTERNS, build_map, check_map
 from .minimize import (
-    MinimizeOptions,
     find_stationary_points,
     radial_cost,
     trace_implicit_curves,
@@ -126,8 +119,7 @@ def _load_density(path):
 
 def cmd_cost(args) -> int:
     r = Radii(args.r1, args.r2, args.r3)
-    opts = MinimizeOptions(grid=args.grid)
-    res = radial_cost(r, opts)
+    res = radial_cost(r, grid=args.grid)
     argmin = res.argmin.as_tuple()
     p = alignment_condition(r)
     try:
@@ -233,9 +225,8 @@ def cmd_map(args) -> int:
 
 def cmd_solve(args) -> int:
     rho = _load_density(args.density)
-    opts = MinimizeOptions(grid=args.grid)
     n_atoms = 3 * args.n
-    problem = discretize(rho, n_atoms, opts)
+    problem = discretize(rho, n_atoms, grid=args.grid)
     exact = solve_exact(problem, method=args.method)
     brute_value = None
     if args.method == "brute":
@@ -243,7 +234,7 @@ def cmd_solve(args) -> int:
     elif n_atoms <= 8:
         brute_value = solve_exact(problem, method="brute").value
     ddi = build_map(rho, "DDI")
-    monge = monge_cost(ddi, n=args.n, opts=opts)
+    monge = monge_cost(ddi, n=args.n, grid=args.grid)
     diff = monge.value - exact.value
     optimal = abs(diff) <= args.tol
     payload = {
@@ -543,18 +534,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as e:
+    except (_UsageError, DensityFormatError, InvalidRadii) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (DensityFormatError, InvalidRadii) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except SizeExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except RadialMotError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except ValueError as e:
+        # bad option values (--grid, --n, --k) reach the library as
+        # ValueError; DegenerateRadii is a ValueError too but is caught
+        # above as a mathematical failure
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     except OverflowError:
         # float powers in the closed forms overflow near 1e150
         print("error: floating-point overflow: input too large", file=sys.stderr)

@@ -55,7 +55,7 @@ from .errors import (
     ViolationNotFound,
 )
 from .maps import build_map
-from .minimize import MinimizeOptions, radial_cost
+from .minimize import radial_cost
 from .mot import MongeTriple, _apply_swap
 
 __all__ = [
@@ -446,16 +446,13 @@ class TailSpec:
 
     h_taylor holds the bump derivatives (h(0), h'(0), ..., h^(k+1)(0)):
     matching the density to order C^k at s2 pins the tail map's jet to
-    order k+1, one past the density order.  h_form is the realized
-    positive profile (callable, with .prime), phi_on_graph the map
-    x -> phi(x, T(x)); delta is the plateau onset and plateau the
-    constant value beyond it.
+    order k+1, one past the density order.  delta is the plateau onset of
+    the realized positive profile and plateau its constant value beyond
+    it.
     """
 
     order: int
     h_taylor: tuple[float, ...]
-    h_form: Callable[[float], float]
-    phi_on_graph: Callable[[float], float]
     delta: float
     plateau: float
     psi_taylor: tuple[float, ...]
@@ -466,8 +463,7 @@ class CounterexampleDensity(RadialDensity):
     """A constructed density together with its tail ingredients.
 
     Behaves exactly like a RadialDensity; additionally exposes the tail
-    spec, the graph map pieces and the bump, for diagnostics and
-    serialization.
+    spec and the graph map pieces, for diagnostics and serialization.
     """
 
     def __init__(
@@ -481,7 +477,6 @@ class CounterexampleDensity(RadialDensity):
         psi: Callable[[float], float],
         psi_prime: Callable[[float], float],
         t_map: Callable[[float], float],
-        h: Callable[[float], float],
         rho1_coeffs: tuple[tuple[float, float, tuple[float, ...]], ...],
         rho2_coeffs: tuple[tuple[float, float, tuple[float, ...]], ...],
     ):
@@ -493,7 +488,6 @@ class CounterexampleDensity(RadialDensity):
         self.psi = psi
         self.psi_prime = psi_prime
         self.t_map = t_map
-        self.h = h
         self.rho1_coeffs = rho1_coeffs
         self.rho2_coeffs = rho2_coeffs
 
@@ -670,8 +664,6 @@ def build_counterexample_density(
     spec = TailSpec(
         order=k,
         h_taylor=tuple(float(v) for v in h_derivs),
-        h_form=h_profile,
-        phi_on_graph=phi_on_graph,
         delta=delta,
         plateau=h_profile.plateau,
         psi_taylor=tuple(float(v) for v in psi_series),
@@ -686,7 +678,6 @@ def build_counterexample_density(
         psi=psi,
         psi_prime=psi_prime,
         t_map=t_map,
-        h=h_profile,
         rho1_coeffs=tuple((s.lo, s.hi, s.coeffs) for s in rho1),
         rho2_coeffs=tuple((s.lo, s.hi, s.coeffs) for s in rho2),
     )
@@ -775,24 +766,18 @@ class ViolationCertificate:
     metadata: dict = field(default_factory=dict)
 
 
-def _exact_cost(t: tuple[float, float, float], opts: MinimizeOptions) -> float:
-    return radial_cost(Radii(*t), opts).value
-
-
 def _certificate(
     pattern: str,
     template: str,
     ta: MongeTriple,
     tb: MongeTriple,
-    opts: MinimizeOptions,
     extrapolated: bool,
     metadata: dict,
 ) -> ViolationCertificate:
     sa, sb = _apply_swap(ta.as_tuple(), tb.as_tuple(), template)
-    ca = _exact_cost(ta.as_tuple(), opts)
-    cb = _exact_cost(tb.as_tuple(), opts)
-    cs_a = _exact_cost(sa, opts)
-    cs_b = _exact_cost(sb, opts)
+    ca, cb, cs_a, cs_b = (
+        radial_cost(Radii(*t)).value for t in (ta.as_tuple(), tb.as_tuple(), sa, sb)
+    )
     gap = (ca + cb) - (cs_a + cs_b)
     # the collinear recomputation is only meaningful when every involved
     # triple is certified collinear by the alignment condition
@@ -819,11 +804,7 @@ def _certificate(
     )
 
 
-def find_violation(
-    rho: RadialDensity,
-    epsm: EpsM | None = None,
-    opts: MinimizeOptions = MinimizeOptions(),
-) -> ViolationCertificate:
+def find_violation(rho: RadialDensity, epsm: EpsM | None = None) -> ViolationCertificate:
     """Monotonicity violation for the DDI branch map via window bisection.
 
     Bisects toward x -> 0 until the orbit enters the near window
@@ -881,7 +862,6 @@ def find_violation(
         template="first",
         ta=x_orbit,
         tb=y_orbit,
-        opts=opts,
         extrapolated=False,
         metadata={
             "eps": eps,
@@ -902,9 +882,7 @@ def find_violation(
 _REGION_TEMPLATES = {"DID": "third", "III": "second", "IDD": "first"}
 
 
-def _region_violation(
-    rho: RadialDensity, pattern: str, opts: MinimizeOptions
-) -> ViolationCertificate:
+def _region_violation(rho: RadialDensity, pattern: str) -> ViolationCertificate:
     """Shrinking-region construction for the non-DDI patterns.
 
     The second iterate of each pattern's map diverges at one end of the
@@ -983,7 +961,6 @@ def _region_violation(
         template=template,
         ta=ta,
         tb=tb,
-        opts=opts,
         extrapolated=pattern in ("III", "IDD"),
         metadata={
             "region_mass": (m_lo, m_hi),
@@ -1002,9 +979,7 @@ def _region_violation(
     return cert
 
 
-def refute_class_T(
-    rho: RadialDensity, opts: MinimizeOptions = MinimizeOptions()
-) -> dict[str, ViolationCertificate]:
+def refute_class_T(rho: RadialDensity) -> dict[str, ViolationCertificate]:
     """Monotonicity violations for all four tertile patterns.
 
     DDI uses the window pair; the other three use the shrinking-region
@@ -1013,7 +988,7 @@ def refute_class_T(
     the latter two are template extrapolations and flagged as such).
     """
     out: dict[str, ViolationCertificate] = {}
-    out["DDI"] = find_violation(rho, opts=opts)
+    out["DDI"] = find_violation(rho)
     for pattern in ("DID", "III", "IDD"):
-        out[pattern] = _region_violation(rho, pattern, opts)
+        out[pattern] = _region_violation(rho, pattern)
     return out

@@ -126,8 +126,7 @@ def check_map(seidl_map: SeidlMap, n_probe: int = 999) -> MapDiagnostics:
         tx = seidl_map(x)
         err_push = abs(rho.cdf(tx) - seidl_map.image_mass(p, b))
         max_push = max(max_push, err_push)
-        x3 = seidl_map.iterate(x, 3)
-        err_cycle = abs(x3 - x)
+        err_cycle = abs(seidl_map.iterate(tx, 2) - x)
         max_cycle = max(max_cycle, err_cycle)
         if err_cycle > _CYCLE_TOL * max(1.0, abs(x)):
             cycle_ok = False

@@ -50,7 +50,6 @@ from .costs import (
 from .errors import AllInfinite, DegenerateRadii, RootNotBracketed
 
 __all__ = [
-    "MinimizeOptions",
     "RadialCostResult",
     "StationaryPoint",
     "StationaryReport",
@@ -75,17 +74,6 @@ _MAX_ITER = 80
 _TIE_WINDOW = 1e-7
 # cap on the number of refined tie candidates
 _MAX_CANDIDATES = 12
-
-
-@dataclass(frozen=True)
-class MinimizeOptions:
-    """Nodes per angle for the global scan (grid x grid table)."""
-
-    grid: int = 256
-
-    def __post_init__(self) -> None:
-        if self.grid < 8:
-            raise ValueError("grids must have at least 8 nodes per angle")
 
 
 @dataclass(frozen=True)
@@ -200,21 +188,22 @@ def _refine_minimum(
     return fval, a, b, iters
 
 
-def radial_cost(
-    r: Radii | tuple, opts: MinimizeOptions = MinimizeOptions()
-) -> RadialCostResult:
+def radial_cost(r: Radii | tuple, grid: int = 256) -> RadialCostResult:
     """Minimal Coulomb energy over all angular configurations at fixed radii.
 
-    Separable grid scan followed by damped Newton refinement of every node
-    inside the tie window.  Ties between refined candidates at equal value
-    are broken by the lexicographically smallest canonical (alpha, beta).
+    Separable grid scan with grid nodes per angle, followed by damped
+    Newton refinement of every node inside the tie window.  Ties between
+    refined candidates at equal value are broken by the lexicographically
+    smallest canonical (alpha, beta).
 
     Raises :class:`AllInfinite` when two radii vanish, since then every
     configuration contains a coincident pair.
     """
+    if grid < 8:
+        raise ValueError("grids must have at least 8 nodes per angle")
     r = Radii.of(r)
     _check_not_all_infinite(r)
-    n = opts.grid
+    n = grid
     base = -_PI + _TWO_PI * np.arange(n) / n
     diff = _TWO_PI * np.arange(n) / n
     with np.errstate(divide="ignore"):

@@ -2,9 +2,16 @@
 reference costs.
 
 A density is discretized into n equal-mass atoms at quantile midpoints.
-The symmetric three-marginal problem over those atoms is solved two ways:
+The cost is symmetric under permuting the three radii, so a problem holds
+one value per sorted atom triple i <= j <= k: an (m, 3) index array and an
+(m,) cost vector, m = C(n + 2, 3).  A symmetric coupling is held the same
+way, as the total weight of each sorted triple it charges.  The dense
+n x n x n cost and weight tensors are views built on demand; no solver
+path for n > 8 builds them.
 
-* "lp": the symmetric linear program, one column per sorted atom triple
+The symmetric problem over those atoms is solved two ways:
+
+* "lp": the symmetric linear program, one column per finite sorted triple
   and one uniform-marginal row per atom, solved by HiGHS at 1e-10
   feasibility tolerances.  Symmetrizing an optimal coupling keeps it
   optimal, so this has the optimum of the full program over n^3 coupling
@@ -14,7 +21,8 @@ The symmetric three-marginal problem over those atoms is solved two ways:
   at 1e-9);
 * "brute-monge": exact minimization over permutation-pair couplings
   (id, sigma, tau), by full lexicographic enumeration up to n = 6 and by
-  per-sigma optimal assignment for n in {7, 8}.
+  per-sigma optimal assignment for n in {7, 8}.  The coupling returned is
+  the symmetrization of (id, sigma, tau), which has the same cost.
 
 The LP value can only be lower; agreement of the two within tolerance is
 the discrete optimality certificate used throughout.
@@ -29,12 +37,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 
-from .costs import Radii, alignment_condition, c_pi, full_cost
+from .costs import Radii, alignment_condition, c_pi
 from .density import RadialDensity
 from .errors import (
     AllInfinite,
@@ -43,7 +51,7 @@ from .errors import (
     SizeExceeded,
 )
 from .maps import SeidlMap
-from .minimize import MinimizeOptions, radial_cost
+from .minimize import radial_cost
 
 __all__ = [
     "DiscreteProblem",
@@ -82,38 +90,76 @@ def c_1d(x1: float, x2: float, x3: float) -> float:
     return out
 
 
+def _sorted_triples(n: int) -> np.ndarray:
+    """(m, 3) array of all sorted triples i <= j <= k, lexicographic."""
+    m = math.comb(n + 2, 3)
+    flat = itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(n), 3)
+    )
+    return np.fromiter(flat, dtype=np.intp, count=3 * m).reshape(m, 3)
+
+
+def _symmetric_tensor(n: int, triples: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Dense n x n x n tensor holding values[t] at every permutation of the
+    sorted triple triples[t] and zero elsewhere."""
+    out = np.zeros((n, n, n))
+    for p in itertools.permutations(range(3)):
+        out[tuple(triples[:, p].T)] = values
+    return out
+
+
 @dataclass(frozen=True)
 class Coupling:
-    """Nonnegative weights over atom triples; marginals should be uniform."""
+    """A symmetric coupling of n atoms: mass[t] is the total weight of the
+    sorted triple triples[t], spread evenly over its distinct permutations.
+    Only charged triples are stored; marginals should be uniform."""
 
-    weights: np.ndarray
+    n: int
+    triples: np.ndarray
+    mass: np.ndarray
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The dense n x n x n weight tensor."""
+        t = self.triples
+        n_perms = np.array([1.0, 3.0, 6.0])[
+            (t[:, 0] < t[:, 1]).astype(int) + (t[:, 1] < t[:, 2])
+        ]
+        return _symmetric_tensor(self.n, t, self.mass / n_perms)
 
     def marginal_residual(self) -> float:
-        n = self.weights.shape[0]
-        target = 1.0 / n
-        res = 0.0
-        for axes in ((1, 2), (0, 2), (0, 1)):
-            marg = self.weights.sum(axis=axes)
-            res = max(res, float(np.max(np.abs(marg - target))))
-        return res
+        # every one of the three marginals puts count_i(t) / 3 of the
+        # triple's mass on atom i
+        marg = np.bincount(
+            self.triples.ravel(), weights=np.repeat(self.mass, 3), minlength=self.n
+        )
+        return float(np.max(np.abs(marg / 3.0 - 1.0 / self.n)))
 
     def cost_against(self, cost: np.ndarray) -> float:
-        mask = self.weights > 0
-        if np.any(~np.isfinite(cost[mask])):
+        """Cost under a dense symmetric n x n x n cost tensor."""
+        c = cost[tuple(self.triples.T)]
+        if np.any(~np.isfinite(c)):
             return math.inf
-        return float(np.sum(self.weights[mask] * cost[mask]))
+        return float(np.sum(self.mass * c))
 
 
 @dataclass(frozen=True)
 class DiscreteProblem:
-    """Atoms at quantile midpoints and the full symmetric cost tensor."""
+    """Atoms at quantile midpoints and the cost of every sorted atom
+    triple (inf where every angular configuration has a coincidence)."""
 
     atoms: np.ndarray
-    cost: np.ndarray
+    triples: np.ndarray
+    values: np.ndarray
 
     @property
     def n(self) -> int:
         return int(self.atoms.size)
+
+    @property
+    def cost(self) -> np.ndarray:
+        """The dense symmetric n x n x n cost tensor."""
+        return _symmetric_tensor(self.n, self.triples, self.values)
 
 
 @dataclass(frozen=True)
@@ -147,62 +193,39 @@ class SolveResult:
     certificate: LpCertificate | MongeCertificate
 
 
-def _sorted_triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays of all sorted triples i <= j <= k, in lexicographic order."""
-    t = np.array(
-        list(itertools.combinations_with_replacement(range(n), 3)), dtype=np.intp
-    )
-    return t[:, 0], t[:, 1], t[:, 2]
-
-
-def _symmetric_tensor(n: int, ii, jj, kk, values: np.ndarray) -> np.ndarray:
-    """Dense n x n x n tensor holding values[t] at every permutation of the
-    sorted triple (ii[t], jj[t], kk[t]) and zero elsewhere."""
-    out = np.zeros((n, n, n))
-    idx = (ii, jj, kk)
-    for p in itertools.permutations(range(3)):
-        out[idx[p[0]], idx[p[1]], idx[p[2]]] = values
-    return out
-
-
-def discretize(
-    rho: RadialDensity, n: int, opts: MinimizeOptions = MinimizeOptions()
-) -> DiscreteProblem:
-    """Equal-mass atoms at masses (k - 1/2)/n and their cost tensor.
-
-    The tensor is filled from sorted index triples only; permutation
-    symmetry of the angular minimum makes the remaining entries copies.
-    """
+def discretize(rho: RadialDensity, n: int, grid: int = 256) -> DiscreteProblem:
+    """Equal-mass atoms at masses (k - 1/2)/n and the cost of every sorted
+    atom triple, each an angular minimum on a grid x grid scan."""
     if n < 1:
         raise ValueError("need at least one atom")
     atoms = np.array([rho.quantile((k + 0.5) / n) for k in range(n)])
-    ii, jj, kk = _sorted_triples(n)
-    r = atoms.tolist()
-    values = np.empty(ii.size)
-    for t, (i, j, k) in enumerate(zip(ii.tolist(), jj.tolist(), kk.tolist())):
+    triples = _sorted_triples(n)
+    values = np.empty(len(triples))
+    # same lexicographic order as _sorted_triples, over the radii themselves
+    radii = itertools.combinations_with_replacement(atoms.tolist(), 3)
+    for t, r in enumerate(radii):
         try:
-            values[t] = radial_cost(Radii(r[i], r[j], r[k]), opts).value
+            values[t] = radial_cost(Radii(*r), grid=grid).value
         except AllInfinite:
             values[t] = math.inf
-    return DiscreteProblem(atoms=atoms, cost=_symmetric_tensor(n, ii, jj, kk, values))
+    return DiscreteProblem(atoms=atoms, triples=triples, values=values)
 
 
 def _solve_lp(problem: DiscreteProblem) -> SolveResult:
     """The symmetric LP: one column per finite sorted triple.
 
-    The cost tensor is symmetric, so symmetrizing any optimal coupling
-    leaves an optimal one, and a symmetric coupling is fixed by the total
-    weight x_t of each sorted triple t.  Its marginal at atom i is
+    The cost is symmetric, so symmetrizing any optimal coupling leaves an
+    optimal one, and a symmetric coupling is fixed by the total weight x_t
+    of each sorted triple t.  Its marginal at atom i is
     sum_t x_t count_i(t) / 3, which gives n rows instead of 3n, and the
     dual u yields the full LP's duals (u/3, u/3, u/3).
     """
     n = problem.n
-    ii, jj, kk = _sorted_triples(n)
-    c = problem.cost[ii, jj, kk]
-    finite = np.isfinite(c)
+    finite = np.isfinite(problem.values)
     if not np.any(finite):
         raise InfeasibleCost("every coupling entry has infinite cost")
-    ii, jj, kk, c = ii[finite], jj[finite], kk[finite], c[finite]
+    triples, c = problem.triples[finite], problem.values[finite]
+    ii, jj, kk = triples.T
 
     m = c.size
     rows = np.concatenate([ii, jj, kk])
@@ -222,10 +245,8 @@ def _solve_lp(problem: DiscreteProblem) -> SolveResult:
     if res.status != 0:
         raise InfeasibleCost(f"linear program failed: {res.message}")
 
-    # a sorted triple's weight is split evenly over its distinct
-    # permutations: 1, 3 or 6 of them
-    n_perms = np.array([1.0, 3.0, 6.0])[(ii < jj).astype(int) + (jj < kk)]
-    coupling = Coupling(weights=_symmetric_tensor(n, ii, jj, kk, res.x / n_perms))
+    charged = res.x != 0.0
+    coupling = Coupling(n=n, triples=triples[charged], mass=res.x[charged])
 
     u = np.asarray(res.eqlin.marginals)
     third = u / 3.0
@@ -249,17 +270,6 @@ def _solve_lp(problem: DiscreteProblem) -> SolveResult:
     return SolveResult(
         value=float(res.fun), coupling=coupling, method="lp", certificate=cert
     )
-
-
-def _monge_value(cost: np.ndarray, sigma, tau) -> float:
-    n = cost.shape[0]
-    total = 0.0
-    for i in range(n):
-        v = cost[i, sigma[i], tau[i]]
-        if not math.isfinite(v):
-            return math.inf
-        total += v
-    return total / n
 
 
 def _solve_brute(problem: DiscreteProblem) -> SolveResult:
@@ -306,12 +316,15 @@ def _solve_brute(problem: DiscreteProblem) -> SolveResult:
         raise InfeasibleCost("every permutation coupling has infinite cost")
 
     sigma, tau = best
-    weights = np.zeros((n, n, n))
-    for i in range(n):
-        weights[i, sigma[i], tau[i]] = 1.0 / n
+    # symmetrize (id, sigma, tau): each orbit's sorted triple carries 1/n
+    triples, counts = np.unique(
+        np.sort(np.stack([idx, sigma, tau], axis=1), axis=1),
+        axis=0,
+        return_counts=True,
+    )
     return SolveResult(
         value=best_val,
-        coupling=Coupling(weights=weights),
+        coupling=Coupling(n=n, triples=triples, mass=counts / n),
         method="brute-monge",
         certificate=MongeCertificate(
             sigma=tuple(sigma), tau=tuple(tau), exhaustive_pairs=exhaustive
@@ -364,23 +377,16 @@ def graph_triples(seidl_map: SeidlMap, n: int) -> tuple[MongeTriple, ...]:
     return tuple(out)
 
 
-def monge_cost(
-    seidl_map: SeidlMap,
-    rho: RadialDensity | None = None,
-    n: int = 64,
-    opts: MinimizeOptions = MinimizeOptions(),
-) -> MongeCostResult:
+def monge_cost(seidl_map: SeidlMap, n: int = 64, grid: int = 256) -> MongeCostResult:
     """Transport cost of the map's coupling by first-tertile sampling.
 
     The coupling (Id, T, T^2)_# rho has equal cost on each tertile because
     the integrand is symmetric under cycling the orbit, so n quantile
     midpoints of the first tertile with weight 1/n give the full value.
     """
-    if rho is not None and rho is not seidl_map.density:
-        raise ValueError("rho, when given, must be the map's own density")
     triples = graph_triples(seidl_map, n)
     costs = tuple(
-        radial_cost(Radii(*t.as_tuple()), opts).value for t in triples
+        radial_cost(Radii(*t.as_tuple()), grid=grid).value for t in triples
     )
     return MongeCostResult(
         value=float(np.mean(costs)), triples=triples, costs=costs
@@ -508,9 +514,7 @@ class OneDCheckResult:
     excluded: tuple[MongeTriple, ...]
 
 
-def one_d_increasing_map_check(
-    seidl_map: SeidlMap, n: int = 32, opts: MinimizeOptions = MinimizeOptions()
-) -> OneDCheckResult:
+def one_d_increasing_map_check(seidl_map: SeidlMap, n: int = 32) -> OneDCheckResult:
     """Compare the angular minimum against the reflected-line cost on orbits.
 
     For each sampled orbit (x, Tx, T^2 x), the reflected configuration
@@ -531,7 +535,7 @@ def one_d_increasing_map_check(
         if alignment_condition(t.as_tuple()) < 0.0:
             excluded.append(t)
             continue
-        val = radial_cost(Radii(*t.as_tuple()), opts).value
+        val = radial_cost(Radii(*t.as_tuple())).value
         max_full = max(max_full, abs(val - line))
         checked += 1
     return OneDCheckResult(
@@ -555,15 +559,13 @@ class LiftResult:
     max_cost_deviation: float
 
 
-def lift_radial_triple(
-    r: Radii | tuple, n_rotations: int = 16, opts: MinimizeOptions = MinimizeOptions()
-) -> LiftResult:
+def lift_radial_triple(r: Radii | tuple, n_rotations: int = 16) -> LiftResult:
     """Embed the optimal angular configuration in the plane along a uniform
     rotation grid; every rotation has the same planar cost as the angular
     minimum, which is the rotation invariance making the radial reduction
     exact."""
     r = Radii.of(r)
-    res = radial_cost(r, opts)
+    res = radial_cost(r)
     a, b = res.argmin.alpha, res.argmin.beta
     ts = 2.0 * math.pi * np.arange(n_rotations) / n_rotations
     radii = np.array(r.as_tuple())

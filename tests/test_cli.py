@@ -292,3 +292,21 @@ class TestTopLevel:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cost", "1", "2", "3", "--grid", "4"],
+            ["solve", "DENSITY", "--n", "2", "--grid", "4"],
+            ["solve", "DENSITY", "--n", "0"],
+            ["counterexample", "--k", "7"],
+        ],
+        ids=["cost-grid", "solve-grid", "solve-n", "counterexample-k"],
+    )
+    def test_bad_option_value_is_usage_error(self, capsys, blocks_file, argv):
+        argv = [blocks_file if a == "DENSITY" else a for a in argv]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err

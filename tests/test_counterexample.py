@@ -154,6 +154,19 @@ class TestConstruction:
         assert t.s1 == pytest.approx(0.9, abs=1e-9)
         assert t.s2 == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=DensityError,
+        reason="psi cancels to -1.8e15 just below s1, so the tail inverse "
+        "never brackets y = 1e17",
+    )
+    def test_far_tail_cdf_is_nearly_one(self):
+        # the tail's mass beyond y decays like 1/y; at 1e17 the cdf is 1.0
+        # to double precision
+        assert example_counterexample_density().cdf(1e17) == pytest.approx(
+            1.0, abs=1e-15
+        )
+
     def test_tail_jet_identities(self, cex):
         ts = cex.tail_spec
         # first-order data forced by mass preservation at the boundary

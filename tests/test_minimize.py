@@ -8,7 +8,6 @@ import pytest
 from radialmot import (
     AllInfinite,
     DegenerateRadii,
-    MinimizeOptions,
     alignment_condition,
     c_delta,
     c_pi,
@@ -74,14 +73,12 @@ class TestRadialCost:
         # the interior basin near (1, 2, 14) is ~2e-6 deep; a 64-point grid
         # lands on the corner saddle instead, so only test grids fine enough
         # to seed polishing inside the basin
-        opts = MinimizeOptions(grid=512)
-        res = radial_cost((1.0, 2.0, 14.0), opts)
+        res = radial_cost((1.0, 2.0, 14.0), grid=512)
         assert res.value == pytest.approx(BRUTE_1_2_14, rel=1e-10)
 
     def test_coarse_grid_reports_corner(self):
         # below the resolution limit the corner value is the honest answer
-        opts = MinimizeOptions(grid=64)
-        res = radial_cost((1.0, 2.0, 14.0), opts)
+        res = radial_cost((1.0, 2.0, 14.0), grid=64)
         assert res.value <= c_pi((1.0, 2.0, 14.0)) + 1e-12
 
 
@@ -163,7 +160,7 @@ def test_coarse_grid_leaves_saddle_corner():
     # the collinear corner a saddle
     r = (1.0, 2.0, 14.0)
     assert alignment_condition(r) == -80.0
-    res = radial_cost(r, MinimizeOptions(grid=8))
+    res = radial_cost(r, grid=8)
     assert res.value < c_pi(r)
 
 

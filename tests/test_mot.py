@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
+from radialmot import mot
 from radialmot import (
     LpCertificate,
     MongeCertificate,
@@ -179,6 +180,72 @@ class TestSymmetricLp:
         assert res.certificate.certified
 
 
+def _dense_marginal_residual(weights) -> float:
+    """Largest deviation of any of the three axis marginals from 1/n."""
+    n = weights.shape[0]
+    return max(
+        float(np.max(np.abs(weights.sum(axis=axes) - 1.0 / n)))
+        for axes in ((1, 2), (0, 2), (0, 1))
+    )
+
+
+def _assert_symmetric(weights):
+    for p in ((1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0)):
+        assert np.array_equal(np.transpose(weights, p), weights)
+
+
+class TestDataModel:
+    def test_sorted_triples(self, blocks):
+        prob = discretize(blocks, 4)
+        assert prob.triples.shape == (20, 3)
+        assert np.all(prob.triples[:, 0] <= prob.triples[:, 1])
+        assert np.all(prob.triples[:, 1] <= prob.triples[:, 2])
+        assert len({tuple(t) for t in prob.triples.tolist()}) == 20
+        i, j, k = prob.triples.T
+        assert np.array_equal(prob.cost[i, j, k], prob.values)
+
+    def test_lp_path_builds_no_dense_tensor(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dense n^3 tensor built")
+
+        monkeypatch.setattr(mot, "_symmetric_tensor", refuse)
+        rho = block_density([(0.650, 1.921), (2.366, 3.451), (94.128, 94.695)])
+        res = solve_exact(discretize(rho, 27), method="lp")
+        assert res.certificate.certified
+        # the value recorded when the LP still read the dense tensor
+        assert res.value == float.fromhex("0x1.09b73d3502a3bp-2")
+        # a basic solution charges at most one column per marginal row
+        assert res.coupling.mass.size <= 27
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("density", ["blocks", "tail_k1"])
+    def test_brute_coupling_is_symmetrized(self, request, density, n):
+        prob = discretize(request.getfixturevalue(density), n)
+        res = solve_exact(prob, method="brute")
+        weights = res.coupling.weights
+        _assert_symmetric(weights)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-15)
+        assert res.coupling.marginal_residual() <= 1e-15
+        assert _dense_marginal_residual(weights) <= 1e-15
+        assert res.coupling.cost_against(prob.cost) == pytest.approx(
+            res.value, rel=1e-14
+        )
+        # the certificate's permutations give the same value
+        cert = res.certificate
+        orbit_cost = sum(prob.cost[i, cert.sigma[i], cert.tau[i]] for i in range(n))
+        assert orbit_cost / n == pytest.approx(res.value, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [6, 9])
+    @pytest.mark.parametrize("density", ["blocks", "tail_k1"])
+    def test_marginal_residual_matches_dense(self, request, density, n):
+        res = solve_exact(discretize(request.getfixturevalue(density), n))
+        weights = res.coupling.weights
+        _assert_symmetric(weights)
+        assert res.coupling.marginal_residual() == pytest.approx(
+            _dense_marginal_residual(weights), abs=1e-16
+        )
+
+
 class TestMongeCost:
     def test_blocks_lp_equals_ddi_monge(self, blocks):
         ddi = build_map(blocks, "DDI")
@@ -193,11 +260,6 @@ class TestMongeCost:
             assert t.x < ddi.tertiles.s1
             assert ddi.tertiles.s1 <= t.tx <= ddi.tertiles.s2
             assert t.t2x >= ddi.tertiles.s2
-
-    def test_rho_argument_must_match(self, blocks, uniform):
-        ddi = build_map(blocks, "DDI")
-        with pytest.raises(ValueError):
-            monge_cost(ddi, rho=uniform, n=4)
 
 
 class TestCyclicalMonotonicityProbe:
