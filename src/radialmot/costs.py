@@ -24,8 +24,11 @@ scalar quantities that organize its stationary structure:
 * the pairwise derivative profile g(t) = -F'(t) together with its critical
   angle, used when bracketing implicit stationary curves.
 
-Angles are canonicalized to [-pi, pi).  All functions accept plain floats;
-the array versions used by the grid minimizer live in the private helpers.
+Angles are canonicalized to [-pi, pi).  The public functions take plain
+floats; they and the minimizer evaluate through one set of private array
+helpers, so a scalar call is a batch of one.  Energies and P are computed
+on the radii divided by a power of two near the largest and rescaled, so
+no scale from subnormal to near-overflow loses digits or raises.
 """
 
 from __future__ import annotations
@@ -63,7 +66,8 @@ _DELTA_BETA = 2.0 * _TWO_PI / 3.0
 
 
 def canonical_angle(t: float) -> float:
-    """Wrap an angle to the canonical interval [-pi, pi)."""
+    """Wrap an angle (or an array of angles) to the canonical interval
+    [-pi, pi)."""
     return (t + math.pi) % _TWO_PI - math.pi
 
 
@@ -178,6 +182,12 @@ class CornerValues:
         return min(self.as_tuple())
 
 
+def _distance_sq(ri, rj, c):
+    """ri^2 + rj^2 - 2 ri rj c for c = cos(theta), clipped at zero, where
+    cos rounding can push an exact zero slightly negative."""
+    return np.maximum(ri * ri + rj * rj - 2.0 * ri * rj * c, 0.0)
+
+
 def pair_distance_sq(ri: float, rj: float, theta):
     """Squared chord distance ri^2 + rj^2 - 2 ri rj cos(theta).
 
@@ -186,112 +196,79 @@ def pair_distance_sq(ri: float, rj: float, theta):
     """
     if ri < 0.0 or rj < 0.0:
         raise InvalidRadii(f"radii must be >= 0, got ({ri}, {rj})")
-    d = ri * ri + rj * rj - 2.0 * ri * rj * np.cos(theta)
-    # cos rounding can push an exact zero slightly negative
-    return np.maximum(d, 0.0)
+    return _distance_sq(ri, rj, np.cos(theta))
 
 
-def _inv_dist(ri: float, rj: float, theta):
+# Private pair terms on numpy arrays: angles are arrays, radii floats or
+# arrays of the same shape.  numpy's array functions give the same bits at
+# every array length, so a batch of one agrees with any row of a batch.
+# Callers choose how floating-point warnings are handled.
+
+
+def _inv_dist(ri, rj, theta):
     """F(theta) = 1/sqrt(D); +inf on coincidence."""
-    d = pair_distance_sq(ri, rj, theta)
-    with np.errstate(divide="ignore"):
-        return d ** -0.5
+    return _distance_sq(ri, rj, np.cos(theta)) ** -0.5
 
 
-def _inv_dist_d1(ri: float, rj: float, theta):
-    """F'(theta) = -ri rj sin(theta) / D^(3/2)."""
-    d = pair_distance_sq(ri, rj, theta)
-    return -ri * rj * np.sin(theta) * d ** -1.5
-
-
-def _q_poly(ri: float, rj: float, t):
-    """Q(t) = ri rj t^2 + (ri^2 + rj^2) t - 3 ri rj, with t = cos(theta)."""
-    return ri * rj * t * t + (ri * ri + rj * rj) * t - 3.0 * ri * rj
-
-
-def _inv_dist_d2(ri: float, rj: float, theta):
-    """F''(theta) = -ri rj Q(cos theta) / D^(5/2)."""
+def _inv_dist_derivs(ri, rj, theta):
+    """F'(theta) = -ri rj sin(theta) / D^(3/2) and F''(theta) =
+    -ri rj Q(cos theta) / D^(5/2), with Q(t) = ri rj t^2 + (ri^2 + rj^2) t
+    - 3 ri rj."""
     t = np.cos(theta)
-    d = pair_distance_sq(ri, rj, theta)
-    return -ri * rj * _q_poly(ri, rj, t) * d ** -2.5
+    d = _distance_sq(ri, rj, t)
+    q = ri * rj * t * t + (ri * ri + rj * rj) * t - 3.0 * ri * rj
+    return -ri * rj * np.sin(theta) * d ** -1.5, -ri * rj * q * d ** -2.5
 
 
-# Scalar pair terms in plain floats.  They are the array formulas above
-# operation for operation, and math.cos/sin and float ** give the same bits
-# as numpy's scalars; only a power whose IEEE result is +inf (a zero base or
-# an overflow) raises in Python, so _pow maps it back to +inf.
+def _inv_dist_d1(ri, rj, theta):
+    """F'(theta) alone."""
+    return _inv_dist_derivs(ri, rj, theta)[0]
 
 
-def _pow(d: float, e: float) -> float:
-    """d ** e for d >= 0 and e < 0, +inf where IEEE pow gives +inf."""
-    try:
-        return d ** e
-    except (OverflowError, ZeroDivisionError):
-        return math.inf
+def _energy_terms(r1, r2, r3, a, b):
+    """F12(a), F13(b), F23(a - b) at arrays of angles; +inf on coincidence."""
+    return _inv_dist(r1, r2, a), _inv_dist(r1, r3, b), _inv_dist(r2, r3, a - b)
 
 
-def _chord_sq(ri: float, rj: float, c: float) -> float:
-    """pair_distance_sq from c = cos(theta); max keeps a NaN, like np.maximum."""
-    return max(ri * ri + rj * rj - 2.0 * ri * rj * c, 0.0)
-
-
-def _pair_terms(
-    r1: float, r2: float, r3: float, a: float, b: float
-) -> tuple[float, float, float]:
-    """F12(a), F13(b), F23(a - b); +inf on coincidence."""
-    return (
-        _pow(_chord_sq(r1, r2, math.cos(a)), -0.5),
-        _pow(_chord_sq(r1, r3, math.cos(b)), -0.5),
-        _pow(_chord_sq(r2, r3, math.cos(a - b)), -0.5),
-    )
-
-
-def _pair_derivs(
-    ri: float, rj: float, t: float, c: float, d: float
-) -> tuple[float, float]:
-    """F'(t) and F''(t) from c = cos(t) and d = pair_distance_sq."""
-    return (
-        -ri * rj * math.sin(t) * _pow(d, -1.5),
-        -ri * rj * _q_poly(ri, rj, c) * _pow(d, -2.5),
-    )
-
-
-def _grad_hess_terms(
-    r1: float, r2: float, r3: float, a: float, b: float
-) -> tuple[float, float, float, float, float]:
-    """Gradient (g1, g2) and Hessian entries (h11, h12, h22) of f at (a, b).
-
-    Raises :class:`SingularConfiguration` when a pair distance vanishes.
-    """
-    t23 = a - b
-    c12, c13, c23 = math.cos(a), math.cos(b), math.cos(t23)
-    d12 = _chord_sq(r1, r2, c12)
-    d13 = _chord_sq(r1, r3, c13)
-    d23 = _chord_sq(r2, r3, c23)
-    if d12 == 0.0 or d13 == 0.0 or d23 == 0.0:
-        pairs = ((r1, r2, a, d12), (r1, r3, b, d13), (r2, r3, t23, d23))
-        for ri, rj, t, d in pairs:
-            if d == 0.0:
-                raise SingularConfiguration(
-                    f"coincident pair at radii ({ri}, {rj}), relative angle {t}"
-                )
-    p12, s12 = _pair_derivs(r1, r2, a, c12, d12)
-    p13, s13 = _pair_derivs(r1, r3, b, c13, d13)
-    p23, s23 = _pair_derivs(r2, r3, t23, c23, d23)
+def _grad_hess_arrays(r1, r2, r3, a, b):
+    """Gradient (g1, g2) and Hessian entries (h11, h12, h22) of f at arrays
+    of angles; infinite or NaN where a pair distance vanishes."""
+    p12, s12 = _inv_dist_derivs(r1, r2, a)
+    p13, s13 = _inv_dist_derivs(r1, r3, b)
+    p23, s23 = _inv_dist_derivs(r2, r3, a - b)
     return p12 + p23, p13 - p23, s12 + s23, -s23, s13 + s23
+
+
+def _unit_scale(top: float) -> float:
+    """The power of two s with top / s in [1/2, 1) (in [1, 2) near the
+    largest float; 1 at top = 0): dividing radii by it is exact."""
+    return math.ldexp(1.0, min(math.frexp(top)[1], 1023))
+
+
+def _alignment_terms(r1, r2, r3):
+    """The three terms of P, cubes written as products so that floats and
+    arrays give the same bits."""
+    d, e, g = r3 - r1, r3 + r2, r1 + r2
+    return r2 * (d * d * d), r1 * (e * e * e), r3 * (g * g * g)
 
 
 def full_cost(r: Radii | tuple, config: AngularConfig | tuple) -> CostBreakdown:
     """Total Coulomb energy and its pairwise breakdown at one configuration.
 
+    Evaluated on the radii divided by a power of two near the largest, so
+    extreme scales neither overflow nor lose digits to subnormals.
     Infinite terms are returned as float('inf') rather than raised: a
     coincident pair is a legitimate (infinitely expensive) configuration.
     """
     r = Radii.of(r)
     if not isinstance(config, AngularConfig):
         config = AngularConfig(*config)
-    f12, f13, f23 = _pair_terms(r.r1, r.r2, r.r3, config.alpha, config.beta)
-    return CostBreakdown(f12, f13, f23, f12 + f13 + f23)
+    s = _unit_scale(max(r.as_tuple()))
+    a, b = np.array([config.alpha]), np.array([config.beta])
+    with np.errstate(divide="ignore"):
+        terms = _energy_terms(r.r1 / s, r.r2 / s, r.r3 / s, a, b)
+    f12, f13, f23 = (float(v[0]) for v in terms)
+    return CostBreakdown(f12 / s, f13 / s, f23 / s, (f12 + f13 + f23) / s)
 
 
 def grad_hess(
@@ -306,9 +283,15 @@ def grad_hess(
     r = Radii.of(r)
     if not isinstance(config, AngularConfig):
         config = AngularConfig(*config)
-    g1, g2, h11, h12, h22 = _grad_hess_terms(
-        r.r1, r.r2, r.r3, config.alpha, config.beta
-    )
+    a, b = config.alpha, config.beta
+    for ri, rj, t in ((r.r1, r.r2, a), (r.r1, r.r3, b), (r.r2, r.r3, a - b)):
+        if pair_distance_sq(ri, rj, t) == 0.0:
+            raise SingularConfiguration(
+                f"coincident pair at radii ({ri}, {rj}), relative angle {t}"
+            )
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _grad_hess_arrays(r.r1, r.r2, r.r3, np.array([a]), np.array([b]))
+    g1, g2, h11, h12, h22 = (float(v[0]) for v in terms)
     return np.array([g1, g2]), np.array([[h11, h12], [h12, h22]])
 
 
@@ -316,11 +299,14 @@ def alignment_condition(r: Radii | tuple) -> float:
     """Alignment polynomial P(r) = r2 (r3-r1)^3 - r1 (r3+r2)^3 - r3 (r1+r2)^3.
 
     Nonnegative P certifies that the collinear corner (pi, 0) is the global
-    minimizer of f over the torus.  Homogeneous of degree 4.
+    minimizer of f over the torus.  Homogeneous of degree 4: evaluated on
+    the radii divided by a power of two near the largest and rescaled, so
+    it overflows to +-inf instead of raising.
     """
     r = Radii.of(r)
-    r1, r2, r3 = r.as_tuple()
-    return r2 * (r3 - r1) ** 3 - r1 * (r3 + r2) ** 3 - r3 * (r1 + r2) ** 3
+    s = _unit_scale(max(r.as_tuple()))
+    t1, t2, t3 = _alignment_terms(r.r1 / s, r.r2 / s, r.r3 / s)
+    return (t1 - t2 - t3) * s * s * s * s
 
 
 def phi_threshold(r1: float, r2: float) -> float:
@@ -406,8 +392,8 @@ def g_profile(ri: float, rj: float, theta):
         raise EqualRadii(f"g profile needs distinct radii, got ri == rj == {ri}")
     if ri > rj:
         raise DegenerateRadii(f"g profile expects ri < rj, got ({ri}, {rj})")
-    g = -_inv_dist_d1(ri, rj, theta)
-    gp = -_inv_dist_d2(ri, rj, theta)
+    d1, d2 = _inv_dist_derivs(ri, rj, theta)
+    g, gp = -d1, -d2
     s = ri * ri + rj * rj
     ct = (-s + math.sqrt(ri ** 4 + 14.0 * ri * ri * rj * rj + rj ** 4)) / (
         2.0 * ri * rj

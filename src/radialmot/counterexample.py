@@ -477,8 +477,6 @@ class CounterexampleDensity(RadialDensity):
         psi: Callable[[float], float],
         psi_prime: Callable[[float], float],
         t_map: Callable[[float], float],
-        rho1_coeffs: tuple[tuple[float, float, tuple[float, ...]], ...],
-        rho2_coeffs: tuple[tuple[float, float, tuple[float, ...]], ...],
     ):
         super().__init__(segments)
         self.tail_spec = tail_spec
@@ -488,8 +486,6 @@ class CounterexampleDensity(RadialDensity):
         self.psi = psi
         self.psi_prime = psi_prime
         self.t_map = t_map
-        self.rho1_coeffs = rho1_coeffs
-        self.rho2_coeffs = rho2_coeffs
 
 
 def _as_poly_segments(spec, what: str) -> list[PolySegment]:
@@ -678,8 +674,6 @@ def build_counterexample_density(
         psi=psi,
         psi_prime=psi_prime,
         t_map=t_map,
-        rho1_coeffs=tuple((s.lo, s.hi, s.coeffs) for s in rho1),
-        rho2_coeffs=tuple((s.lo, s.hi, s.coeffs) for s in rho2),
     )
 
 

@@ -38,8 +38,6 @@ from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import DegenerateTertile, DensityError
 
@@ -159,6 +157,7 @@ class PolySegment:
             t = 2.0 * m / (p + math.sqrt(max(p * p + 2.0 * q * m, 0.0)))
             x = min(max(self.lo + t, self.lo), self.hi)
         else:
+            from scipy.optimize import brentq
             x = float(
                 brentq(
                     lambda t: self.mass_below(t) - m,
@@ -200,6 +199,7 @@ class TableSegment:
         self.hi = float(xs[-1])
         self.x = xs
         self.density = ds
+        from scipy.interpolate import PchipInterpolator
         self._interp = PchipInterpolator(xs, ds, extrapolate=False)
         self._anti = self._interp.antiderivative()
         self.mass = float(self._anti(self.hi) - self._anti(self.lo))
@@ -226,6 +226,7 @@ class TableSegment:
             return self.lo
         if m == self.mass:
             return self.hi
+        from scipy.optimize import brentq
         return float(
             brentq(
                 lambda t: self.mass_below(t) - m,
@@ -296,6 +297,7 @@ class PushforwardTailSegment:
             width /= 2.0
         else:
             raise DensityError(f"tail inverse failed to bracket y={y!r}")
+        from scipy.optimize import brentq
         return float(
             brentq(
                 lambda t: self._forward(t) - y,

@@ -205,30 +205,6 @@ def to_dict(rho: RadialDensity) -> dict:
     """
     from .counterexample import CounterexampleDensity
 
-    if isinstance(rho, CounterexampleDensity):
-        segs = []
-        for lo, hi, coeffs in (*rho.rho1_coeffs, *rho.rho2_coeffs):
-            segs.append(
-                {
-                    "interval": [lo, hi],
-                    "kind": "poly",
-                    "data": {"coeffs": list(coeffs)},
-                }
-            )
-        spec = rho.tail_spec
-        segs.append(
-            {
-                "interval": [rho.s2, None],
-                "kind": "pushforward-tail",
-                "data": {
-                    "k": spec.order,
-                    "h_taylor": list(spec.h_taylor),
-                    "delta": spec.delta,
-                },
-            }
-        )
-        return {"schema_version": SCHEMA_VERSION, "segments": segs}
-
     segs = []
     for seg in rho.segments:
         if isinstance(seg, PolySegment):
@@ -247,6 +223,19 @@ def to_dict(rho: RadialDensity) -> dict:
                     "data": {
                         "x": [float(v) for v in seg.x],
                         "density": [float(v) for v in seg.density],
+                    },
+                }
+            )
+        elif isinstance(rho, CounterexampleDensity) and seg is rho.segments[-1]:
+            spec = rho.tail_spec
+            segs.append(
+                {
+                    "interval": [rho.s2, None],
+                    "kind": "pushforward-tail",
+                    "data": {
+                        "k": spec.order,
+                        "h_taylor": list(spec.h_taylor),
+                        "delta": spec.delta,
                     },
                 }
             )

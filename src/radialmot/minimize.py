@@ -1,14 +1,19 @@
 """Global angular minimization and the stationary structure of the energy.
 
-The energy f(a, b) on the torus is smooth away from coincidences and, for
-strictly ordered radii, has no coincidences at all, so a dense grid scan
-followed by damped Newton refinement finds the global minimum reliably.
-The grid exploits separability: f decomposes into three one-dimensional
-profiles (one per pair), so the full n x n table is assembled from three
-length-n arrays and a strided circulant view instead of n^2 evaluations.
-The refinement of the few grid nodes near the minimum runs on plain
-floats with the scalar pair terms of :mod:`costs`, which give numpy's
-results bit for bit at a fraction of the per-call cost.
+One batched kernel, :func:`_radial_cost_batch`, computes minimal energies;
+:func:`radial_cost` is a batch of one.  The energy is homogeneous of
+degree -1, so each triple is divided by a power of two near its largest
+radius (exactly) and minimized at unit scale.  Where the alignment
+polynomial of the sorted triple clears its rounding-error bound, the
+alignment theorem gives the value c_pi in closed form.  Elsewhere f(a, b)
+is smooth on the torus away from coincidences, so a dense grid scan
+followed by damped Newton refinement finds the global minimum.  The grid
+exploits separability: f decomposes into three one-dimensional profiles
+(one per pair), so the n x n table is assembled from three length-n arrays
+and a strided circulant view.  Grids are scanned one triple at a time; the
+nodes near each grid minimum are refined by one Newton iteration run in
+lockstep over the batch, on numpy arrays, whose elementwise results do not
+depend on the batch.
 
 Stationary points solve the closed-form gradient system; a multistart
 Newton iteration run in lockstep over all starts converges quadratically
@@ -28,20 +33,21 @@ one-dimensional solves come from the unimodal shape of each g profile.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.optimize import brentq
 
 from .costs import (
     AngularConfig,
     Radii,
-    _grad_hess_terms,
+    _alignment_terms,
+    _energy_terms,
+    _grad_hess_arrays,
     _inv_dist,
     _inv_dist_d1,
-    _inv_dist_d2,
-    _pair_terms,
+    _unit_scale,
     canonical_angle,
     g_profile,
     grad_hess,
@@ -69,11 +75,17 @@ _START_GRID = 128
 _DEDUP_TOL = 1e-6
 # Newton iteration cap for both refinement and the sweep
 _MAX_ITER = 80
-# relative window above the grid minimum whose nodes are all refined, so
-# exact symmetry ties are broken deterministically
-_TIE_WINDOW = 1e-7
+# relative window above the grid minimum whose nodes are all refined: ties
+# break deterministically, and the flat basins next to the threshold, where
+# descent from the saddle side stalls, get seeds on the basin side too
+_TIE_WINDOW = 1e-6
 # cap on the number of refined tie candidates
 _MAX_CANDIDATES = 12
+# forward rounding-error bound of the computed P relative to the sum of
+# its terms' magnitudes (about 8 roundings, with a factor 2 to spare)
+_P_ROUNDING = 8.0 * sys.float_info.epsilon
+# Newton lanes refined together at most, which bounds the working memory
+_LANE_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -128,144 +140,170 @@ class CurveBundle:
     max_confinement_violation: float
 
 
-def _check_not_all_infinite(r: Radii) -> None:
-    zeros = sum(1 for v in r.as_tuple() if v == 0.0)
-    if zeros >= 2:
-        raise AllInfinite(
-            f"radii {r.as_tuple()} put two charges at the center; every "
-            "configuration has a coincident pair"
-        )
+def _newton_lanes(r1, r2, r3, a, b):
+    """Damped Newton descent from many grid nodes in lockstep.
 
-
-def _refine_minimum(
-    r1: float, r2: float, r3: float, a: float, b: float
-) -> tuple[float, float, float, int]:
-    """Damped Newton descent from a grid node; value never increases.
-
-    Plain floats throughout: the derivatives are taken at the canonical
-    angles, the energy at the raw iterate."""
-    f12, f13, f23 = _pair_terms(r1, r2, r3, a, b)
-    fval = f12 + f13 + f23
-    iters = 0
+    Each lane takes a Newton step where the Hessian is positive definite,
+    else descent scaled by the largest Hessian entry (NaN stops the lane),
+    capped at length 0.7 and halved until the value does not increase.
+    Derivatives are taken at the canonical angles, the energy at the raw
+    iterate.  Returns final values, angles and iteration counts.
+    """
+    fval = sum(_energy_terms(r1, r2, r3, a, b))
+    a, b = a.copy(), b.copy()
+    iters = np.zeros(a.size, dtype=int)
+    run = np.arange(a.size)
     for _ in range(_MAX_ITER):
-        g1, g2, h11, h12, h22 = _grad_hess_terms(
-            r1, r2, r3, canonical_angle(a), canonical_angle(b)
+        q1, q2, q3, qa, qb, qf = (v[run] for v in (r1, r2, r3, a, b, fval))
+        g1, g2, h11, h12, h22 = _grad_hess_arrays(
+            q1, q2, q3, canonical_angle(qa), canonical_angle(qb)
         )
-        gn = math.hypot(g1, g2)
-        if gn <= 1e-12 * max(1.0, abs(fval)):
-            break
+        gn = np.hypot(g1, g2)
         det = h11 * h22 - h12 * h12
-        if det > 0.0 and h11 > 0.0:
-            sa = -(h22 * g1 - h12 * g2) / det
-            sb = -(h11 * g2 - h12 * g1) / det
-        else:
-            # Hessian not positive definite: fall back to scaled descent.
-            # A NaN entry makes the scale NaN, as numpy's max does, and
-            # the NaN step then stops the descent
-            mags = (abs(h11), abs(h12), abs(h22))
-            hn = math.nan if math.isnan(sum(mags)) else max(*mags, 1e-12)
-            sa, sb = -g1 / hn, -g2 / hn
-        sn = math.hypot(sa, sb)
-        if sn > 0.7:
-            sa, sb = sa * 0.7 / sn, sb * 0.7 / sn
+        newton = (det > 0.0) & (h11 > 0.0)
+        hn = np.maximum(
+            np.maximum(np.maximum(np.abs(h11), np.abs(h12)), np.abs(h22)), 1e-12
+        )
+        sa = np.where(newton, -(h22 * g1 - h12 * g2) / det, -g1 / hn)
+        sb = np.where(newton, -(h11 * g2 - h12 * g1) / det, -g2 / hn)
+        sn = np.hypot(sa, sb)
+        sa = np.where(sn > 0.7, sa * 0.7 / sn, sa)
+        sb = np.where(sn > 0.7, sb * 0.7 / sn, sb)
+        # backtrack every lane whose gradient is not yet small
+        todo = np.flatnonzero(~(gn <= 1e-12 * np.maximum(1.0, np.abs(qf))))
+        accepted = np.zeros(run.size, dtype=bool)
         t = 1.0
-        accepted = False
         for _ in range(40):
-            na, nb = a + t * sa, b + t * sb
-            f12, f13, f23 = _pair_terms(r1, r2, r3, na, nb)
-            nf = f12 + f13 + f23
-            if nf <= fval:
-                accepted = True
+            if todo.size == 0:
                 break
+            ta, tb = qa[todo] + t * sa[todo], qb[todo] + t * sb[todo]
+            tf = sum(_energy_terms(q1[todo], q2[todo], q3[todo], ta, tb))
+            ok = tf <= qf[todo]
+            accepted[todo[ok]] = True
+            lane = run[todo[ok]]
+            a[lane], b[lane], fval[lane] = ta[ok], tb[ok], tf[ok]
+            todo = todo[~ok]
             t *= 0.5
-        if not accepted:
-            break
-        improvement = fval - nf
-        a, b, fval = na, nb, nf
-        iters += 1
-        if improvement <= 1e-16 * max(1.0, abs(fval)) and gn <= 1e-9:
+        iters[run[accepted]] += 1
+        nf = fval[run]
+        done = (qf - nf <= 1e-16 * np.maximum(1.0, np.abs(nf))) & (gn <= 1e-9)
+        run = run[accepted & ~done]
+        if run.size == 0:
             break
     return fval, a, b, iters
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _radial_cost_batch(radii, grid: int = 256):
+    """Minimal energy over the torus for each row of an (m, 3) radius array.
+
+    Returns arrays value, alpha, beta, grid_value, candidates, iterations;
+    rows with two zero radii or no finite grid node get infinite values.
+    Rows are computed on r / s, s the power of two that puts the largest
+    radius in [1/2, 1), and rescaled.  Where P of the sorted row clears
+    its rounding-error bound, the value is c_pi in closed form at the
+    collinear argmin with the middle radius opposite the other two.  Other
+    rows are scanned on the grid one at a time, and the nodes inside each
+    row's tie window are refined together by :func:`_newton_lanes`.
+    """
+    if grid < 8:
+        raise ValueError("grids must have at least 8 nodes per angle")
+    r = np.array(radii, dtype=float).reshape(-1, 3)
+    m = len(r)
+    s = np.array([_unit_scale(top) for top in r.max(axis=1).tolist()])
+    u = r / s[:, None]
+    value, grid_value = np.full((2, m), np.inf)
+    alpha, beta = np.zeros((2, m))
+    candidates, iterations = np.zeros((2, m), dtype=int)
+    live = np.count_nonzero(u == 0.0, axis=1) < 2
+
+    v = np.sort(u, axis=1)
+    t1, t2, t3 = _alignment_terms(v[:, 0], v[:, 1], v[:, 2])
+    closed = live & (t1 - t2 - t3 > _P_ROUNDING * (t1 + t2 + t3))
+    k = np.flatnonzero(closed)
+    v = v[k]
+    value[k] = grid_value[k] = sum(_energy_terms(v[:, 0], v[:, 1], v[:, 2], -_PI, 0.0))
+    middle = np.argsort(u[k], axis=1)[:, 1]
+    alpha[k] = np.where(middle == 2, 0.0, -_PI)
+    beta[k] = np.where(middle == 1, 0.0, -_PI)
+
+    n = grid
+    base = -_PI + _TWO_PI * np.arange(n) / n
+    diff = _TWO_PI * np.arange(n) / n
+    lanes, nodes = [], []
+    for i in np.flatnonzero(live & ~closed).tolist():
+        r1, r2, r3 = u[i].tolist()
+        fc = _inv_dist(r2, r3, diff)
+        # f[k, l] = fa[k] + fb[l] + fc[(k - l) % n], the circulant term as a
+        # strided view, so f is the only grid-sized array a row allocates
+        f = _inv_dist(r1, r2, base)[:, None] + _inv_dist(r1, r3, base)[None, :]
+        f += sliding_window_view(np.concatenate([fc, fc]), n)[1:, ::-1]
+        grid_value[i] = grid_min = float(np.min(f))
+        if not math.isfinite(grid_min):
+            continue
+        window = _TIE_WINDOW * max(1.0, abs(grid_min))
+        # split flat indices into (row, column) only for the kept ones
+        flat = np.flatnonzero(f <= grid_min + window)
+        order = np.argsort(f.ravel()[flat], kind="stable")[:_MAX_CANDIDATES]
+        lanes.append(np.full(order.size, i))
+        nodes.append(flat[order])
+        candidates[i] = order.size
+
+    # merge each row's candidates in grid order; ties within the value
+    # tolerance go to the lexicographically smallest canonical angles
+    best: dict[int, tuple[float, float, float]] = {}
+    lanes = np.concatenate(lanes or [np.zeros(0, dtype=int)])
+    nodes = np.concatenate(nodes or [np.zeros(0, dtype=int)])
+    # lanes are independent, so chunks only bound the working memory
+    for lo in range(0, lanes.size, _LANE_CHUNK):
+        lane = lanes[lo : lo + _LANE_CHUNK]
+        rows, cols = np.divmod(nodes[lo : lo + _LANE_CHUNK], n)
+        fval, a, b, iters = _newton_lanes(
+            u[lane, 0], u[lane, 1], u[lane, 2], base[rows], base[cols]
+        )
+        np.add.at(iterations, lane, iters)
+        a, b = canonical_angle(a).tolist(), canonical_angle(b).tolist()
+        for i, fv, ca, cb in zip(lane.tolist(), fval.tolist(), a, b):
+            held = best.get(i)
+            if held is None:
+                best[i] = (fv, ca, cb)
+            elif abs(fv - held[0]) <= _TOL * max(1.0, abs(min(fv, held[0]))):
+                best[i] = (min(fv, held[0]), *min((ca, cb), held[1:]))
+            elif fv < held[0]:
+                best[i] = (fv, ca, cb)
+    for i, (fv, ca, cb) in best.items():
+        value[i], alpha[i], beta[i] = fv, ca, cb
+    return value / s, alpha, beta, grid_value / s, candidates, iterations
 
 
 def radial_cost(r: Radii | tuple, grid: int = 256) -> RadialCostResult:
     """Minimal Coulomb energy over all angular configurations at fixed radii.
 
-    Separable grid scan with grid nodes per angle, followed by damped
-    Newton refinement of every node inside the tie window.  Ties between
-    refined candidates at equal value are broken by the lexicographically
-    smallest canonical (alpha, beta).
+    One row of :func:`_radial_cost_batch`: closed form where the alignment
+    theorem applies, else a separable scan with grid nodes per angle and
+    damped Newton refinement of every node inside the tie window, ties
+    between refined candidates broken by the lexicographically smallest
+    canonical (alpha, beta).
 
     Raises :class:`AllInfinite` when two radii vanish, since then every
     configuration contains a coincident pair.
     """
-    if grid < 8:
-        raise ValueError("grids must have at least 8 nodes per angle")
     r = Radii.of(r)
-    _check_not_all_infinite(r)
-    n = grid
-    base = -_PI + _TWO_PI * np.arange(n) / n
-    diff = _TWO_PI * np.arange(n) / n
-    with np.errstate(divide="ignore"):
-        fa = _inv_dist(r.r1, r.r2, base)
-        fb = _inv_dist(r.r1, r.r3, base)
-        fc = _inv_dist(r.r2, r.r3, diff)
-    # f[k, l] = fa[k] + fb[l] + fc[(k - l) % n], the circulant term as a
-    # strided view: f is then the only grid-sized array a call allocates,
-    # whereas freeing several per call let malloc trim the heap and fault
-    # its pages back in on every call
-    circulant = sliding_window_view(np.concatenate([fc, fc]), n)[1:, ::-1]
-    f = fa[:, None] + fb[None, :]
-    f += circulant
-    grid_min = float(np.min(f))
-    if not math.isfinite(grid_min):
-        raise AllInfinite(f"no finite configuration found for radii {r.as_tuple()}")
-
-    window = _TIE_WINDOW * max(1.0, abs(grid_min))
-    # split flat indices into (row, column) only for the kept candidates:
-    # when many nodes tie, a full split holds two more grid-sized arrays
-    flat = np.flatnonzero(f <= grid_min + window)
-    order = np.argsort(f.ravel()[flat], kind="stable")[:_MAX_CANDIDATES]
-    rows, cols = np.divmod(flat[order], n)
-
-    best: tuple[float, float, float] | None = None
-    total_iters = 0
-    for a0, b0 in zip(base[rows].tolist(), base[cols].tolist()):
-        fval, a, b, iters = _refine_minimum(r.r1, r.r2, r.r3, a0, b0)
-        total_iters += iters
-        a, b = canonical_angle(a), canonical_angle(b)
-        if best is None:
-            best = (fval, a, b)
-            continue
-        lower = min(fval, best[0])
-        if abs(fval - best[0]) <= _TOL * max(1.0, abs(lower)):
-            best = (lower, *min((a, b), (best[1], best[2])))
-        elif fval < best[0]:
-            best = (fval, a, b)
-    assert best is not None
-    return RadialCostResult(
-        value=best[0],
-        argmin=AngularConfig(best[1], best[2]),
-        grid_value=grid_min,
-        candidates=len(order),
-        iterations=total_iters,
+    value, alpha, beta, grid_value, candidates, iterations = _radial_cost_batch(
+        [r.as_tuple()], grid
     )
-
-
-def _grad_hess_arrays(r: Radii, a: np.ndarray, b: np.ndarray):
-    """Vectorized gradient and Hessian entries at many configurations."""
-    d12 = _inv_dist_d1(r.r1, r.r2, a)
-    d13 = _inv_dist_d1(r.r1, r.r3, b)
-    d23 = _inv_dist_d1(r.r2, r.r3, a - b)
-    s12 = _inv_dist_d2(r.r1, r.r2, a)
-    s13 = _inv_dist_d2(r.r1, r.r3, b)
-    s23 = _inv_dist_d2(r.r2, r.r3, a - b)
-    g1 = d12 + d23
-    g2 = d13 - d23
-    h11 = s12 + s23
-    h12 = -s23
-    h22 = s13 + s23
-    return g1, g2, h11, h12, h22
+    if not math.isfinite(grid_value[0]):
+        raise AllInfinite(
+            f"no finite configuration for radii {r.as_tuple()}: every one has "
+            "a coincident pair"
+        )
+    return RadialCostResult(
+        value=float(value[0]),
+        argmin=AngularConfig(float(alpha[0]), float(beta[0])),
+        grid_value=float(grid_value[0]),
+        candidates=int(candidates[0]),
+        iterations=int(iterations[0]),
+    )
 
 
 def _classify(h: np.ndarray) -> str:
@@ -308,7 +346,7 @@ def find_stationary_points(r: Radii | tuple) -> StationaryReport:
     b = np.tile(g, n0).astype(float)
 
     for _ in range(_MAX_ITER):
-        g1, g2, h11, h12, h22 = _grad_hess_arrays(r, a, b)
+        g1, g2, h11, h12, h22 = _grad_hess_arrays(r.r1, r.r2, r.r3, a, b)
         gn = np.hypot(g1, g2)
         if np.all(gn <= 1e-13):
             break
@@ -320,12 +358,9 @@ def find_stationary_points(r: Radii | tuple) -> StationaryReport:
         sb = np.where(safe, -(h11 * g2 - h12 * g1) / inv_det, 0.0)
         sn = np.hypot(sa, sb)
         clip = np.where(sn > 0.5, 0.5 / np.maximum(sn, 1e-300), 1.0)
-        a = a + clip * sa
-        b = b + clip * sb
-        a = (a + _PI) % _TWO_PI - _PI
-        b = (b + _PI) % _TWO_PI - _PI
+        a, b = canonical_angle(a + clip * sa), canonical_angle(b + clip * sb)
 
-    g1, g2, *_ = _grad_hess_arrays(r, a, b)
+    g1, g2, *_ = _grad_hess_arrays(r.r1, r.r2, r.r3, a, b)
     gn = np.hypot(g1, g2)
     keep = gn <= 1e-12
     pts = sorted(zip(a[keep], b[keep], gn[keep]))
@@ -369,6 +404,7 @@ def find_stationary_points(r: Radii | tuple) -> StationaryReport:
 
 
 def _bracketed_root(fn, lo: float, hi: float, what: str) -> float:
+    from scipy.optimize import brentq
     flo, fhi = fn(lo), fn(hi)
     if flo == 0.0:
         return lo

@@ -40,18 +40,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
 
 from .costs import Radii, alignment_condition, c_pi
 from .density import RadialDensity
 from .errors import (
-    AllInfinite,
     CertificationError,
     InfeasibleCost,
     SizeExceeded,
 )
 from .maps import SeidlMap
-from .minimize import radial_cost
+from .minimize import _radial_cost_batch, radial_cost
 
 __all__ = [
     "DiscreteProblem",
@@ -195,19 +193,13 @@ class SolveResult:
 
 def discretize(rho: RadialDensity, n: int, grid: int = 256) -> DiscreteProblem:
     """Equal-mass atoms at masses (k - 1/2)/n and the cost of every sorted
-    atom triple, each an angular minimum on a grid x grid scan."""
+    atom triple, the angular minima of one kernel batch."""
     if n < 1:
         raise ValueError("need at least one atom")
     atoms = np.array([rho.quantile((k + 0.5) / n) for k in range(n)])
     triples = _sorted_triples(n)
-    values = np.empty(len(triples))
-    # same lexicographic order as _sorted_triples, over the radii themselves
-    radii = itertools.combinations_with_replacement(atoms.tolist(), 3)
-    for t, r in enumerate(radii):
-        try:
-            values[t] = radial_cost(Radii(*r), grid=grid).value
-        except AllInfinite:
-            values[t] = math.inf
+    # infinite where two radii vanish
+    values = _radial_cost_batch(atoms[triples], grid)[0]
     return DiscreteProblem(atoms=atoms, triples=triples, values=values)
 
 
@@ -230,6 +222,7 @@ def _solve_lp(problem: DiscreteProblem) -> SolveResult:
     m = c.size
     rows = np.concatenate([ii, jj, kk])
     cols = np.concatenate([np.arange(m)] * 3)
+    from scipy.optimize import linprog
     from scipy.sparse import csr_matrix
 
     # duplicate (row, column) entries add up to count_i(t)
@@ -297,6 +290,7 @@ def _solve_brute(problem: DiscreteProblem) -> SolveResult:
         if best is not None:
             best_val /= n
     else:
+        from scipy.optimize import linear_sum_assignment
         for sigma in itertools.permutations(range(n)):
             sl = cost[idx, sigma, :]
             safe = np.where(np.isfinite(sl), sl, _BIG)
@@ -386,7 +380,7 @@ def monge_cost(seidl_map: SeidlMap, n: int = 64, grid: int = 256) -> MongeCostRe
     """
     triples = graph_triples(seidl_map, n)
     costs = tuple(
-        radial_cost(Radii(*t.as_tuple()), grid=grid).value for t in triples
+        _radial_cost_batch([t.as_tuple() for t in triples], grid)[0].tolist()
     )
     return MongeCostResult(
         value=float(np.mean(costs)), triples=triples, costs=costs
@@ -525,24 +519,16 @@ def one_d_increasing_map_check(seidl_map: SeidlMap, n: int = 32) -> OneDCheckRes
     below the collinear value.
     """
     triples = graph_triples(seidl_map, n)
-    max_full = 0.0
-    max_ident = 0.0
-    excluded = []
-    checked = 0
-    for t in triples:
-        line = c_1d(-t.tx, t.x, t.t2x)
-        max_ident = max(max_ident, abs(c_pi(Radii(*t.as_tuple())) - line))
-        if alignment_condition(t.as_tuple()) < 0.0:
-            excluded.append(t)
-            continue
-        val = radial_cost(Radii(*t.as_tuple())).value
-        max_full = max(max_full, abs(val - line))
-        checked += 1
+    radii = np.array([t.as_tuple() for t in triples]).reshape(-1, 3)
+    lines = np.array([c_1d(-t.tx, t.x, t.t2x) for t in triples])
+    ident = np.array([c_pi(r) for r in radii.tolist()]) - lines
+    aligned = np.array([alignment_condition(r) >= 0.0 for r in radii.tolist()], bool)
+    values = _radial_cost_batch(radii[aligned])[0]
     return OneDCheckResult(
-        max_discrepancy=max_full,
-        max_identity_discrepancy=max_ident,
-        n_checked=checked,
-        excluded=tuple(excluded),
+        max_discrepancy=float(np.max(np.abs(values - lines[aligned]), initial=0.0)),
+        max_identity_discrepancy=float(np.max(np.abs(ident), initial=0.0)),
+        n_checked=int(np.count_nonzero(aligned)),
+        excluded=tuple(t for t, ok in zip(triples, aligned) if not ok),
     )
 
 

@@ -75,13 +75,18 @@ class TestCost:
         assert code == 1
         assert "error" in err
 
-    def test_overflow_is_an_error_line(self, capsys):
-        # alignment_condition's cubes overflow at this scale
-        code, out, err = run(capsys, ["cost", "1e150", "2e150", "3e151"])
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: ")
-        assert len(err.splitlines()) == 1
+    def test_extreme_scale_is_scale_free(self, capsys):
+        # P ~ 1e607 overflows to inf; the costs are computed at unit scale
+        code, out, err = run(capsys, ["cost", "1e150", "2e150", "3e151", "--json"])
+        assert code == 0
+        assert err == ""
+        doc = json.loads(out)
+        assert doc["alignment"] == "inf"
+        assert doc["argmin_collinear"] is True
+        assert doc["value"] == doc["c_pi"]
+        assert doc["value"] * 1e150 == pytest.approx(
+            1.0 / 3.0 + 1.0 / 29.0 + 1.0 / 32.0, rel=1e-14
+        )
 
 
 class TestMap:

@@ -158,6 +158,32 @@ class TestAlignment:
             phi_threshold(-1.0, 2.0)
 
 
+SCALES = [1e-160, 1e-100, 1e-60, 1.0, 1e60, 1e100, 1e155]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_closed_forms_are_scale_free(scale):
+    # energies are homogeneous of degree -1 and P of degree 4; both are
+    # evaluated at unit scale, so no scale overflows or goes subnormal
+    for r in ((1.0, 2.0, 30.0), (1.0, 2.0, 14.0), (3.0, 0.5, 2.0)):
+        rs = tuple(scale * v for v in r)
+        assert c_pi(rs) == pytest.approx(c_pi(r) / scale, rel=1e-14)
+        assert c_delta(rs) == pytest.approx(c_delta(r) / scale, rel=1e-14)
+        for got, want in zip(
+            corner_values(rs).as_tuple(), corner_values(r).as_tuple()
+        ):
+            assert got == pytest.approx(want / scale, rel=1e-14)
+        p, ps = alignment_condition(r), alignment_condition(rs)
+        # rescaled by multiplication: +-inf on overflow, a signed zero on
+        # underflow, never an OverflowError
+        assert math.copysign(1.0, ps) == math.copysign(1.0, p)
+        want = p * scale * scale * scale * scale
+        if abs(want) > 1e-300:
+            assert ps == pytest.approx(want, rel=1e-13)
+        else:
+            assert abs(ps) <= 1e-300
+
+
 class TestGradHess:
     def test_gradient_vanishes_at_corners(self):
         r = (1.0, 2.0, 15.0)

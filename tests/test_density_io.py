@@ -1,6 +1,7 @@
 """JSON serialization of densities, including the reconstructed tail."""
 
 import copy
+import hashlib
 import json
 import math
 
@@ -69,6 +70,21 @@ class TestRoundTrip:
         # on-disk document is plain JSON
         doc = json.loads(p.read_text())
         assert doc["schema_version"] == SCHEMA_VERSION
+
+    # sha256 of the saved built-in counterexample for each k; the tail
+    # record follows the segments before it, written as plain poly pieces
+    SAVED_DIGESTS = {
+        1: "fbfc65dbb3afd65c30617d1a69adcdf89d7c20ac13966f11f11cfaef5447c87d",
+        2: "8ac65d0bc4940b590940507535740d0e9534630fadc22671bb520d201d5de766",
+        3: "ddf985219db764d1dfab50185535b4949b51c247ea0c81ad49f70afe132037e4",
+        4: "cb85f31366fa782927e1f1e8b7ca92c3b40d9b74a1a705972938c0e47ab61a0b",
+    }
+
+    @pytest.mark.parametrize("k", sorted(SAVED_DIGESTS))
+    def test_saved_counterexample_bytes_pinned(self, tmp_path, k):
+        path = tmp_path / f"cex_k{k}.json"
+        save(example_counterexample_density(k=k), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.SAVED_DIGESTS[k]
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -1,5 +1,6 @@
 """Global torus minimization, stationary sweep, implicit curve tracing."""
 
+import itertools
 import math
 
 import numpy as np
@@ -85,46 +86,44 @@ class TestRadialCost:
 # radial_cost outputs pinned bit for bit: value, argmin, grid value as
 # float.hex, then candidates and Newton iterations
 KERNEL_PINS = {
+    # closed form: P = 170 clears its rounding bound
     "aligned": (
         (1.0, 2.0, 15.0),
         ("0x1.dab623dab623ep-2", "-0x1.921fb54442d18p+1", "0x0.0p+0"),
         "0x1.dab623dab623ep-2",
-        1,
+        0,
         0,
     ),
     "unaligned": (
         (1.0, 2.0, 14.0),
-        ("0x1.e419ca626b250p-2", "-0x1.8f6ae83278b49p+1", "0x1.004e39000d270p-2"),
+        ("0x1.e419ca626b24fp-2", "-0x1.8f6ae83278dedp+1", "0x1.004e38fffd820p-2"),
         "0x1.e419d5c163b1ep-2",
-        4,
-        14,
+        6,
+        22,
     ),
-    # P = -0.009: the interior basin is shallow next to the corner saddle
+    # P = +6.6e-4 next to the threshold: a closed-form hit at c_pi
     "saddle_adjacent": (
         (0.0665, 0.0718, 5.503),
-        ("0x1.e603be626c37bp+2", "-0x1.921fb54442d18p+1", "0x0.0p+0"),
+        ("0x1.e603be626c37cp+2", "-0x1.921fb54442d18p+1", "0x0.0p+0"),
         "0x1.e603be626c37cp+2",
-        12,
-        55,
+        0,
+        0,
     ),
-    # the derivatives overflow (gradient inf, Hessian NaN), so the descent
-    # step is NaN and no step is taken
+    # the middle radius is the third, so charges 1 and 2 share an angle
     "overflow_1e-102": (
         (7.9263306018765e-102, 3.99493811827473e-105, 5.846079755145051e-105),
-        ("0x1.6bdae351cbee2p+345", "-0x1.921fb54442d00p-6", "0x1.8efb75d9ba4bep+1"),
+        ("0x1.6bdae351cbee2p+345", "0x0.0p+0", "-0x1.921fb54442d18p+1"),
         "0x1.6bdae351cbee2p+345",
-        12,
+        0,
         0,
     ),
-    # the gradient is far below the stopping test's absolute 1e-12, so
-    # Newton takes no step and the grid value stands, although
-    # 1e-140 * radial_cost(1, 2, 14) is 4.7275463e-141
+    # computed at unit scale: the same Newton path as (1, 2, 14)
     "scale_1e140": (
         (1e140, 2e140, 1.4e141),
-        ("0x1.cd31bac5ed85fp-467", "-0x1.921fb54442d18p+1", "-0x1.921fb54442d00p-6"),
+        ("0x1.cd31aff0b2b61p-467", "-0x1.8f6ae83278dedp+1", "0x1.004e38fffd840p-2"),
         "0x1.cd31bac5ed85fp-467",
-        12,
-        0,
+        6,
+        22,
     ),
 }
 
@@ -139,16 +138,23 @@ def test_radial_cost_bitwise_pin(case):
     assert (res.candidates, res.iterations) == (candidates, iterations)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the 1e-10 relative tie merge absorbs non-collinear candidates",
+@pytest.mark.parametrize(
+    "case, scale", [("overflow_1e-102", 1e-102), ("scale_1e140", 1e140)]
 )
+def test_extreme_scale_matches_unit_scale(case, scale):
+    # the cost is homogeneous of degree -1
+    r = KERNEL_PINS[case][0]
+    unit = radial_cost(tuple(v / scale for v in r)).value / scale
+    assert radial_cost(r).value == pytest.approx(unit, rel=1e-13)
+
+
 def test_aligned_large_ratio_argmin_collinear():
-    # `radialmot cost 1 2 1e6` prints `argmin collinear = no` while P ~ 1e18
+    # `radialmot cost 1 2 1e6`: P ~ 1e18, so the value is c_pi in closed form
     r = (1.0, 2.0, 1e6)
     assert alignment_condition(r) > 1e17
     res = radial_cost(r)
     assert torus_distance(res.argmin.as_tuple(), (PI, 0.0)) <= 1e-6
+    assert res.value == c_pi(r)
 
 
 @pytest.mark.xfail(
@@ -166,13 +172,22 @@ def test_coarse_grid_leaves_saddle_corner():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="the gradient stop is an absolute 1e-12 once the cost is below 1",
+    reason="descent steps on the saddle side of a flat basin stall at the "
+    "Newton iteration cap",
 )
+def test_flat_basin_permutations_agree():
+    # P = -134 puts this triple just below the threshold phi(1, 1.596) =
+    # 17.35; every refined lane of every ordering ends at the 80-iteration
+    # cap, and the orderings disagree by 8.6e-8
+    r = (1.0, 1.5958550820613697, 17.32032150984716)
+    values = [radial_cost(p).value for p in itertools.permutations(r)]
+    assert max(values) == pytest.approx(min(values), rel=1e-12)
+
+
 @pytest.mark.parametrize("scale", [1e9, 1e12])
 def test_scaled_radii_reach_the_minimum(scale):
-    # the cost is homogeneous of degree -1, but at scale 1e9 the gradient
-    # is already below the stopping test, so Newton takes no step and the
-    # grid value stands, 3.6e-7 relative above the minimum
+    # the cost is homogeneous of degree -1 and is computed at unit scale,
+    # so Newton runs the same way at every scale
     base = radial_cost((1.0, 2.0, 14.0)).value
     res = radial_cost((1.0 * scale, 2.0 * scale, 14.0 * scale))
     assert res.iterations > 0

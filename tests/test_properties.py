@@ -18,6 +18,7 @@ from radialmot import (
     radial_cost,
     torus_distance,
 )
+from radialmot.minimize import _radial_cost_batch
 
 PI = math.pi
 
@@ -109,6 +110,73 @@ class TestPermutationSymmetry:
             if math.isinf(lhs) or math.isinf(rhs):
                 continue
             assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+# radius triples (1, q2, q3) in any order, q log-uniform on [1, 1e12]
+log_ratio = st.floats(min_value=0.0, max_value=12.0)
+log_scale = st.floats(min_value=-150.0, max_value=150.0)
+
+
+@st.composite
+def unit_triples(draw):
+    r = (1.0, 10.0 ** draw(log_ratio), 10.0 ** draw(log_ratio))
+    return tuple(r[i] for i in draw(st.permutations(range(3))))
+
+
+def _scaled(r, log_s):
+    s = 10.0**log_s
+    return s, tuple(s * v for v in r)
+
+
+class TestKernelProperties:
+    @given(unit_triples(), log_scale)
+    @settings(max_examples=80, deadline=None)
+    def test_closed_form_hits_are_c_pi_at_a_collinear_argmin(self, r, log_s):
+        _, r = _scaled(r, log_s)
+        res = radial_cost(r)
+        if res.candidates > 0:
+            return
+        assert res.iterations == 0 and res.grid_value == res.value
+        assert math.copysign(1.0, alignment_condition(tuple(sorted(r)))) > 0.0
+        assert res.value == c_pi(tuple(sorted(r)))
+        # the middle radius sits opposite the other two
+        angles = (0.0, res.argmin.alpha, res.argmin.beta)
+        middle = sorted(range(3), key=r.__getitem__)[1]
+        outer = [angles[i] for i in range(3) if i != middle]
+        assert outer[0] == outer[1]
+        assert abs(math.remainder(angles[middle] - outer[0], 2 * PI)) == PI
+
+    @given(unit_triples(), log_scale)
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_homogeneity_at_every_scale(self, r, log_s):
+        s, rs = _scaled(r, log_s)
+        assert radial_cost(rs).value * s == pytest.approx(
+            radial_cost(r).value, rel=1e-13
+        )
+
+    @given(unit_triples(), log_scale)
+    @settings(max_examples=30, deadline=None)
+    def test_value_is_permutation_invariant(self, r, log_s):
+        # exact for closed-form hits; elsewhere within the accuracy the
+        # grid and Newton reach in the flat basins next to the threshold
+        # (see test_flat_basin_permutations_agree in test_minimize.py)
+        _, r = _scaled(r, log_s)
+        base = radial_cost(r)
+        for perm in itertools.permutations(r):
+            value = radial_cost(perm).value
+            if base.candidates == 0:
+                assert value == base.value
+            assert value == pytest.approx(base.value, rel=1e-6)
+
+    @given(st.lists(st.tuples(unit_triples(), log_scale), min_size=1, max_size=5))
+    @settings(max_examples=30, deadline=None)
+    def test_batch_rows_equal_batches_of_one(self, rows):
+        radii = [_scaled(r, log_s)[1] for r, log_s in rows]
+        batch = _radial_cost_batch(radii)
+        for i, r in enumerate(radii):
+            one = _radial_cost_batch([r])
+            for got, want in zip(batch, one):
+                assert got[i : i + 1].tobytes() == want.tobytes()
 
 
 class TestRotationLift:
