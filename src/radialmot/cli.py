@@ -55,7 +55,7 @@ from .minimize import (
     radial_cost,
     trace_implicit_curves,
 )
-from .mot import LpCertificate, discretize, monge_cost, solve_exact
+from .mot import LpCertificate, discretize, graph_triples, monge_cost, solve_exact
 
 _COLLINEAR_TOL = 1e-6
 
@@ -171,12 +171,7 @@ def cmd_map(args) -> int:
     rho = _load_density(args.density)
     smap = build_map(rho, args.pattern)
     t = smap.tertiles
-    rows = []
-    for j in range(args.samples):
-        m = (j + 0.5) / (3.0 * args.samples)
-        x = rho.quantile(m)
-        orbit = smap.orbit(x)
-        rows.append(orbit)
+    rows = [o.as_tuple() for o in graph_triples(smap, args.samples)]
     diag = None
     if args.check:
         diag = check_map(smap, n_probe=args.probes)

@@ -34,6 +34,7 @@ no scale from subnormal to near-overflow loses digits or raises.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,6 +251,29 @@ def _alignment_terms(r1, r2, r3):
     arrays give the same bits."""
     d, e, g = r3 - r1, r3 + r2, r1 + r2
     return r2 * (d * d * d), r1 * (e * e * e), r3 * (g * g * g)
+
+
+# forward rounding-error bound of the computed P relative to the sum of
+# its terms' magnitudes (about 8 roundings, with a factor 2 to spare)
+_P_ROUNDING = 8.0 * sys.float_info.epsilon
+
+
+def _alignment_margin(r):
+    """Scale-free alignment margin of each row of r, an (m, 3) array of
+    radius triples, sorted here: P over the sum of its terms' magnitudes,
+    both computed on the row scaled by the power of two that puts its
+    largest radius in [1/2, 1).
+
+    The margin lies in [-1, 1] and has the sign of P at every scale.  The
+    computed margin is within _P_ROUNDING of the exact one, so P > 0 is
+    certain where it exceeds _P_ROUNDING and P < 0 where it is below
+    -_P_ROUNDING.  0/0 where two radii vanish: callers choose how that
+    floating-point warning is handled.
+    """
+    v = np.sort(np.asarray(r, dtype=float), axis=1)
+    v = np.ldexp(v, -np.frexp(v[:, 2:])[1])
+    t1, t2, t3 = _alignment_terms(v[:, 0], v[:, 1], v[:, 2])
+    return (t1 - t2 - t3) / (t1 + t2 + t3)
 
 
 def full_cost(r: Radii | tuple, config: AngularConfig | tuple) -> CostBreakdown:

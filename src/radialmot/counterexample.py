@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .costs import Radii, alignment_condition, c_pi
+from .costs import _P_ROUNDING, Radii, _alignment_margin, alignment_condition, c_pi
 from .density import (
     PolySegment,
     PushforwardTailSegment,
@@ -183,15 +183,17 @@ def find_eps_M(s1: float, s2: float) -> EpsM:
 
 @dataclass(frozen=True)
 class GraphConditionReport:
-    """Worst alignment margin along a branch-map graph."""
+    """Worst alignment polynomial along a branch-map graph.
+
+    worst_margin is the smallest P and worst_x the first radius of its
+    orbit; holds says that no orbit's scale-free alignment margin
+    certifies P < 0, a verdict that does not depend on the scale.
+    """
 
     worst_margin: float
     worst_x: float
     n_samples: int
-
-    @property
-    def holds(self) -> bool:
-        return self.worst_margin >= -1e-9
+    holds: bool
 
 
 def check_graph_condition(rho: RadialDensity, n: int = 64) -> GraphConditionReport:
@@ -206,7 +208,7 @@ def check_graph_condition(rho: RadialDensity, n: int = 64) -> GraphConditionRepo
     because boundary minima (the uniform density's, for instance) are
     hit exactly at every n.
 
-    Nonnegative margin means the map's support satisfies the alignment
+    When the report holds, the map's support satisfies the alignment
     condition at probe resolution, so its cost is entirely collinear.
     """
     if n < 2:
@@ -214,7 +216,7 @@ def check_graph_condition(rho: RadialDensity, n: int = 64) -> GraphConditionRepo
     rho.tertiles()  # validates the map is constructible
     worst = math.inf
     worst_x = math.nan
-    skipped = 0
+    orbits = []
     for j in range(n):
         m = (1.0 / 3.0) * j / (n - 1)
         orbit = (
@@ -223,13 +225,17 @@ def check_graph_condition(rho: RadialDensity, n: int = 64) -> GraphConditionRepo
             rho.quantile(2.0 / 3.0 + m),
         )
         if not all(math.isfinite(v) for v in orbit):
-            skipped += 1
             continue
+        orbits.append(orbit)
         p = alignment_condition(orbit)
         if p < worst:
             worst, worst_x = p, orbit[0]
+    margins = _alignment_margin(np.reshape(orbits, (-1, 3)))
     return GraphConditionReport(
-        worst_margin=worst, worst_x=worst_x, n_samples=n - skipped
+        worst_margin=worst,
+        worst_x=worst_x,
+        n_samples=len(orbits),
+        holds=bool(np.all(margins >= -_P_ROUNDING)),
     )
 
 
@@ -505,21 +511,6 @@ def _as_poly_segments(spec, what: str) -> list[PolySegment]:
     return segs
 
 
-def _strict_positive_min(segs: Sequence[PolySegment]) -> float:
-    worst = math.inf
-    for seg in segs:
-        poly = np.polynomial.Polynomial(seg.coeffs)
-        cand = [seg.lo, seg.hi]
-        der = poly.deriv()
-        if der.degree() >= 0:
-            for z in np.atleast_1d(der.roots()):
-                zc = complex(z)
-                if abs(zc.imag) < 1e-10 and seg.lo <= zc.real <= seg.hi:
-                    cand.append(zc.real)
-        worst = min(worst, min(float(poly(c)) for c in cand))
-    return worst
-
-
 def build_counterexample_density(
     rho1_spec, rho2_spec, k: int = 1
 ) -> CounterexampleDensity:
@@ -551,7 +542,7 @@ def build_counterexample_density(
         raise DensityError(
             f"piece masses must each be 1/3, got {m1!r} and {m2!r}"
         )
-    if _strict_positive_min(rho1) <= 0.0 or _strict_positive_min(rho2) <= 0.0:
+    if min(seg.minimum for seg in (*rho1, *rho2)) <= 0.0:
         raise DensityError("pieces must be strictly positive on their intervals")
 
     if not ratio_gate(s1, s2):
@@ -776,7 +767,7 @@ def _certificate(
     # the collinear recomputation is only meaningful when every involved
     # triple is certified collinear by the alignment condition
     quads = (ta.as_tuple(), tb.as_tuple(), sa, sb)
-    if all(alignment_condition(q) >= 0.0 for q in quads):
+    if np.all(_alignment_margin(quads) > _P_ROUNDING):
         col = (c_pi(ta.as_tuple()) + c_pi(tb.as_tuple())) - (c_pi(sa) + c_pi(sb))
     else:
         col = None

@@ -90,7 +90,8 @@ class PolySegment:
 
     coeffs are ascending power-basis coefficients of the density itself.
     The piece must be nonnegative on its interval; this is verified at the
-    endpoints and at all interior critical points of the polynomial.
+    endpoints and at all interior critical points of the polynomial, and
+    the smallest of those values is kept as ``minimum``.
 
     The density and its antiderivative are coefficient tuples evaluated by
     the scalar Horner loop; numpy's Polynomial only supplies the
@@ -122,11 +123,11 @@ class PolySegment:
         self.mass = _horner(self._anti, self.hi) - self._anti_lo
         crit = _real_roots_in(poly.deriv(), self.lo, self.hi)
         vals = [_horner(self.coeffs, x) for x in [self.lo, self.hi, *crit]]
-        low = min(vals)
-        if low < -1e-12 * max(1.0, max(abs(v) for v in vals)):
+        self.minimum = min(vals)
+        if self.minimum < -1e-12 * max(1.0, max(abs(v) for v in vals)):
             raise DensityError(
                 f"poly segment dips negative on [{self.lo}, {self.hi}] "
-                f"(min value {low:.3e})"
+                f"(min value {self.minimum:.3e})"
             )
         if not 0.0 < self.mass < math.inf:
             raise DensityError(

@@ -33,7 +33,6 @@ one-dimensional solves come from the unimodal shape of each g profile.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .costs import (
     AngularConfig,
     Radii,
-    _alignment_terms,
+    _P_ROUNDING,
+    _alignment_margin,
     _energy_terms,
     _grad_hess_arrays,
     _inv_dist,
@@ -81,9 +81,6 @@ _MAX_ITER = 80
 _TIE_WINDOW = 1e-6
 # cap on the number of refined tie candidates
 _MAX_CANDIDATES = 12
-# forward rounding-error bound of the computed P relative to the sum of
-# its terms' magnitudes (about 8 roundings, with a factor 2 to spare)
-_P_ROUNDING = 8.0 * sys.float_info.epsilon
 # Newton lanes refined together at most, which bounds the working memory
 _LANE_CHUNK = 1 << 15
 
@@ -200,8 +197,8 @@ def _radial_cost_batch(radii, grid: int = 256):
     Returns arrays value, alpha, beta, grid_value, candidates, iterations;
     rows with two zero radii or no finite grid node get infinite values.
     Rows are computed on r / s, s the power of two that puts the largest
-    radius in [1/2, 1), and rescaled.  Where P of the sorted row clears
-    its rounding-error bound, the value is c_pi in closed form at the
+    radius in [1/2, 1), and rescaled.  Where the alignment margin of the
+    row certifies P > 0, the value is c_pi in closed form at the
     collinear argmin with the middle radius opposite the other two.  Other
     rows are scanned on the grid one at a time, and the nodes inside each
     row's tie window are refined together by :func:`_newton_lanes`.
@@ -217,11 +214,9 @@ def _radial_cost_batch(radii, grid: int = 256):
     candidates, iterations = np.zeros((2, m), dtype=int)
     live = np.count_nonzero(u == 0.0, axis=1) < 2
 
-    v = np.sort(u, axis=1)
-    t1, t2, t3 = _alignment_terms(v[:, 0], v[:, 1], v[:, 2])
-    closed = live & (t1 - t2 - t3 > _P_ROUNDING * (t1 + t2 + t3))
+    closed = live & (_alignment_margin(u) > _P_ROUNDING)
     k = np.flatnonzero(closed)
-    v = v[k]
+    v = np.sort(u[k], axis=1)
     value[k] = grid_value[k] = sum(_energy_terms(v[:, 0], v[:, 1], v[:, 2], -_PI, 0.0))
     middle = np.argsort(u[k], axis=1)[:, 1]
     alpha[k] = np.where(middle == 2, 0.0, -_PI)

@@ -13,16 +13,17 @@ The symmetric problem over those atoms is solved two ways:
 
 * "lp": the symmetric linear program, one column per finite sorted triple
   and one uniform-marginal row per atom, solved by HiGHS at 1e-10
-  feasibility tolerances.  Symmetrizing an optimal coupling keeps it
-  optimal, so this has the optimum of the full program over n^3 coupling
-  tensors (Friesecke & Voegler, SIAM J. Math. Anal. 2018).  The returned
-  coupling and duals are those of the full program, and they are certified
-  independently (marginal residuals, dual feasibility, duality gap, all
-  at 1e-9);
+  feasibility tolerances on the costs divided by the power of two of the
+  largest one.  Symmetrizing an optimal coupling keeps it optimal, so this
+  has the optimum of the full program over n^3 coupling tensors (Friesecke
+  & Voegler, SIAM J. Math. Anal. 2018).  The returned coupling and duals
+  are those of the full program, and they are certified independently
+  (marginal residuals, dual feasibility, duality gap, all at 1e-9, the
+  last two relative to that power of two);
 * "brute-monge": exact minimization over permutation-pair couplings
-  (id, sigma, tau), by full lexicographic enumeration up to n = 6 and by
-  per-sigma optimal assignment for n in {7, 8}.  The coupling returned is
-  the symmetrization of (id, sigma, tau), which has the same cost.
+  (id, sigma, tau), by one optimal assignment per sigma, n <= 8.  The
+  coupling returned is the symmetrization of (id, sigma, tau), which has
+  the same cost.
 
 The LP value can only be lower; agreement of the two within tolerance is
 the discrete optimality certificate used throughout.
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import Radii, alignment_condition, c_pi
+from .costs import _P_ROUNDING, Radii, _alignment_margin, _unit_scale, c_pi
 from .density import RadialDensity
 from .errors import (
     CertificationError,
@@ -74,7 +75,6 @@ _CERT_TOL = 1e-9
 # HiGHS primal and dual feasibility tolerances; at its default 1e-7 the
 # duals can miss the 1e-9 certificate
 _LP_TOL = 1e-10
-_BIG = 1e30
 
 
 def c_1d(x1: float, x2: float, x3: float) -> float:
@@ -162,6 +162,9 @@ class DiscreteProblem:
 
 @dataclass(frozen=True)
 class LpCertificate:
+    """Duals of the full program and its residuals; the dual violation and
+    the duality gap are relative to the power of two of the largest cost."""
+
     duals: tuple[np.ndarray, np.ndarray, np.ndarray]
     marginal_residual: float
     max_dual_violation: float
@@ -180,7 +183,6 @@ class LpCertificate:
 class MongeCertificate:
     sigma: tuple[int, ...]
     tau: tuple[int, ...]
-    exhaustive_pairs: bool
 
 
 @dataclass(frozen=True)
@@ -211,12 +213,18 @@ def _solve_lp(problem: DiscreteProblem) -> SolveResult:
     of each sorted triple t.  Its marginal at atom i is
     sum_t x_t count_i(t) / 3, which gives n rows instead of 3n, and the
     dual u yields the full LP's duals (u/3, u/3, u/3).
+
+    HiGHS solves on the costs divided by the power of two s of the largest
+    one, which is exact, so its absolute tolerances and the certificate's
+    mean the same at every scale; the value and duals are multiplied back.
     """
     n = problem.n
     finite = np.isfinite(problem.values)
     if not np.any(finite):
         raise InfeasibleCost("every coupling entry has infinite cost")
     triples, c = problem.triples[finite], problem.values[finite]
+    s = _unit_scale(float(c.max()))
+    c = c / s
     ii, jj, kk = triples.T
 
     m = c.size
@@ -248,7 +256,7 @@ def _solve_lp(problem: DiscreteProblem) -> SolveResult:
     max_dual_violation = float(max(0.0, -slack.min()))
     dual_obj = float(b_eq @ u)
     cert = LpCertificate(
-        duals=(third, third, third),
+        duals=(third * s,) * 3,
         marginal_residual=coupling.marginal_residual(),
         max_dual_violation=max_dual_violation,
         duality_gap=float(res.fun - dual_obj),
@@ -261,51 +269,32 @@ def _solve_lp(problem: DiscreteProblem) -> SolveResult:
             f"gap {cert.duality_gap:.3e}"
         )
     return SolveResult(
-        value=float(res.fun), coupling=coupling, method="lp", certificate=cert
+        value=float(res.fun) * s, coupling=coupling, method="lp", certificate=cert
     )
 
 
 def _solve_brute(problem: DiscreteProblem) -> SolveResult:
+    """For each sigma, the optimal tau is an assignment on the cost slice
+    c[i, sigma(i), :]; a slice whose every assignment meets an infinite
+    entry makes linear_sum_assignment raise ValueError."""
     n = problem.n
     if n > 8:
         raise SizeExceeded(f"brute-monge supports n <= 8, got {n}")
+    from scipy.optimize import linear_sum_assignment
+
     cost = problem.cost
     idx = np.arange(n)
-
     best_val = math.inf
     best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    exhaustive = n <= 6
-
-    if exhaustive:
-        perms = np.array(list(itertools.permutations(range(n))))
-        for sigma in itertools.permutations(range(n)):
-            sl = cost[idx, sigma, :]
-            with np.errstate(invalid="ignore"):
-                vals = sl[idx[None, :], perms].sum(axis=1)
-            t = int(np.nanargmin(np.where(np.isfinite(vals), vals, np.inf)))
-            v = float(vals[t])
-            if math.isfinite(v) and v < best_val:
-                best_val = v
-                best = (sigma, tuple(int(x) for x in perms[t]))
-        if best is not None:
-            best_val /= n
-    else:
-        from scipy.optimize import linear_sum_assignment
-        for sigma in itertools.permutations(range(n)):
-            sl = cost[idx, sigma, :]
-            safe = np.where(np.isfinite(sl), sl, _BIG)
-            rr, cc = linear_sum_assignment(safe)
-            v = float(safe[rr, cc].sum())
-            if v < best_val:
-                best_val = v
-                tau = np.empty(n, dtype=int)
-                tau[rr] = cc
-                best = (sigma, tuple(int(x) for x in tau))
-        if best_val >= _BIG / 2:
-            best = None
-        else:
-            best_val /= n
-
+    for sigma in itertools.permutations(range(n)):
+        sl = cost[idx, sigma, :]
+        try:
+            _, tau = linear_sum_assignment(sl)
+        except ValueError:
+            continue
+        v = float(sl[idx, tau].sum())
+        if v < best_val:
+            best_val, best = v, (sigma, tuple(tau.tolist()))
     if best is None:
         raise InfeasibleCost("every permutation coupling has infinite cost")
 
@@ -317,12 +306,10 @@ def _solve_brute(problem: DiscreteProblem) -> SolveResult:
         return_counts=True,
     )
     return SolveResult(
-        value=best_val,
+        value=best_val / n,
         coupling=Coupling(n=n, triples=triples, mass=counts / n),
         method="brute-monge",
-        certificate=MongeCertificate(
-            sigma=tuple(sigma), tau=tuple(tau), exhaustive_pairs=exhaustive
-        ),
+        certificate=MongeCertificate(sigma=tuple(sigma), tau=tuple(tau)),
     )
 
 
@@ -513,16 +500,16 @@ def one_d_increasing_map_check(seidl_map: SeidlMap, n: int = 32) -> OneDCheckRes
 
     For each sampled orbit (x, Tx, T^2 x), the reflected configuration
     (-Tx, x, T^2 x) on the line has cost c_1d equal to the collinear
-    angular value; where the alignment condition holds this also equals
-    the full angular minimum.  Orbits failing the condition are excluded
-    and reported, since there the angular minimum legitimately drops
-    below the collinear value.
+    angular value; where the alignment margin certifies P > 0 this also
+    equals the full angular minimum.  The other orbits are excluded and
+    reported, since there the angular minimum can drop below the
+    collinear value.
     """
     triples = graph_triples(seidl_map, n)
     radii = np.array([t.as_tuple() for t in triples]).reshape(-1, 3)
     lines = np.array([c_1d(-t.tx, t.x, t.t2x) for t in triples])
     ident = np.array([c_pi(r) for r in radii.tolist()]) - lines
-    aligned = np.array([alignment_condition(r) >= 0.0 for r in radii.tolist()], bool)
+    aligned = _alignment_margin(radii) > _P_ROUNDING
     values = _radial_cost_batch(radii[aligned])[0]
     return OneDCheckResult(
         max_discrepancy=float(np.max(np.abs(values - lines[aligned]), initial=0.0)),

@@ -16,6 +16,7 @@ from radialmot import (
     EpsMInfeasible,
     GateFailed,
     JetNotPositive,
+    MongeTriple,
     ViolationNotFound,
     alignment_condition,
     block_density,
@@ -31,9 +32,10 @@ from radialmot import (
     radial_cost,
     ratio_gate,
     refute_class_T,
+    uniform_density,
 )
 import radialmot
-from radialmot.counterexample import _choose_delta
+from radialmot.counterexample import _certificate, _choose_delta
 
 
 class TestGates:
@@ -123,6 +125,12 @@ class TestGraphCondition:
         assert not rep.holds
         assert rep.worst_margin == -1666.0  # integer arithmetic, exact
         assert rep.worst_x == 1.0
+
+    @pytest.mark.parametrize("lam", [1e-100, 1e-3, 1.0, 1e100])
+    def test_uniform_fails_at_every_scale(self, lam):
+        # P is homogeneous of degree 4, so its raw worst value is -80/81
+        # times lam^4; the verdict must not depend on lam
+        assert not check_graph_condition(uniform_density(0.0, lam)).holds
 
     def test_probe_count_validation(self, uniform):
         with pytest.raises(ValueError):
@@ -417,6 +425,12 @@ class TestRefutation:
             for t in (cert.triple_a.as_tuple(), cert.triple_b.as_tuple()):
                 assert alignment_condition(t) >= 0.0
                 assert radial_cost(t).value == pytest.approx(c_pi(t), rel=1e-12)
+
+    def test_underflowing_unaligned_triple_has_no_collinear_gap(self):
+        # P(1, 2, 14) = -80; at scale 1e-100 the raw P underflows to -0.0
+        t = MongeTriple(1e-100, 2e-100, 1.4e-99)
+        cert = _certificate("DDI", "first", t, t, False, {})
+        assert cert.collinear_gap is None
 
     def test_ddi_collinear_gap_suppressed(self, certs):
         # swapped triples break the alignment condition there

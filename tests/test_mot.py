@@ -9,8 +9,10 @@ from scipy.sparse import csr_matrix
 
 from radialmot import mot
 from radialmot import (
+    DiscreteProblem,
     LpCertificate,
     MongeCertificate,
+    MongeTriple,
     ReflectedLineDensity,
     SizeExceeded,
     block_density,
@@ -88,7 +90,6 @@ class TestSolveExact:
         br = solve_exact(prob, method="brute")
         assert br.value == pytest.approx(lp.value, abs=1e-9)
         assert isinstance(br.certificate, MongeCertificate)
-        assert br.certificate.exhaustive_pairs
 
     def test_brute_monge_alias(self, blocks):
         prob = discretize(blocks, 2)
@@ -212,8 +213,8 @@ class TestDataModel:
         rho = block_density([(0.650, 1.921), (2.366, 3.451), (94.128, 94.695)])
         res = solve_exact(discretize(rho, 27), method="lp")
         assert res.certificate.certified
-        # the value recorded when the LP still read the dense tensor
-        assert res.value == float.fromhex("0x1.09b73d3502a3bp-2")
+        # pinned bit for bit
+        assert res.value == float.fromhex("0x1.09b73d3502a3ep-2")
         # a basic solution charges at most one column per marginal row
         assert res.coupling.mass.size <= 27
 
@@ -244,6 +245,62 @@ class TestDataModel:
         assert res.coupling.marginal_residual() == pytest.approx(
             _dense_marginal_residual(weights), abs=1e-16
         )
+
+
+# brute-monge values pinned bit for bit
+BRUTE_PINS = {
+    ("blocks", 3): "0x1.d27d27d27d27cp-2",
+    ("blocks", 4): "0x1.0c6be8c627e96p-1",
+    ("blocks", 5): "0x1.c7551c6991ec8p-2",
+    ("blocks", 6): "0x1.d27d27d27d27dp-2",
+    ("tail_k1", 3): "0x1.183b9a3b6b5dap+1",
+    ("tail_k1", 4): "0x1.f7d774f241839p+0",
+    ("tail_k1", 5): "0x1.ef8c3f451605ep+0",
+    ("tail_k1", 6): "0x1.ed4447f40e12bp+0",
+}
+
+
+@pytest.mark.parametrize("density, n", sorted(BRUTE_PINS))
+def test_brute_value_bitwise_pin(request, density, n):
+    res = solve_exact(discretize(request.getfixturevalue(density), n), method="brute")
+    assert res.value.hex() == BRUTE_PINS[density, n]
+
+
+def _scaled_blocks(lam: float):
+    return block_density([(0.0, lam), (2.0 * lam, 3.0 * lam), (15.0 * lam, 16.0 * lam)])
+
+
+class TestScaleFree:
+    """The cost is homogeneous of degree -1 in the radii, so every exact
+    solver value times the scale is the same at every scale."""
+
+    @pytest.fixture(scope="class")
+    def base(self, blocks):
+        return discretize(blocks, 27)
+
+    @pytest.mark.parametrize("lam", [1e-100, 1e-20, 1e-9, 1e9, 1e12, 1e100])
+    def test_lp_value(self, base, lam):
+        scaled = DiscreteProblem(
+            atoms=base.atoms * lam, triples=base.triples, values=base.values / lam
+        )
+        res = solve_exact(scaled)
+        assert res.certificate.certified
+        assert res.value * lam == pytest.approx(solve_exact(base).value, rel=1e-12)
+
+    def test_lp_value_of_scaled_density(self, base):
+        # raw costs near 1e-12 lie below HiGHS's absolute tolerances
+        lam = 1e12
+        res = solve_exact(discretize(_scaled_blocks(lam), 27))
+        assert res.certificate.certified
+        assert res.value * lam == pytest.approx(solve_exact(base).value, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_brute_at_tiny_scale(self, blocks, n):
+        # finite costs near 5e30 at this scale
+        lam = 1e-31
+        got = solve_exact(discretize(_scaled_blocks(lam), n), method="brute")
+        want = solve_exact(discretize(blocks, n), method="brute")
+        assert got.value * lam == pytest.approx(want.value, rel=1e-12)
 
 
 class TestMongeCost:
@@ -307,6 +364,16 @@ class TestReflectedLine:
         assert res.max_discrepancy < 1e-9
         assert res.excluded == ()
         assert res.n_checked == 16
+
+    def test_one_d_check_excludes_underflowing_unaligned_orbit(
+        self, blocks, monkeypatch
+    ):
+        # P(1, 2, 14) = -80; at scale 1e-100 the raw P underflows to -0.0
+        t = MongeTriple(1e-100, 2e-100, 1.4e-99)
+        monkeypatch.setattr(mot, "graph_triples", lambda seidl_map, n: (t,))
+        res = one_d_increasing_map_check(build_map(blocks, "DDI"), n=1)
+        assert res.n_checked == 0
+        assert res.excluded == (t,)
 
 
 class TestLift:
