@@ -119,7 +119,7 @@ def _load_density(path):
 
 def cmd_cost(args) -> int:
     r = Radii(args.r1, args.r2, args.r3)
-    res = radial_cost(r, grid=args.grid)
+    res = radial_cost(r)
     argmin = res.argmin.as_tuple()
     p = alignment_condition(r)
     try:
@@ -221,7 +221,7 @@ def cmd_map(args) -> int:
 def cmd_solve(args) -> int:
     rho = _load_density(args.density)
     n_atoms = 3 * args.n
-    problem = discretize(rho, n_atoms, grid=args.grid)
+    problem = discretize(rho, n_atoms)
     exact = solve_exact(problem, method=args.method)
     brute_value = None
     if args.method == "brute":
@@ -229,7 +229,7 @@ def cmd_solve(args) -> int:
     elif n_atoms <= 8:
         brute_value = solve_exact(problem, method="brute").value
     ddi = build_map(rho, "DDI")
-    monge = monge_cost(ddi, n=args.n, grid=args.grid)
+    monge = monge_cost(ddi, n=args.n)
     diff = monge.value - exact.value
     optimal = abs(diff) <= args.tol
     payload = {
@@ -473,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("ALPHA", "BETA"),
         help="also evaluate the cost at these angles",
     )
-    p.add_argument("--grid", type=int, default=256, help="coarse grid size")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_cost)
 
@@ -492,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=5, help="atoms per tertile")
     p.add_argument("--method", choices=("lp", "brute"), default="lp")
     p.add_argument("--tol", type=float, default=1e-6, help="verdict tolerance")
-    p.add_argument("--grid", type=int, default=256, help="angular grid size")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve)
 
@@ -536,7 +534,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except ValueError as e:
-        # bad option values (--grid, --n, --k) reach the library as
+        # bad option values (--n, --k) reach the library as
         # ValueError; DegenerateRadii is a ValueError too but is caught
         # above as a mathematical failure
         print(f"error: {e}", file=sys.stderr)

@@ -88,7 +88,7 @@ class Radii:
 
     Validation is weak on purpose: radii must be finite and nonnegative,
     but ties and unordered triples are allowed here because several
-    operations (homogeneity and symmetry checks, the grid minimizer)
+    operations (homogeneity and symmetry checks, the angular minimizer)
     are total in that regime.  Operations needing strict order check it
     themselves.
     """

@@ -37,7 +37,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .costs import _P_ROUNDING, Radii, _alignment_margin, alignment_condition, c_pi
+from .costs import _P_ROUNDING, Radii, _alignment_margin, _alignment_terms, _unit_scale
+from .costs import alignment_condition, c_pi
 from .density import (
     PolySegment,
     PushforwardTailSegment,
@@ -186,7 +187,9 @@ class GraphConditionReport:
     """Worst alignment polynomial along a branch-map graph.
 
     worst_margin is the smallest P and worst_x the first radius of its
-    orbit; holds says that no orbit's scale-free alignment margin
+    orbit.  The orbits are ranked at unit scale, so worst_x is right at
+    every scale, while worst_margin may underflow to 0 or overflow to
+    -inf.  holds says that no orbit's scale-free alignment margin
     certifies P < 0, a verdict that does not depend on the scale.
     """
 
@@ -214,8 +217,6 @@ def check_graph_condition(rho: RadialDensity, n: int = 64) -> GraphConditionRepo
     if n < 2:
         raise ValueError("need at least 2 probes")
     rho.tertiles()  # validates the map is constructible
-    worst = math.inf
-    worst_x = math.nan
     orbits = []
     for j in range(n):
         m = (1.0 / 3.0) * j / (n - 1)
@@ -224,18 +225,20 @@ def check_graph_condition(rho: RadialDensity, n: int = 64) -> GraphConditionRepo
             rho.quantile(2.0 / 3.0 - m),
             rho.quantile(2.0 / 3.0 + m),
         )
-        if not all(math.isfinite(v) for v in orbit):
-            continue
-        orbits.append(orbit)
-        p = alignment_condition(orbit)
-        if p < worst:
-            worst, worst_x = p, orbit[0]
-    margins = _alignment_margin(np.reshape(orbits, (-1, 3)))
+        if all(math.isfinite(v) for v in orbit):
+            orbits.append(orbit)
+    v = np.reshape(orbits, (-1, 3))
+    # P at one unit scale, that of the largest radius, ranks the orbits as
+    # the raw P would without under- or overflow; the first of ties wins
+    s = _unit_scale(float(v.max()))
+    t1, t2, t3 = _alignment_terms(*(v / s).T)
+    p = t1 - t2 - t3
+    worst = int(np.argmin(p))
     return GraphConditionReport(
-        worst_margin=worst,
-        worst_x=worst_x,
+        worst_margin=float(p[worst]) * s * s * s * s,
+        worst_x=float(v[worst, 0]),
         n_samples=len(orbits),
-        holds=bool(np.all(margins >= -_P_ROUNDING)),
+        holds=bool(np.all(_alignment_margin(v) >= -_P_ROUNDING)),
     )
 
 

@@ -5,15 +5,16 @@ One batched kernel, :func:`_radial_cost_batch`, computes minimal energies;
 degree -1, so each triple is divided by a power of two near its largest
 radius (exactly) and minimized at unit scale.  Where the alignment
 polynomial of the sorted triple clears its rounding-error bound, the
-alignment theorem gives the value c_pi in closed form.  Elsewhere f(a, b)
-is smooth on the torus away from coincidences, so a dense grid scan
-followed by damped Newton refinement finds the global minimum.  The grid
-exploits separability: f decomposes into three one-dimensional profiles
-(one per pair), so the n x n table is assembled from three length-n arrays
-and a strided circulant view.  Grids are scanned one triple at a time; the
-nodes near each grid minimum are refined by one Newton iteration run in
-lockstep over the batch, on numpy arrays, whose elementwise results do not
-depend on the batch.
+alignment theorem gives the value c_pi in closed form.  Elsewhere the
+collinear corner is a saddle between two mirrored minima, every local
+minimum is global, and f(a, b) is smooth on the torus away from
+coincidences.  So each such triple is seeded once, at the lowest node of a
+fixed 16 x 16 grid, and descends by damped saddle-free Newton steps: the
+Newton step where the Hessian is positive definite, -|H|^-1 g elsewhere,
+and a step along the negative-curvature direction off an exact saddle.  A
+lane counts as converged only where the Hessian is positive semidefinite.
+One descent runs in lockstep over the batch, on numpy arrays, whose
+elementwise results do not depend on the batch.
 
 Stationary points solve the closed-form gradient system; a multistart
 Newton iteration run in lockstep over all starts converges quadratically
@@ -36,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .costs import (
     AngularConfig,
@@ -45,7 +45,6 @@ from .costs import (
     _alignment_margin,
     _energy_terms,
     _grad_hess_arrays,
-    _inv_dist,
     _inv_dist_d1,
     _unit_scale,
     canonical_angle,
@@ -67,27 +66,27 @@ __all__ = [
 
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
-# value tolerance when comparing refined candidates
-_TOL = 1e-10
 # nodes per angle for the stationary multistart sweep
 _START_GRID = 128
 # torus radius merging coincident stationary points
 _DEDUP_TOL = 1e-6
 # Newton iteration cap for both refinement and the sweep
 _MAX_ITER = 80
-# relative window above the grid minimum whose nodes are all refined: ties
-# break deterministically, and the flat basins next to the threshold, where
-# descent from the saddle side stalls, get seeds on the basin side too
-_TIE_WINDOW = 1e-6
-# cap on the number of refined tie candidates
-_MAX_CANDIDATES = 12
-# Newton lanes refined together at most, which bounds the working memory
-_LANE_CHUNK = 1 << 15
+# longest step a descent lane takes
+_MAX_STEP = 0.7
+# seed grid nodes per angle, -pi + 2 pi k / 16, so that the collinear
+# corner (-pi, 0) is a node; _SEED_A, _SEED_B list the grid in flat order
+_SEED_NODES = -_PI + _TWO_PI * np.arange(16) / 16
+_SEED_A, _SEED_B = np.repeat(_SEED_NODES, 16), np.tile(_SEED_NODES, 16)
+# seeded rows evaluated together at most, which bounds the grid's memory
+_ROW_CHUNK = 1024
 
 
 @dataclass(frozen=True)
 class RadialCostResult:
-    """Outcome of the global angular minimization for one radius triple."""
+    """Outcome of the global angular minimization for one radius triple:
+    grid_value is the energy at the seed node, candidates the number of
+    descents (0 or 1) and iterations their accepted steps."""
 
     value: float
     argmin: AngularConfig
@@ -137,14 +136,44 @@ class CurveBundle:
     max_confinement_violation: float
 
 
+def _saddle_free_step(g1, g2, h11, h12, h22, tol):
+    """The saddle-free step -|H|^-1 g (Dauphin et al., NeurIPS 2014) from the
+    closed-form eigendecomposition of each 2 x 2 Hessian, eigenvalues kept
+    at least 1e-12 of the largest in magnitude.  Where H is strictly
+    indefinite and the model decrease g |H|^-1 g is at most tol, as at an
+    exact saddle, the step is _MAX_STEP along the negative-curvature
+    eigenvector, of a fixed sign (Nocedal and Wright, 2006), so a lane
+    leaves a saddle the same way every time.  Returns the step and whether
+    H is positive semidefinite."""
+    mid, half = 0.5 * (h11 + h22), 0.5 * (h11 - h22)
+    rad = np.hypot(half, h12)
+    lo, hi, top = mid - rad, mid + rad, np.abs(mid) + rad
+    # (c, s) spans the eigenspace of hi, (-s, c) the one of lo, with c >= 0
+    th = 0.5 * np.arctan2(h12, half)
+    c, s = np.cos(th), np.sin(th)
+    gl, gh = c * g2 - s * g1, c * g1 + s * g2
+    floor = 1e-12 * top
+    wl = gl / np.maximum(np.abs(lo), floor)
+    wh = gh / np.maximum(np.abs(hi), floor)
+    curved = lo < -floor
+    escape = curved & (gl * wl + gh * wh <= tol)
+    sa = np.where(escape, -_MAX_STEP * s, s * wl - c * wh)
+    sb = np.where(escape, _MAX_STEP * c, -c * wl - s * wh)
+    return sa, sb, ~curved
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _newton_lanes(r1, r2, r3, a, b):
-    """Damped Newton descent from many grid nodes in lockstep.
+    """Damped saddle-free Newton descent from many seeds in lockstep.
 
     Each lane takes a Newton step where the Hessian is positive definite,
-    else descent scaled by the largest Hessian entry (NaN stops the lane),
-    capped at length 0.7 and halved until the value does not increase.
-    Derivatives are taken at the canonical angles, the energy at the raw
-    iterate.  Returns final values, angles and iteration counts.
+    else the step of :func:`_saddle_free_step`, capped at length _MAX_STEP
+    and halved until the value decreases (NaN never does).  A lane stops
+    when no step decreases the value, or after one try of its full step
+    where the Hessian is positive semidefinite and the model decrease -g.s
+    is at most 1e-15 of the value.  Derivatives are taken at the canonical
+    angles, the energy at the raw iterate.  Returns final values, angles
+    and iteration counts.
     """
     fval = sum(_energy_terms(r1, r2, r3, a, b))
     a, b = a.copy(), b.copy()
@@ -155,19 +184,21 @@ def _newton_lanes(r1, r2, r3, a, b):
         g1, g2, h11, h12, h22 = _grad_hess_arrays(
             q1, q2, q3, canonical_angle(qa), canonical_angle(qb)
         )
-        gn = np.hypot(g1, g2)
+        tol = 1e-15 * np.maximum(1.0, np.abs(qf))
         det = h11 * h22 - h12 * h12
-        newton = (det > 0.0) & (h11 > 0.0)
-        hn = np.maximum(
-            np.maximum(np.maximum(np.abs(h11), np.abs(h12)), np.abs(h22)), 1e-12
-        )
-        sa = np.where(newton, -(h22 * g1 - h12 * g2) / det, -g1 / hn)
-        sb = np.where(newton, -(h11 * g2 - h12 * g1) / det, -g2 / hn)
+        sa, sb = -(h22 * g1 - h12 * g2) / det, -(h11 * g2 - h12 * g1) / det
+        psd = (det > 0.0) & (h11 > 0.0)
+        k = np.flatnonzero(~psd)
+        if k.size:
+            sa[k], sb[k], psd[k] = _saddle_free_step(
+                g1[k], g2[k], h11[k], h12[k], h22[k], tol[k]
+            )
+        # a lane at a minimum to within rounding tries its full step once
+        final = psd & (-(g1 * sa + g2 * sb) <= tol)
         sn = np.hypot(sa, sb)
-        sa = np.where(sn > 0.7, sa * 0.7 / sn, sa)
-        sb = np.where(sn > 0.7, sb * 0.7 / sn, sb)
-        # backtrack every lane whose gradient is not yet small
-        todo = np.flatnonzero(~(gn <= 1e-12 * np.maximum(1.0, np.abs(qf))))
+        sa = np.where(sn > _MAX_STEP, sa * _MAX_STEP / sn, sa)
+        sb = np.where(sn > _MAX_STEP, sb * _MAX_STEP / sn, sb)
+        todo = np.arange(run.size)
         accepted = np.zeros(run.size, dtype=bool)
         t = 1.0
         for _ in range(40):
@@ -175,36 +206,33 @@ def _newton_lanes(r1, r2, r3, a, b):
                 break
             ta, tb = qa[todo] + t * sa[todo], qb[todo] + t * sb[todo]
             tf = sum(_energy_terms(q1[todo], q2[todo], q3[todo], ta, tb))
-            ok = tf <= qf[todo]
+            ok = tf < qf[todo]
             accepted[todo[ok]] = True
             lane = run[todo[ok]]
             a[lane], b[lane], fval[lane] = ta[ok], tb[ok], tf[ok]
-            todo = todo[~ok]
+            todo = todo[~ok & ~final[todo]]
             t *= 0.5
         iters[run[accepted]] += 1
-        nf = fval[run]
-        done = (qf - nf <= 1e-16 * np.maximum(1.0, np.abs(nf))) & (gn <= 1e-9)
-        run = run[accepted & ~done]
+        run = run[accepted & ~final]
         if run.size == 0:
             break
     return fval, a, b, iters
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _radial_cost_batch(radii, grid: int = 256):
+def _radial_cost_batch(radii):
     """Minimal energy over the torus for each row of an (m, 3) radius array.
 
     Returns arrays value, alpha, beta, grid_value, candidates, iterations;
-    rows with two zero radii or no finite grid node get infinite values.
-    Rows are computed on r / s, s the power of two that puts the largest
-    radius in [1/2, 1), and rescaled.  Where the alignment margin of the
-    row certifies P > 0, the value is c_pi in closed form at the
-    collinear argmin with the middle radius opposite the other two.  Other
-    rows are scanned on the grid one at a time, and the nodes inside each
-    row's tie window are refined together by :func:`_newton_lanes`.
+    rows with two zero radii get infinite values.  Rows are computed on
+    r / s, s the power of two that puts the largest radius in [1/2, 1),
+    and rescaled.  Where the alignment margin of the row certifies P > 0,
+    the value is c_pi in closed form at the collinear argmin with the
+    middle radius opposite the other two (0 candidates, 0 iterations).
+    Every other row is seeded once, at the lowest node of the 16 x 16 seed
+    grid (grid_value, 1 candidate), and descends from there by
+    :func:`_newton_lanes`, all rows in lockstep.
     """
-    if grid < 8:
-        raise ValueError("grids must have at least 8 nodes per angle")
     r = np.array(radii, dtype=float).reshape(-1, 3)
     m = len(r)
     s = np.array([_unit_scale(top) for top in r.max(axis=1).tolist()])
@@ -222,70 +250,36 @@ def _radial_cost_batch(radii, grid: int = 256):
     alpha[k] = np.where(middle == 2, 0.0, -_PI)
     beta[k] = np.where(middle == 1, 0.0, -_PI)
 
-    n = grid
-    base = -_PI + _TWO_PI * np.arange(n) / n
-    diff = _TWO_PI * np.arange(n) / n
-    lanes, nodes = [], []
-    for i in np.flatnonzero(live & ~closed).tolist():
-        r1, r2, r3 = u[i].tolist()
-        fc = _inv_dist(r2, r3, diff)
-        # f[k, l] = fa[k] + fb[l] + fc[(k - l) % n], the circulant term as a
-        # strided view, so f is the only grid-sized array a row allocates
-        f = _inv_dist(r1, r2, base)[:, None] + _inv_dist(r1, r3, base)[None, :]
-        f += sliding_window_view(np.concatenate([fc, fc]), n)[1:, ::-1]
-        grid_value[i] = grid_min = float(np.min(f))
-        if not math.isfinite(grid_min):
-            continue
-        window = _TIE_WINDOW * max(1.0, abs(grid_min))
-        # split flat indices into (row, column) only for the kept ones
-        flat = np.flatnonzero(f <= grid_min + window)
-        order = np.argsort(f.ravel()[flat], kind="stable")[:_MAX_CANDIDATES]
-        lanes.append(np.full(order.size, i))
-        nodes.append(flat[order])
-        candidates[i] = order.size
-
-    # merge each row's candidates in grid order; ties within the value
-    # tolerance go to the lexicographically smallest canonical angles
-    best: dict[int, tuple[float, float, float]] = {}
-    lanes = np.concatenate(lanes or [np.zeros(0, dtype=int)])
-    nodes = np.concatenate(nodes or [np.zeros(0, dtype=int)])
-    # lanes are independent, so chunks only bound the working memory
-    for lo in range(0, lanes.size, _LANE_CHUNK):
-        lane = lanes[lo : lo + _LANE_CHUNK]
-        rows, cols = np.divmod(nodes[lo : lo + _LANE_CHUNK], n)
-        fval, a, b, iters = _newton_lanes(
-            u[lane, 0], u[lane, 1], u[lane, 2], base[rows], base[cols]
+    seeded = np.flatnonzero(live & ~closed)
+    candidates[seeded] = 1
+    # rows are independent, so chunks only bound the seed grid's memory
+    for lo in range(0, seeded.size, _ROW_CHUNK):
+        i = seeded[lo : lo + _ROW_CHUNK]
+        q = u[i]
+        # every live row has a finite node; ties go to the first in flat order
+        f = sum(_energy_terms(q[:, :1], q[:, 1:2], q[:, 2:], _SEED_A, _SEED_B))
+        node = np.argmin(f, axis=1)
+        grid_value[i] = f[np.arange(i.size), node]
+        value[i], a, b, iterations[i] = _newton_lanes(
+            q[:, 0], q[:, 1], q[:, 2], _SEED_A[node], _SEED_B[node]
         )
-        np.add.at(iterations, lane, iters)
-        a, b = canonical_angle(a).tolist(), canonical_angle(b).tolist()
-        for i, fv, ca, cb in zip(lane.tolist(), fval.tolist(), a, b):
-            held = best.get(i)
-            if held is None:
-                best[i] = (fv, ca, cb)
-            elif abs(fv - held[0]) <= _TOL * max(1.0, abs(min(fv, held[0]))):
-                best[i] = (min(fv, held[0]), *min((ca, cb), held[1:]))
-            elif fv < held[0]:
-                best[i] = (fv, ca, cb)
-    for i, (fv, ca, cb) in best.items():
-        value[i], alpha[i], beta[i] = fv, ca, cb
+        alpha[i], beta[i] = canonical_angle(a), canonical_angle(b)
     return value / s, alpha, beta, grid_value / s, candidates, iterations
 
 
-def radial_cost(r: Radii | tuple, grid: int = 256) -> RadialCostResult:
+def radial_cost(r: Radii | tuple) -> RadialCostResult:
     """Minimal Coulomb energy over all angular configurations at fixed radii.
 
     One row of :func:`_radial_cost_batch`: closed form where the alignment
-    theorem applies, else a separable scan with grid nodes per angle and
-    damped Newton refinement of every node inside the tie window, ties
-    between refined candidates broken by the lexicographically smallest
-    canonical (alpha, beta).
+    theorem applies, else saddle-free Newton descent from the lowest node
+    of a 16 x 16 seed grid.
 
     Raises :class:`AllInfinite` when two radii vanish, since then every
     configuration contains a coincident pair.
     """
     r = Radii.of(r)
     value, alpha, beta, grid_value, candidates, iterations = _radial_cost_batch(
-        [r.as_tuple()], grid
+        [r.as_tuple()]
     )
     if not math.isfinite(grid_value[0]):
         raise AllInfinite(

@@ -193,7 +193,7 @@ class SolveResult:
     certificate: LpCertificate | MongeCertificate
 
 
-def discretize(rho: RadialDensity, n: int, grid: int = 256) -> DiscreteProblem:
+def discretize(rho: RadialDensity, n: int) -> DiscreteProblem:
     """Equal-mass atoms at masses (k - 1/2)/n and the cost of every sorted
     atom triple, the angular minima of one kernel batch."""
     if n < 1:
@@ -201,7 +201,7 @@ def discretize(rho: RadialDensity, n: int, grid: int = 256) -> DiscreteProblem:
     atoms = np.array([rho.quantile((k + 0.5) / n) for k in range(n)])
     triples = _sorted_triples(n)
     # infinite where two radii vanish
-    values = _radial_cost_batch(atoms[triples], grid)[0]
+    values = _radial_cost_batch(atoms[triples])[0]
     return DiscreteProblem(atoms=atoms, triples=triples, values=values)
 
 
@@ -358,7 +358,7 @@ def graph_triples(seidl_map: SeidlMap, n: int) -> tuple[MongeTriple, ...]:
     return tuple(out)
 
 
-def monge_cost(seidl_map: SeidlMap, n: int = 64, grid: int = 256) -> MongeCostResult:
+def monge_cost(seidl_map: SeidlMap, n: int = 64) -> MongeCostResult:
     """Transport cost of the map's coupling by first-tertile sampling.
 
     The coupling (Id, T, T^2)_# rho has equal cost on each tertile because
@@ -366,9 +366,7 @@ def monge_cost(seidl_map: SeidlMap, n: int = 64, grid: int = 256) -> MongeCostRe
     midpoints of the first tertile with weight 1/n give the full value.
     """
     triples = graph_triples(seidl_map, n)
-    costs = tuple(
-        _radial_cost_batch([t.as_tuple() for t in triples], grid)[0].tolist()
-    )
+    costs = tuple(_radial_cost_batch([t.as_tuple() for t in triples])[0].tolist())
     return MongeCostResult(
         value=float(np.mean(costs)), triples=triples, costs=costs
     )

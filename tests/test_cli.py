@@ -301,12 +301,10 @@ class TestTopLevel:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["cost", "1", "2", "3", "--grid", "4"],
-            ["solve", "DENSITY", "--n", "2", "--grid", "4"],
             ["solve", "DENSITY", "--n", "0"],
             ["counterexample", "--k", "7"],
         ],
-        ids=["cost-grid", "solve-grid", "solve-n", "counterexample-k"],
+        ids=["solve-n", "counterexample-k"],
     )
     def test_bad_option_value_is_usage_error(self, capsys, blocks_file, argv):
         argv = [blocks_file if a == "DENSITY" else a for a in argv]
@@ -315,3 +313,10 @@ class TestTopLevel:
         assert out == ""
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_removed_grid_option_is_rejected(self, capsys):
+        # the angular kernel has no grid knob: argparse rejects the option
+        with pytest.raises(SystemExit) as exc:
+            main(["cost", "1", "2", "3", "--grid", "4"])
+        assert exc.value.code == 2
+        assert "--grid" in capsys.readouterr().err

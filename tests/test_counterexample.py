@@ -129,8 +129,11 @@ class TestGraphCondition:
     @pytest.mark.parametrize("lam", [1e-100, 1e-3, 1.0, 1e100])
     def test_uniform_fails_at_every_scale(self, lam):
         # P is homogeneous of degree 4, so its raw worst value is -80/81
-        # times lam^4; the verdict must not depend on lam
-        assert not check_graph_condition(uniform_density(0.0, lam)).holds
+        # times lam^4; neither the verdict nor the worst orbit, (1/3, 1/3,
+        # 1) times lam, may depend on lam
+        rep = check_graph_condition(uniform_density(0.0, lam))
+        assert not rep.holds
+        assert rep.worst_x == pytest.approx(lam / 3.0, rel=1e-12, abs=0.0)
 
     def test_probe_count_validation(self, uniform):
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from radialmot import (
     torus_distance,
     trace_implicit_curves,
 )
+from radialmot.minimize import _newton_lanes
 
 PI = math.pi
 
@@ -70,20 +71,8 @@ class TestRadialCost:
             assert res.value <= c_pi(tuple(r)) + 1e-12
             assert res.value <= res.grid_value + 1e-12
 
-    def test_finer_grid_agrees(self):
-        # the interior basin near (1, 2, 14) is ~2e-6 deep; a 64-point grid
-        # lands on the corner saddle instead, so only test grids fine enough
-        # to seed polishing inside the basin
-        res = radial_cost((1.0, 2.0, 14.0), grid=512)
-        assert res.value == pytest.approx(BRUTE_1_2_14, rel=1e-10)
 
-    def test_coarse_grid_reports_corner(self):
-        # below the resolution limit the corner value is the honest answer
-        res = radial_cost((1.0, 2.0, 14.0), grid=64)
-        assert res.value <= c_pi((1.0, 2.0, 14.0)) + 1e-12
-
-
-# radial_cost outputs pinned bit for bit: value, argmin, grid value as
+# radial_cost outputs pinned bit for bit: value, argmin, seed-node value as
 # float.hex, then candidates and Newton iterations
 KERNEL_PINS = {
     # closed form: P = 170 clears its rounding bound
@@ -96,10 +85,10 @@ KERNEL_PINS = {
     ),
     "unaligned": (
         (1.0, 2.0, 14.0),
-        ("0x1.e419ca626b24fp-2", "-0x1.8f6ae83278dedp+1", "0x1.004e38fffd820p-2"),
-        "0x1.e419d5c163b1ep-2",
-        6,
-        22,
+        ("0x1.e419ca626b24fp-2", "-0x1.8f6ae828f55d4p+1", "0x1.004e3c84f28e8p-2"),
+        "0x1.e41a41a41a41ap-2",
+        1,
+        5,
     ),
     # P = +6.6e-4 next to the threshold: a closed-form hit at c_pi
     "saddle_adjacent": (
@@ -117,13 +106,14 @@ KERNEL_PINS = {
         0,
         0,
     ),
-    # computed at unit scale: the same Newton path as (1, 2, 14)
+    # computed at unit scale: the same Newton path as (1, 2, 14); the value
+    # is the true minimum correctly rounded (a 40-digit stationary point)
     "scale_1e140": (
         (1e140, 2e140, 1.4e141),
-        ("0x1.cd31aff0b2b61p-467", "-0x1.8f6ae83278dedp+1", "0x1.004e38fffd840p-2"),
-        "0x1.cd31bac5ed85fp-467",
-        6,
-        22,
+        ("0x1.cd31aff0b2b62p-467", "-0x1.8f6ae828f55d4p+1", "0x1.004e3c84f28d0p-2"),
+        "0x1.cd32218dc7b77p-467",
+        1,
+        5,
     ),
 }
 
@@ -157,28 +147,23 @@ def test_aligned_large_ratio_argmin_collinear():
     assert res.value == c_pi(r)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="an 8-node grid seeds only the corner saddle, which Newton keeps",
-)
-def test_coarse_grid_leaves_saddle_corner():
-    # `radialmot cost 1 2 14 --grid 8` returns c_pi although P = -80 makes
-    # the collinear corner a saddle
+def test_descent_leaves_the_saddle_corner():
+    # P = -80 makes the collinear corner a saddle with a vanishing
+    # gradient; a lane seeded exactly there steps off along the negative
+    # curvature into a basin
     r = (1.0, 2.0, 14.0)
     assert alignment_condition(r) == -80.0
-    res = radial_cost(r, grid=8)
-    assert res.value < c_pi(r)
+    value, alpha, beta, iters = _newton_lanes(
+        *(np.array([v]) for v in r), np.array([-PI]), np.array([0.0])
+    )
+    assert value[0] == pytest.approx(BRUTE_1_2_14, rel=1e-12)
+    assert value[0] < c_pi(r)
+    assert iters[0] > 0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="descent steps on the saddle side of a flat basin stall at the "
-    "Newton iteration cap",
-)
 def test_flat_basin_permutations_agree():
     # P = -134 puts this triple just below the threshold phi(1, 1.596) =
-    # 17.35; every refined lane of every ordering ends at the 80-iteration
-    # cap, and the orderings disagree by 8.6e-8
+    # 17.35, where the basins next to the saddle corner are flat
     r = (1.0, 1.5958550820613697, 17.32032150984716)
     values = [radial_cost(p).value for p in itertools.permutations(r)]
     assert max(values) == pytest.approx(min(values), rel=1e-12)
@@ -189,17 +174,30 @@ def test_flat_basin_permutations_agree():
 BRUTE_FLAT_BASIN = 0.49936597148398515
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="every lane seeded by the 256-node grid stalls at the Newton "
-    "iteration cap 2.5e-6 relative above the minimum",
-)
 def test_flat_basin_reaches_the_minimum():
-    # the six orderings return 0.49936720 to 0.49936725 at grids 64 to
-    # 256, every refined lane at the iteration cap; grids 512 and 1024
-    # reach the oracle
     r = (1.0, 1.5958550820613697, 17.32032150984716)
     assert radial_cost(r).value == pytest.approx(BRUTE_FLAT_BASIN, rel=1e-10)
+
+
+# cost-scalar workload triples in flat basins, where a descent that stalls
+# is left 1.0e-6 and 4.5e-6 relative high, each with an independent
+# oracle: 1200x1200 grid scan + Nelder-Mead polish from the 50 lowest nodes
+WORKLOAD_PINS = {
+    "small_radii": (
+        (0.023621655488605703, 0.03770472855508446, 0.41495016672935053),
+        21.070755196854723,
+    ),
+    "middle_last": (
+        (2.8151217682845022, 54.752025312888385, 4.1088404069995565),
+        0.1806681651391046,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WORKLOAD_PINS))
+def test_workload_triple_reaches_the_minimum(case):
+    r, oracle = WORKLOAD_PINS[case]
+    assert radial_cost(r).value == pytest.approx(oracle, rel=1e-12)
 
 
 @pytest.mark.parametrize("scale", [1e9, 1e12])
