@@ -8,200 +8,31 @@ collinear configuration, tertile branch maps of one-dimensional radial
 densities, a certified discrete three-marginal solver with
 cyclical-monotonicity probes, and the constructive machinery that
 produces densities whose optimal coupling is provably not a branch map.
+
+Each submodule's ``__all__`` is the one list of its public names; the
+package re-exports them all and its own ``__all__`` is their union.
 """
 
-from .costs import (
-    AngularConfig,
-    CornerValues,
-    CostBreakdown,
-    Radii,
-    alignment_condition,
-    c_delta,
-    c_pi,
-    canonical_angle,
-    corner_values,
-    full_cost,
-    g_profile,
-    grad_hess,
-    pair_distance_sq,
-    phi_threshold,
-    torus_distance,
-)
-from .counterexample import (
-    BOUNDARY_RATIO_THRESHOLD,
-    RATIO_THRESHOLD,
-    CounterexampleDensity,
-    EpsM,
-    GraphConditionReport,
-    TailSpec,
-    ViolationCertificate,
-    boundary_ratio_gate,
-    build_counterexample_density,
-    check_graph_condition,
-    example_counterexample_density,
-    example_piece_specs,
-    find_eps_M,
-    find_violation,
-    limit_margin,
-    ratio_gate,
-    refute_class_T,
-)
-from .density import (
-    PolySegment,
-    PushforwardTailSegment,
-    RadialDensity,
-    TableSegment,
-    Tertiles,
-    block_density,
-    uniform_density,
-)
-from .density_io import from_dict, load, save, to_dict
-from .errors import (
-    AllInfinite,
-    CertificationError,
-    DegenerateRadii,
-    DegenerateTertile,
-    DensityError,
-    DensityFormatError,
-    EpsMInfeasible,
-    EqualRadii,
-    GateFailed,
-    InfeasibleCost,
-    InvalidRadii,
-    JetNotPositive,
-    RadialMotError,
-    RegionEmpty,
-    RootNotBracketed,
-    SingularConfiguration,
-    SizeExceeded,
-    ViolationNotFound,
-)
-from .maps import PATTERNS, MapDiagnostics, SeidlMap, build_map, check_map
-from .minimize import (
-    CurveBundle,
-    RadialCostResult,
-    StationaryPoint,
-    StationaryReport,
-    find_stationary_points,
-    radial_cost,
-    trace_implicit_curves,
-)
-from .mot import (
-    Coupling,
-    DiscreteProblem,
-    LiftResult,
-    LpCertificate,
-    MongeCertificate,
-    MongeCostResult,
-    MongeTriple,
-    OneDCheckResult,
-    ReflectedLineDensity,
-    SolveResult,
-    Violation,
-    c_1d,
-    discretize,
-    graph_triples,
-    lift_radial_triple,
-    monge_cost,
-    one_d_increasing_map_check,
-    probe_cyclical_monotonicity,
-    solve_exact,
-)
+from . import costs, counterexample, density, density_io, errors, maps, minimize, mot
+from .costs import *  # noqa: F403
+from .counterexample import *  # noqa: F403
+from .density import *  # noqa: F403
+from .density_io import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .maps import *  # noqa: F403
+from .minimize import *  # noqa: F403
+from .mot import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngularConfig",
-    "CornerValues",
-    "CostBreakdown",
-    "Radii",
-    "alignment_condition",
-    "c_delta",
-    "c_pi",
-    "canonical_angle",
-    "corner_values",
-    "full_cost",
-    "g_profile",
-    "grad_hess",
-    "pair_distance_sq",
-    "phi_threshold",
-    "torus_distance",
-    "BOUNDARY_RATIO_THRESHOLD",
-    "RATIO_THRESHOLD",
-    "CounterexampleDensity",
-    "EpsM",
-    "GraphConditionReport",
-    "TailSpec",
-    "ViolationCertificate",
-    "boundary_ratio_gate",
-    "build_counterexample_density",
-    "check_graph_condition",
-    "example_counterexample_density",
-    "example_piece_specs",
-    "find_eps_M",
-    "find_violation",
-    "limit_margin",
-    "ratio_gate",
-    "refute_class_T",
-    "PolySegment",
-    "PushforwardTailSegment",
-    "RadialDensity",
-    "TableSegment",
-    "Tertiles",
-    "block_density",
-    "uniform_density",
-    "from_dict",
-    "load",
-    "save",
-    "to_dict",
-    "AllInfinite",
-    "CertificationError",
-    "DegenerateRadii",
-    "DegenerateTertile",
-    "DensityError",
-    "DensityFormatError",
-    "EpsMInfeasible",
-    "EqualRadii",
-    "GateFailed",
-    "InfeasibleCost",
-    "InvalidRadii",
-    "JetNotPositive",
-    "RadialMotError",
-    "RegionEmpty",
-    "RootNotBracketed",
-    "SingularConfiguration",
-    "SizeExceeded",
-    "ViolationNotFound",
-    "PATTERNS",
-    "MapDiagnostics",
-    "SeidlMap",
-    "build_map",
-    "check_map",
-    "CurveBundle",
-    "RadialCostResult",
-    "StationaryPoint",
-    "StationaryReport",
-    "find_stationary_points",
-    "radial_cost",
-    "trace_implicit_curves",
-    "Coupling",
-    "DiscreteProblem",
-    "LiftResult",
-    "LpCertificate",
-    "MongeCertificate",
-    "MongeCostResult",
-    "MongeTriple",
-    "OneDCheckResult",
-    "ReflectedLineDensity",
-    "SolveResult",
-    "Violation",
-    "c_1d",
-    "discretize",
-    "graph_triples",
-    "lift_radial_triple",
-    "monge_cost",
-    "one_d_increasing_map_check",
-    "probe_cyclical_monotonicity",
-    "solve_exact",
+    *costs.__all__,
+    *counterexample.__all__,
+    *density.__all__,
+    *density_io.__all__,
+    *errors.__all__,
+    *maps.__all__,
+    *minimize.__all__,
+    *mot.__all__,
     "__version__",
 ]

@@ -26,9 +26,10 @@ scalar quantities that organize its stationary structure:
 
 Angles are canonicalized to [-pi, pi).  The public functions take plain
 floats; they and the minimizer evaluate through one set of private array
-helpers, so a scalar call is a batch of one.  Energies and P are computed
-on the radii divided by a power of two near the largest and rescaled, so
-no scale from subnormal to near-overflow loses digits or raises.
+helpers, so a scalar call is a batch of one.  Energies, P, phi (with its
+partials, for the counterexample tail) and the g profile are computed on
+the radii divided by a power of two near the largest and rescaled, so no
+scale from subnormal to near-overflow loses digits or raises.
 """
 
 from __future__ import annotations
@@ -333,6 +334,29 @@ def alignment_condition(r: Radii | tuple) -> float:
     return (t1 - t2 - t3) * s * s * s * s
 
 
+# phi and its partials are homogeneous (of degrees 1 and 0) and computed
+# on a and b divided by the unit scale of b; for b within these bounds no
+# intermediate result leaves the normal range either way, so the division
+# cannot change a bit and is skipped
+_PHI_EXACT_LO, _PHI_EXACT_HI = 2.0**-400, 2.0**400
+
+
+def _phi_partials(a: float, b: float) -> tuple[float, float, float]:
+    """phi(a, b) and its two first partial derivatives for 0 <= a < b, in
+    closed form at unit scale."""
+    s = 1.0 if _PHI_EXACT_LO <= b <= _PHI_EXACT_HI else _unit_scale(b)
+    a, b = a / s, b / s
+    # disc = b^2 + 4 a (3 b - a) > 0 on the admissible wedge
+    root = math.sqrt(b * b + 12.0 * a * b - 4.0 * a * a)
+    num = 5.0 * a * b + b * b + (a + b) * root
+    gap = b - a
+    da_num = 5.0 * b + root + (a + b) * (12.0 * b - 8.0 * a) / (2.0 * root)
+    db_num = 5.0 * a + 2.0 * b + root + (a + b) * (2.0 * b + 12.0 * a) / (2.0 * root)
+    da = (da_num * gap + num) / (2.0 * gap * gap)
+    db = (db_num * gap - num) / (2.0 * gap * gap)
+    return num / (2.0 * gap) * s, da, db
+
+
 def phi_threshold(r1: float, r2: float) -> float:
     """Unique r3-root of the alignment polynomial for fixed 0 <= r1 < r2.
 
@@ -342,19 +366,22 @@ def phi_threshold(r1: float, r2: float) -> float:
               / (2 (r2 - r1))
 
     P(r1, r2, r3) >= 0 exactly when r3 >= phi.  phi(0, r2) = r2, and phi is
-    strictly increasing in r1 on [0, r2).
+    strictly increasing in r1 on [0, r2).  Evaluated at unit scale, so
+    phi(2^k r1, 2^k r2) = 2^k phi(r1, r2) wherever the result is a normal
+    float.
     """
-    if not (math.isfinite(r1) and math.isfinite(r2)) or r1 < 0.0 or r2 < 0.0:
-        raise InvalidRadii(f"need finite radii >= 0, got ({r1}, {r2})")
-    if r1 >= r2:
+    if not 0.0 <= r1 < r2 < math.inf:
+        if not (math.isfinite(r1) and math.isfinite(r2)) or r1 < 0.0 or r2 < 0.0:
+            raise InvalidRadii(f"need finite radii >= 0, got ({r1}, {r2})")
         raise DegenerateRadii(
             f"phi_threshold needs 0 <= r1 < r2 strictly, got ({r1}, {r2})"
         )
-    disc = r2 * r2 + 12.0 * r1 * r2 - 4.0 * r1 * r1
-    # disc = r2^2 + 4 r1 (3 r2 - r1) > 0 on the admissible wedge
-    return (5.0 * r1 * r2 + r2 * r2 + (r1 + r2) * math.sqrt(disc)) / (
-        2.0 * (r2 - r1)
-    )
+    if _PHI_EXACT_LO <= r2 <= _PHI_EXACT_HI:
+        # the value alone, as _phi_partials computes it: this is the hot
+        # path of callers that scan phi over grids
+        root = math.sqrt(r2 * r2 + 12.0 * r1 * r2 - 4.0 * r1 * r1)
+        return (5.0 * r1 * r2 + r2 * r2 + (r1 + r2) * root) / (2.0 * (r2 - r1))
+    return _phi_partials(r1, r2)[0]
 
 
 def c_pi(r: Radii | tuple) -> float:
@@ -408,7 +435,8 @@ def g_profile(ri: float, rj: float, theta):
     the profile singular at 0 (raises :class:`EqualRadii`).
 
     Returns (g, g_prime, theta_crit); g and g_prime follow the shape of
-    the theta argument.
+    the theta argument.  Evaluated on the radii divided by a power of two
+    near rj, with g and g_prime (homogeneous of degree -1) rescaled.
     """
     if not (math.isfinite(ri) and math.isfinite(rj)) or ri <= 0.0 or rj <= 0.0:
         raise InvalidRadii(f"need finite radii > 0, got ({ri}, {rj})")
@@ -416,12 +444,16 @@ def g_profile(ri: float, rj: float, theta):
         raise EqualRadii(f"g profile needs distinct radii, got ri == rj == {ri}")
     if ri > rj:
         raise DegenerateRadii(f"g profile expects ri < rj, got ({ri}, {rj})")
+    s = _unit_scale(rj)
+    ri, rj = ri / s, rj / s
     d1, d2 = _inv_dist_derivs(ri, rj, theta)
-    g, gp = -d1, -d2
-    s = ri * ri + rj * rj
-    ct = (-s + math.sqrt(ri ** 4 + 14.0 * ri * ri * rj * rj + rj ** 4)) / (
-        2.0 * ri * rj
-    )
+    g, gp = -d1 / s, -d2 / s
+    q = ri * ri + rj * rj
+    ct = 0.0  # the limit ri/rj -> 0, where ri / s underflows
+    if ri > 0.0:
+        ct = (-q + math.sqrt(ri ** 4 + 14.0 * ri * ri * rj * rj + rj ** 4)) / (
+            2.0 * ri * rj
+        )
     theta_crit = math.acos(ct)
     if np.isscalar(theta):
         return float(g), float(gp), theta_crit

@@ -37,8 +37,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .costs import _P_ROUNDING, Radii, _alignment_margin, _alignment_terms, _unit_scale
-from .costs import alignment_condition, c_pi
+from .costs import (
+    _P_ROUNDING,
+    Radii,
+    _alignment_margin,
+    _alignment_terms,
+    _phi_partials,
+    _unit_scale,
+    alignment_condition,
+    c_pi,
+)
 from .density import (
     PolySegment,
     PushforwardTailSegment,
@@ -204,27 +212,22 @@ def check_graph_condition(rho: RadialDensity, n: int = 64) -> GraphConditionRepo
     the decreasing-decreasing-increasing branch map.
 
     Samples the closed mass range [0, 1/3] including both endpoints, and
-    evaluates the orbit in mass coordinates (m, 2/3 - m, 2/3 + m), which
-    is the branch-map orbit continued to the tertile boundary; endpoint
-    orbits with an infinite third radius are skipped.  Sampling the
-    closed range keeps the reported minimum stable under refinement,
-    because boundary minima (the uniform density's, for instance) are
-    hit exactly at every n.
+    evaluates each orbit from its first-tertile mass
+    (:meth:`SeidlMap.orbit_of_mass`), which continues the branch-map orbit
+    to the tertile boundary; endpoint orbits with an infinite third
+    radius are skipped.  Sampling the closed range keeps the reported
+    minimum stable under refinement, because boundary minima (the uniform
+    density's, for instance) are hit exactly at every n.
 
     When the report holds, the map's support satisfies the alignment
     condition at probe resolution, so its cost is entirely collinear.
     """
     if n < 2:
         raise ValueError("need at least 2 probes")
-    rho.tertiles()  # validates the map is constructible
+    ddi = build_map(rho, "DDI")
     orbits = []
     for j in range(n):
-        m = (1.0 / 3.0) * j / (n - 1)
-        orbit = (
-            rho.quantile(m),
-            rho.quantile(2.0 / 3.0 - m),
-            rho.quantile(2.0 / 3.0 + m),
-        )
+        orbit = ddi.orbit_of_mass((1.0 / 3.0) * j / (n - 1))
         if all(math.isfinite(v) for v in orbit):
             orbits.append(orbit)
     v = np.reshape(orbits, (-1, 3))
@@ -343,20 +346,6 @@ def _phi_graph_derivs(t_coeffs: np.ndarray, order: int) -> list[float]:
         num = 5 * xb + bb + _series_mul(x + b, root, order)
         phi = _series_mul(num, _series_recip(2 * (b - x), order), order)
         return [float(phi[j] * math.factorial(j)) for j in range(order + 1)]
-
-
-def _phi_partials(a: float, b: float) -> tuple[float, float, float]:
-    """phi(a, b) and its two first partial derivatives, closed form."""
-    disc = b * b + 12.0 * a * b - 4.0 * a * a
-    root = math.sqrt(disc)
-    num = 5.0 * a * b + b * b + (a + b) * root
-    gap = b - a
-    val = num / (2.0 * gap)
-    da_num = 5.0 * b + root + (a + b) * (12.0 * b - 8.0 * a) / (2.0 * root)
-    db_num = 5.0 * a + 2.0 * b + root + (a + b) * (2.0 * b + 12.0 * a) / (2.0 * root)
-    da = (da_num * gap + num) / (2.0 * gap * gap)
-    db = (db_num * gap - num) / (2.0 * gap * gap)
-    return val, da, db
 
 
 # ---------------------------------------------------------------------------
@@ -682,15 +671,21 @@ def example_piece_specs(
     deliberately not continuous at s1; nothing in the construction needs
     that, only positivity, the masses, and the two gates.
     """
-    w = s2 - s1
-    c = 1.0
+    boundary_ratio_gate(ratio)  # raises on a non-finite or non-positive ratio
+    w, c = s2 - s1, 1.0
+    a0 = ratio * c
+    w1 = min(s1 / 4.0, 1.0 / a0)
+    # the pieces divide by w^2 and w1^3
+    if not (w * w > 0.0 and w1 * w1 * w1 > 0.0):
+        raise DensityError(
+            f"example piece widths s2 - s1 = {w!r} and {w1!r} are not positive "
+            "or their powers underflow"
+        )
     d = 2.0 * (c * w - 1.0 / 3.0) / (w * w)
     rho2 = [(s1, s2, _shifted_linear(c, d, s2))]
     if c - d * w <= 0.0 or c <= 0.0:
         raise DensityError("rho2 example parameters lost positivity")
 
-    a0 = ratio * c
-    w1 = min(s1 / 4.0, 1.0 / a0)
     t = (1.0 / 3.0 - a0 * w1 / 4.0) / (s1 - 0.25 * w1)
     if t <= 0.0:
         raise DensityError("rho1 example parameters lost positivity")
@@ -880,18 +875,18 @@ def _region_violation(rho: RadialDensity, pattern: str) -> ViolationCertificate:
     swap must win.
     """
     smap = build_map(rho, pattern)
-    t = smap.tertiles
     increasing_second = pattern == "III"  # second iterate increasing on tertile 1
-
-    def second_iterate_mass(m: float) -> float:
-        # mass coordinate of S^2 at first-tertile mass m
-        return m + 2.0 / 3.0 if increasing_second else 1.0 - m
 
     # initial mass interval hugging the divergence end
     if increasing_second:
         m_lo, m_hi = 0.25, 1.0 / 3.0
     else:
         m_lo, m_hi = 0.0, 1.0 / 12.0
+
+    # the map's third power is the identity, so the map sends a third-tertile
+    # mass to the first-tertile mass whose second iterate it is
+    def first_mass(x: float) -> float:
+        return smap.image_mass(rho.cdf(x), 2)
 
     m_thresh = 0.0
     for _ in range(10):
@@ -901,9 +896,9 @@ def _region_violation(rho: RadialDensity, pattern: str) -> ViolationCertificate:
         bs = np.linspace(img[0], img[1], 129)
         m_thresh = max(_phi_partials(a_max, float(b))[0] for b in bs) * (1.0 + 1e-6)
         # part of the interval whose second iterate clears the threshold
-        t_star = rho.cdf(m_thresh)
+        m_star = first_mass(m_thresh)
         if increasing_second:
-            new_lo = max(m_lo, t_star - 2.0 / 3.0)
+            new_lo = max(m_lo, m_star)
             if new_lo >= m_hi - 1e-15:
                 raise RegionEmpty(
                     f"{pattern}: no first-tertile mass clears threshold {m_thresh!r}"
@@ -911,7 +906,7 @@ def _region_violation(rho: RadialDensity, pattern: str) -> ViolationCertificate:
             shrunk = new_lo > m_lo + 1e-15
             m_lo = new_lo
         else:
-            new_hi = min(m_hi, 1.0 - t_star)
+            new_hi = min(m_hi, m_star)
             if new_hi <= m_lo + 1e-15:
                 raise RegionEmpty(
                     f"{pattern}: no first-tertile mass clears threshold {m_thresh!r}"
@@ -923,20 +918,13 @@ def _region_violation(rho: RadialDensity, pattern: str) -> ViolationCertificate:
 
     # pick the pair by second-iterate level: well inside the certified range
     lvl_hi, lvl_lo = 4.0 * m_thresh, 2.0 * m_thresh
-    if increasing_second:
-        ml = rho.cdf(lvl_lo) - 2.0 / 3.0
-        mr = rho.cdf(lvl_hi) - 2.0 / 3.0
-    else:
-        ml = 1.0 - rho.cdf(lvl_hi)
-        mr = 1.0 - rho.cdf(lvl_lo)
+    ml, mr = sorted(first_mass(lvl) for lvl in (lvl_lo, lvl_hi))
     if not (0.0 < ml < mr < 1.0 / 3.0):
         raise RegionEmpty(
             f"{pattern}: level masses ({ml!r}, {mr!r}) left the first tertile"
         )
-    xl = rho.quantile(ml)
-    xr = rho.quantile(mr)
-    ta = MongeTriple(*smap.orbit(xl))
-    tb = MongeTriple(*smap.orbit(xr))
+    ta = MongeTriple(*smap.orbit_of_mass(ml))
+    tb = MongeTriple(*smap.orbit_of_mass(mr))
 
     template = _REGION_TEMPLATES[pattern]
     # implied collinear positions: middle coordinates reflected across 0

@@ -24,9 +24,9 @@ the same IEEE operations in the same order, so its values equal numpy's
 bit for bit without numpy's per-call overhead.
 
 Quantiles of constant and linear pieces are closed form; higher degrees,
-table pieces and the tail inverse use Brent.  Segments reject non-finite
-inputs and any mass that is not finite and positive, so a NaN never
-reaches the cumulative stack.
+table pieces and the tail inverse share one Brent solve, ``_brent``, at
+one tolerance.  Segments reject non-finite inputs and any mass that is
+not finite and positive, so a NaN never reaches the cumulative stack.
 """
 
 from __future__ import annotations
@@ -73,6 +73,15 @@ def _real_roots_in(coeffs_poly: np.polynomial.Polynomial, lo: float, hi: float):
             if lo <= x <= hi:
                 out.append(x)
     return out
+
+
+def _brent(f: Callable[[float], float], target: float, lo: float, hi: float) -> float:
+    """The root of f(x) = target on [lo, hi] by Brent's method, to the
+    quantile tolerance; f must be monotone and bracket target."""
+    from scipy.optimize import brentq
+    return float(
+        brentq(lambda x: f(x) - target, lo, hi, xtol=_QUANTILE_XTOL, rtol=8.9e-16)
+    )
 
 
 def _horner(coeffs: tuple[float, ...], x: float) -> float:
@@ -158,16 +167,7 @@ class PolySegment:
             t = 2.0 * m / (p + math.sqrt(max(p * p + 2.0 * q * m, 0.0)))
             x = min(max(self.lo + t, self.lo), self.hi)
         else:
-            from scipy.optimize import brentq
-            x = float(
-                brentq(
-                    lambda t: self.mass_below(t) - m,
-                    self.lo,
-                    self.hi,
-                    xtol=_QUANTILE_XTOL,
-                    rtol=8.9e-16,
-                )
-            )
+            x = _brent(self.mass_below, m, self.lo, self.hi)
         # two Newton polish steps where the density is bounded away from 0
         for _ in range(2):
             d = self.pdf(x)
@@ -227,16 +227,7 @@ class TableSegment:
             return self.lo
         if m == self.mass:
             return self.hi
-        from scipy.optimize import brentq
-        return float(
-            brentq(
-                lambda t: self.mass_below(t) - m,
-                self.lo,
-                self.hi,
-                xtol=_QUANTILE_XTOL,
-                rtol=8.9e-16,
-            )
-        )
+        return _brent(self.mass_below, m, self.lo, self.hi)
 
 
 class PushforwardTailSegment:
@@ -298,16 +289,7 @@ class PushforwardTailSegment:
             width /= 2.0
         else:
             raise DensityError(f"tail inverse failed to bracket y={y!r}")
-        from scipy.optimize import brentq
-        return float(
-            brentq(
-                lambda t: self._forward(t) - y,
-                lo_x,
-                hi_x,
-                xtol=_QUANTILE_XTOL,
-                rtol=8.9e-16,
-            )
-        )
+        return _brent(self._forward, y, lo_x, hi_x)
 
     def pdf(self, y: float) -> float:
         if y < self.lo:

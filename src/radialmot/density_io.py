@@ -32,9 +32,9 @@ import math
 from pathlib import Path
 
 from .density import PolySegment, RadialDensity, TableSegment
-from .errors import DensityError, DensityFormatError
+from .errors import DensityError, DensityFormatError, GateFailed
 
-__all__ = ["SCHEMA_VERSION", "load", "save", "from_dict", "to_dict"]
+__all__ = ["load", "save", "from_dict", "to_dict"]
 
 SCHEMA_VERSION = 1
 _MAX_POLY_DEGREE = 3
@@ -83,9 +83,10 @@ def _parse_interval(i: int, raw, allow_unbounded: bool) -> tuple[float, float | 
 def from_dict(doc) -> RadialDensity:
     """Parse a schema-version-1 density document; see the module docstring.
 
-    Raises DensityFormatError with the offending segment index for any
-    structural problem; mass and overlap violations surface as the
-    density constructor's usual errors.
+    Raises DensityFormatError for every malformed document: with the
+    offending segment index for a segment's own problems and for a tail
+    whose rebuild fails, and at document level for the density
+    constructor's mass and overlap checks.
     """
     if not isinstance(doc, dict):
         raise _fail(None, f"expected a JSON object, got {type(doc).__name__}")
@@ -152,9 +153,12 @@ def from_dict(doc) -> RadialDensity:
         else:
             raise _fail(i, f"unknown kind {kind!r}")
 
-    if tail_request is None:
+    if tail_request is not None:
+        return _rebuild_with_tail(segments, tail_request)
+    try:
         return RadialDensity(segments)
-    return _rebuild_with_tail(segments, tail_request)
+    except DensityError as e:
+        raise _fail(None, str(e)) from e
 
 
 def _rebuild_with_tail(segments, req) -> RadialDensity:
@@ -177,12 +181,14 @@ def _rebuild_with_tail(segments, req) -> RadialDensity:
             break
     if split is None:
         raise _fail(i, "bounded pieces do not split into mass-1/3 groups")
-    rho1, rho2 = segments[:split], segments[split:]
-    if abs(sum(s.mass for s in rho2) - third) > 1e-9:
-        raise _fail(i, "second piece group does not carry mass 1/3")
-    if abs(rho2[-1].hi - req["lo"]) > 1e-9:
+    try:
+        rebuilt = build_counterexample_density(
+            segments[:split], segments[split:], req["k"]
+        )
+    except (DensityError, GateFailed) as e:
+        raise _fail(i, str(e)) from e
+    if abs(rebuilt.s2 - req["lo"]) > 1e-9:
         raise _fail(i, "tail must start at the end of the bounded pieces")
-    rebuilt = build_counterexample_density(rho1, rho2, req["k"])
     stored = req["h_taylor"]
     if stored is not None:
         got = rebuilt.tail_spec.h_taylor

@@ -7,6 +7,27 @@ geometric degeneracies from numerical ones.
 
 from __future__ import annotations
 
+__all__ = [
+    "RadialMotError",
+    "InvalidRadii",
+    "DegenerateRadii",
+    "EqualRadii",
+    "SingularConfiguration",
+    "AllInfinite",
+    "RootNotBracketed",
+    "DensityError",
+    "DensityFormatError",
+    "DegenerateTertile",
+    "InfeasibleCost",
+    "SizeExceeded",
+    "CertificationError",
+    "GateFailed",
+    "EpsMInfeasible",
+    "JetNotPositive",
+    "ViolationNotFound",
+    "RegionEmpty",
+]
+
 
 class RadialMotError(Exception):
     """Base class for all errors raised by this package."""

@@ -9,8 +9,11 @@ the offset inside its third, the image mass is
     I:  v = (b+1 mod 3)/3 + t
     D:  v = (b+1 mod 3)/3 + (1/3 - t)
 
-and the mapped point is the quantile of v.  A pattern is one letter per
-tertile; the four patterns with an even number of D letters
+and the mapped point is the quantile of v.  An orbit started at a
+first-tertile mass m (``SeidlMap.orbit_of_mass``) applies the formulas to
+masses only and takes the three quantiles, so it needs no CDF.  A
+pattern is one letter per tertile; the four patterns with an even number
+of D letters
 
     III, DDI, DID, IDD
 
@@ -76,6 +79,15 @@ class SeidlMap:
         tx = self(x)
         return (x, tx, self(tx))
 
+    def orbit_of_mass(self, m: float) -> tuple[float, float, float]:
+        """Orbit of the first-tertile mass m in [0, 1/3]: the quantiles of
+        m and of its two images under the letter formulas, with no cdf
+        taken, so the endpoints m = 0 and m = 1/3 continue the orbit to
+        the tertile boundaries."""
+        u = self.image_mass(m, 0)
+        q = self.density.quantile
+        return (q(m), q(u), q(self.image_mass(u, 1)))
+
 
 @dataclass(frozen=True)
 class MapDiagnostics:
@@ -111,7 +123,10 @@ def check_map(seidl_map: SeidlMap, n_probe: int = 999) -> MapDiagnostics:
     start within 1e-9 * max(1, |x|); the image's CDF value matches the
     branch formula within 1e-9; and the map is monotone on each tertile in
     its letter's direction.  max_cycle_error reports the absolute error.
+    Raises ValueError for n_probe < 1, which would check nothing.
     """
+    if n_probe < 1:
+        raise ValueError(f"check_map needs at least 1 probe, got {n_probe}")
     rho = seidl_map.density
     violations: list[str] = []
     max_cycle = 0.0

@@ -310,6 +310,21 @@ def _classify(h: np.ndarray) -> str:
 _CORNERS = ((0.0, 0.0), (0.0, _PI), (_PI, 0.0), (_PI, _PI))
 
 
+def _unit_radii(r: Radii | tuple, what: str) -> tuple[float, float, float, float]:
+    """Strictly ordered radii with r1 > 0, divided by the power of two s
+    that puts r3 in [1/2, 1) (exactly), followed by s."""
+    r = Radii.of(r)
+    r.require_strictly_ordered()
+    s = _unit_scale(r.r3)
+    r1, r2, r3 = (v / s for v in r.as_tuple())
+    if not 0.0 < r1 < r2:
+        raise DegenerateRadii(
+            f"{what} needs r1 > 0 and r1 < r2 at unit scale, got {r.as_tuple()}; "
+            "at r1 = 0 the stationarity system degenerates"
+        )
+    return r1, r2, r3, s
+
+
 def find_stationary_points(r: Radii | tuple) -> StationaryReport:
     """All gradient zeros of the energy found from a dense multistart sweep.
 
@@ -320,22 +335,18 @@ def find_stationary_points(r: Radii | tuple) -> StationaryReport:
     every radius triple and always appear.
 
     Requires strictly ordered positive radii so the energy is smooth on
-    the whole torus.
+    the whole torus.  Runs on the radii divided by a power of two near the
+    largest, so points and classifications do not depend on the scale;
+    gradient norms are reported at the caller's scale.
     """
-    r = Radii.of(r)
-    r.require_strictly_ordered()
-    if r.r1 <= 0.0:
-        raise DegenerateRadii(
-            "stationary sweep needs r1 > 0; at r1 = 0 the gradient system "
-            "degenerates to a one-parameter family"
-        )
+    r1, r2, r3, s = _unit_radii(r, "stationary sweep")
     n0 = _START_GRID
     g = -_PI + _TWO_PI * np.arange(n0) / n0
     a = np.repeat(g, n0).astype(float)
     b = np.tile(g, n0).astype(float)
 
     for _ in range(_MAX_ITER):
-        g1, g2, h11, h12, h22 = _grad_hess_arrays(r.r1, r.r2, r.r3, a, b)
+        g1, g2, h11, h12, h22 = _grad_hess_arrays(r1, r2, r3, a, b)
         gn = np.hypot(g1, g2)
         if np.all(gn <= 1e-13):
             break
@@ -349,10 +360,10 @@ def find_stationary_points(r: Radii | tuple) -> StationaryReport:
         clip = np.where(sn > 0.5, 0.5 / np.maximum(sn, 1e-300), 1.0)
         a, b = canonical_angle(a + clip * sa), canonical_angle(b + clip * sb)
 
-    g1, g2, *_ = _grad_hess_arrays(r.r1, r.r2, r.r3, a, b)
+    g1, g2, *_ = _grad_hess_arrays(r1, r2, r3, a, b)
     gn = np.hypot(g1, g2)
     keep = gn <= 1e-12
-    pts = sorted(zip(a[keep], b[keep], gn[keep]))
+    pts = sorted(zip(a[keep], b[keep], gn[keep] / s))
     n_converged = len(pts)
 
     reps: list[tuple[float, float, float]] = []
@@ -368,7 +379,7 @@ def find_stationary_points(r: Radii | tuple) -> StationaryReport:
     points = []
     max_g = 0.0
     for pa, pb, pg in reps:
-        _, h = grad_hess(r, (pa, pb))
+        _, h = grad_hess((r1, r2, r3), (pa, pb))
         points.append(
             StationaryPoint(
                 config=AngularConfig(pa, pb),
@@ -416,16 +427,13 @@ def trace_implicit_curves(r: Radii | tuple, n_beta: int = 181) -> CurveBundle:
     bracketed one-dimensional root finding between profile peaks.  The
     brackets exist when pairwise attraction toward the outer charge stays
     dominated, which is what the alignment condition guarantees; a missing
-    sign change raises :class:`RootNotBracketed`.
+    sign change raises :class:`RootNotBracketed`.  Runs on the radii divided
+    by a power of two near the largest, so no output depends on the scale.
     """
-    r = Radii.of(r)
-    r.require_strictly_ordered()
-    if r.r1 <= 0.0:
-        raise DegenerateRadii("curve tracing needs r1 > 0")
+    r1, r2, r3, _ = _unit_radii(r, "curve tracing")
     if n_beta < 2:
         raise ValueError("n_beta must be at least 2")
 
-    r1, r2, r3 = r.as_tuple()
     _, _, th12 = g_profile(r1, r2, 0.0)
     _, _, th13 = g_profile(r1, r3, 0.0)
     _, _, th23 = g_profile(r2, r3, 0.0)

@@ -69,6 +69,9 @@ __all__ = [
     "ReflectedLineDensity",
     "one_d_increasing_map_check",
     "lift_radial_triple",
+    "graph_triples",
+    "LpCertificate",
+    "MongeCertificate",
 ]
 
 _CERT_TOL = 1e-9
@@ -349,13 +352,9 @@ class MongeCostResult:
 
 def graph_triples(seidl_map: SeidlMap, n: int) -> tuple[MongeTriple, ...]:
     """Orbits started from n quantile midpoints of the first tertile."""
-    rho = seidl_map.density
-    out = []
-    for j in range(n):
-        p = (j + 0.5) / (3.0 * n)
-        x = rho.quantile(p)
-        out.append(MongeTriple(*seidl_map.orbit(x)))
-    return tuple(out)
+    return tuple(
+        MongeTriple(*seidl_map.orbit_of_mass((j + 0.5) / (3.0 * n))) for j in range(n)
+    )
 
 
 def monge_cost(seidl_map: SeidlMap, n: int = 64) -> MongeCostResult:

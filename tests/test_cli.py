@@ -2,8 +2,11 @@
 
 import json
 import math
+from decimal import Decimal
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from radialmot import save
 from radialmot.cli import main
@@ -87,6 +90,18 @@ class TestCost:
         assert doc["value"] * 1e150 == pytest.approx(
             1.0 / 3.0 + 1.0 / 29.0 + 1.0 / 32.0, rel=1e-14
         )
+
+
+    @pytest.mark.parametrize(
+        "radii", [["1e200", "2e200", "3e201"], ["1e-200", "2e-200", "3e-199"]]
+    )
+    def test_phi_at_extreme_scales(self, capsys, radii):
+        # r2 * r2 overflows at 1e200 and underflows at 1e-200; phi is
+        # evaluated at unit scale, where neither happens
+        code, out, _ = run(capsys, ["cost", *radii, "--json"])
+        assert code == 0
+        phi = json.loads(out)["phi_threshold"]
+        assert math.isfinite(phi) and phi > 0.0
 
 
 class TestMap:
@@ -222,6 +237,23 @@ class TestCounterexample:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--ratio", "inf"],
+            ["--ratio", "1e300"],
+            ["--s1", "1e-300", "--s2", "1.1e-300"],
+        ],
+        ids=["ratio-inf", "ratio-1e300", "widths-underflow"],
+    )
+    def test_degenerate_example_parameters_exit_one(self, capsys, argv):
+        # a non-finite ratio, or piece widths whose square or cube underflows
+        code, out, err = run(capsys, ["counterexample", *argv])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestSweep:
     def test_condition_sweep_brackets_threshold(self, capsys):
@@ -303,8 +335,21 @@ class TestTopLevel:
         [
             ["solve", "DENSITY", "--n", "0"],
             ["counterexample", "--k", "7"],
+            ["map", "DENSITY", "--check", "--probes", "0"],
+            ["map", "DENSITY", "--check", "--probes", "-3"],
+            ["solve", "DENSITY", "--tol", "nan"],
+            ["solve", "DENSITY", "--tol", "-0.5"],
+            ["solve", "DENSITY", "--tol", "inf"],
         ],
-        ids=["solve-n", "counterexample-k"],
+        ids=[
+            "solve-n",
+            "counterexample-k",
+            "map-probes-0",
+            "map-probes-negative",
+            "solve-tol-nan",
+            "solve-tol-negative",
+            "solve-tol-inf",
+        ],
     )
     def test_bad_option_value_is_usage_error(self, capsys, blocks_file, argv):
         argv = [blocks_file if a == "DENSITY" else a for a in argv]
@@ -320,3 +365,64 @@ class TestTopLevel:
             main(["cost", "1", "2", "3", "--grid", "4"])
         assert exc.value.code == 2
         assert "--grid" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# no option value ends in a traceback
+
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]),
+    st.builds(
+        lambda sign, e: sign * 10.0**e,
+        st.sampled_from([1.0, -1.0]),
+        st.floats(-300.0, 300.0),
+    ),
+)
+_PROPERTY = settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def _arg(x: float) -> str:
+    """x as a value argparse accepts in a value position: negative numbers
+    in exact fixed-point notation, which it does not take for an option."""
+    return format(Decimal(x), "f") if x < 0.0 else repr(x)
+
+
+def _assert_clean_exit(capsys, argv) -> None:
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse's own rejection, e.g. of "-Infinity"
+        code = e.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@given(
+    r=st.tuples(_EDGE_FLOATS, _EDGE_FLOATS, _EDGE_FLOATS),
+    angles=st.none() | st.tuples(_EDGE_FLOATS, _EDGE_FLOATS),
+)
+@example(r=(1e200, 2e200, 3e201), angles=None)
+@example(r=(1e-200, 2e-200, 3e-199), angles=(math.pi, 0.0))
+@_PROPERTY
+def test_cost_exits_cleanly(capsys, r, angles):
+    opts = [] if angles is None else ["--angles", *map(_arg, angles)]
+    _assert_clean_exit(capsys, ["cost", *opts, "--", *map(_arg, r)])
+
+
+@given(
+    what=st.sampled_from(["condition", "curves", "stationary"]),
+    r=st.tuples(_EDGE_FLOATS, _EDGE_FLOATS, _EDGE_FLOATS, _EDGE_FLOATS),
+    steps=st.integers(0, 2),
+)
+@example(what="stationary", r=(1e200, 2e200, 14e200, 30e200), steps=2)
+@example(what="curves", r=(1e100, 2e100, 3e101, 0.0), steps=2)
+@_PROPERTY
+def test_sweep_exits_cleanly(capsys, what, r, steps):
+    """r holds r1, r2 and then r3 (curves) or the r3 range."""
+    ends = {"--r3": r[2]} if what == "curves" else {"--r3-min": r[2], "--r3-max": r[3]}
+    opts = {"--r1": r[0], "--r2": r[1], **ends}
+    argv = ["sweep", "--what", what, f"--steps={steps}"]
+    _assert_clean_exit(capsys, [*argv, *(f"{k}={v!r}" for k, v in opts.items())])

@@ -158,6 +158,25 @@ class TestAlignment:
             phi_threshold(-1.0, 2.0)
 
 
+    def test_phi_value_path_matches_partials(self, rng):
+        # phi_threshold computes the value alone in the normal range; it must
+        # agree bit for bit with the value _phi_partials returns
+        from radialmot.costs import _phi_partials
+
+        r2 = 10.0 ** rng.uniform(-150, 150, 500)
+        r1 = r2 * rng.uniform(0.0, 1.0, 500)
+        for a, b in zip(r1.tolist(), r2.tolist()):
+            assert phi_threshold(a, b) == _phi_partials(a, b)[0]
+
+    @pytest.mark.parametrize("k", [-600, 700])
+    @pytest.mark.parametrize("r", [(0.0, 1.0), (1.0, 2.0), (0.3, 0.31), (2.5, 40.0)])
+    def test_phi_is_scale_free(self, k, r):
+        # phi is homogeneous of degree 1 and evaluated at unit scale, where
+        # scaling by a power of two is exact
+        s = 2.0**k
+        assert phi_threshold(s * r[0], s * r[1]) == s * phi_threshold(*r)
+
+
 SCALES = [1e-160, 1e-100, 1e-60, 1.0, 1e60, 1e100, 1e155]
 
 
@@ -239,6 +258,18 @@ class TestGProfile:
     def test_order_enforced(self):
         with pytest.raises(DegenerateRadii):
             g_profile(3.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_scale_free(self, k):
+        # g and g' are homogeneous of degree -1, theta_crit of degree 0;
+        # at 1e100, ri ** 4 overflows unless evaluated at unit scale
+        s = 2.0**k
+        ts = np.linspace(0.1, 3.0, 7)
+        g, gp, th = g_profile(1.0, 3.0, ts)
+        gs, gps, ths = g_profile(s * 1.0, s * 3.0, ts)
+        assert ths == th
+        assert np.array_equal(gs, g / s) and np.array_equal(gps, gp / s)
+        assert math.isfinite(g_profile(1e100, 2e100, 1.0)[2])
 
     def test_matches_numeric_derivative_of_inverse_distance(self):
         # g = -d/dt (1/dist); central difference at a generic angle

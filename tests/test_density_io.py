@@ -18,6 +18,7 @@ from radialmot import (
     TableSegment,
     block_density,
     example_counterexample_density,
+    example_piece_specs,
     from_dict,
     load,
     save,
@@ -147,6 +148,32 @@ class TestValidation:
         del doc["segments"][0]["data"]["coeffs"]
         with pytest.raises(DensityFormatError, match="segment 0"):
             from_dict(doc)
+
+    def test_mass_sum_is_a_document_error(self, blocks):
+        doc = self._base(blocks)
+        doc["segments"][0]["data"]["coeffs"] = [1.0 / 3.0 + 1e-6]
+        with pytest.raises(DensityFormatError, match="document: segment masses sum"):
+            from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "ratio, k, n_pieces, match",
+        [
+            (3.2, 1, 3, "segment 3: boundary ratio"),  # the builder's GateFailed
+            (6.0, 3, 3, "segment 3: pushforward map fails"),  # its DensityError
+            (4.0, 1, 2, "segment 2: rho2 needs"),  # no second piece group
+        ],
+        ids=["boundary-gate", "non-monotone-tail", "one-piece-group"],
+    )
+    def test_tail_rebuild_errors_name_the_tail(self, ratio, k, n_pieces, match):
+        rho1, rho2 = example_piece_specs(0.95, 1.0, ratio)
+        segs = [
+            {"interval": [lo, hi], "kind": "poly", "data": {"coeffs": list(c)}}
+            for lo, hi, c in (*rho1, *rho2)[:n_pieces]
+        ]
+        tail = {"interval": [1.0, None], "kind": "pushforward-tail", "data": {"k": k}}
+        segs.append(tail)
+        with pytest.raises(DensityFormatError, match=match):
+            from_dict({"schema_version": 1, "segments": segs})
 
 
 class TestNonFiniteNumbers:

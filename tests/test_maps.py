@@ -77,6 +77,21 @@ class TestBlockOrbits:
             assert blocks.cdf(T(x)) == pytest.approx(2.0 / 3.0 - u, abs=1e-9)
 
 
+    def test_orbit_of_mass_matches_point_orbit(self, blocks):
+        # the mass orbit takes no cdf, so it agrees with the point orbit
+        # up to the cdf-quantile round trip
+        for pattern in PATTERNS:
+            T = build_map(blocks, pattern)
+            for m in (0.05, 0.15, 0.30):
+                got = T.orbit_of_mass(m)
+                assert got == pytest.approx(T.orbit(blocks.quantile(m)), abs=1e-12)
+
+    def test_orbit_of_mass_endpoints(self, blocks):
+        # m = 0 continues the DDI orbit to the tertile boundaries
+        T = build_map(blocks, "DDI")
+        assert T.orbit_of_mass(0.0) == (0.0, 3.0, 3.0)
+
+
 class TestDiagnostics:
     @pytest.mark.parametrize("pattern", PATTERNS)
     def test_uniform_all_patterns_pass(self, uniform, pattern):

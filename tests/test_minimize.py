@@ -251,6 +251,17 @@ class TestStationaryPoints:
         assert class_at_corner((1.0, 2.0, 15.0)) == "min"
         assert class_at_corner((1.0, 2.0, 14.0)) == "saddle"
 
+    def test_scale_free(self):
+        # the sweep runs at unit scale, where its absolute tolerances hold
+        base = find_stationary_points((1.0, 2.0, 14.0))
+        for s in (2.0**-600, 2.0**600):
+            rep = find_stationary_points((s * 1.0, s * 2.0, s * 14.0))
+            assert rep.configs() == base.configs()
+            assert [p.classification for p in rep.points] == [
+                p.classification for p in base.points
+            ]
+            assert rep.max_grad_norm == base.max_grad_norm / s
+
     def test_convergence_bookkeeping(self):
         rep = find_stationary_points((1.0, 2.0, 15.0))
         assert rep.n_starts == 128 * 128
@@ -295,6 +306,16 @@ class TestImplicitCurves:
         for b, a in zip(cb.beta[1:-1], cb.alpha_pi[1:-1]):
             res = -_inv_dist_d1(1.0, 2.0, a) - _inv_dist_d1(1.0, 15.0, b)
             assert abs(res) < 1e-10
+
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_scale_free(self, k):
+        s = 2.0**k
+        base = trace_implicit_curves((1.0, 2.0, 15.0), n_beta=9)
+        cb = trace_implicit_curves((s * 1.0, s * 2.0, s * 15.0), n_beta=9)
+        for name in ("beta", "alpha_pi", "alpha_0", "alpha_hat_pi", "alpha_hat_0"):
+            assert np.array_equal(getattr(cb, name), getattr(base, name))
+        assert cb.slope_alpha_pi == base.slope_alpha_pi
+        assert cb.slope_alpha_hat_pi == base.slope_alpha_hat_pi
 
     def test_input_validation(self):
         with pytest.raises(DegenerateRadii):
