@@ -360,14 +360,17 @@ def cmd_counterexample(args) -> int:
 # sweep
 
 
-def _sweep_grid(lo: float, hi: float, steps: int) -> np.ndarray:
+def _sweep_grid(lo: float, hi: float, steps: int) -> list[float]:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise _UsageError(f"sweep range must be finite, got [{lo!r}, {hi!r}]")
     if steps <= 0:
-        return np.empty(0)
+        return []
     if steps == 1:
-        return np.array([lo])
-    return np.linspace(lo, hi, steps)
+        return [lo]
+    if math.isinf(hi - lo):
+        # halving is exact and keeps the step finite; doubling undoes it
+        return (2.0 * np.linspace(lo / 2.0, hi / 2.0, steps)).tolist()
+    return np.linspace(lo, hi, steps).tolist()
 
 
 def cmd_sweep(args) -> int:

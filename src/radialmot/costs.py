@@ -428,10 +428,11 @@ def g_profile(ri: float, rj: float, theta):
 
     g(t) = ri rj sin(t) / D(t)^(3/2) is positive on (0, pi), increases up to
 
-        cos(theta_crit) = (-(ri^2 + rj^2) + sqrt(ri^4 + 14 ri^2 rj^2 + rj^4))
-                          / (2 ri rj)
+        cos(theta_crit) = 6 ri rj / (q + sqrt(q^2 + 12 ri^2 rj^2)),
+                          q = ri^2 + rj^2
 
-    and decreases after it.  Requires 0 < ri < rj strictly; equal radii make
+    and decreases after it (this form of the root does not cancel as
+    ri/rj -> 0).  Requires 0 < ri < rj strictly; equal radii make
     the profile singular at 0 (raises :class:`EqualRadii`).
 
     Returns (g, g_prime, theta_crit); g and g_prime follow the shape of
@@ -448,13 +449,9 @@ def g_profile(ri: float, rj: float, theta):
     ri, rj = ri / s, rj / s
     d1, d2 = _inv_dist_derivs(ri, rj, theta)
     g, gp = -d1 / s, -d2 / s
-    q = ri * ri + rj * rj
-    ct = 0.0  # the limit ri/rj -> 0, where ri / s underflows
-    if ri > 0.0:
-        ct = (-q + math.sqrt(ri ** 4 + 14.0 * ri * ri * rj * rj + rj ** 4)) / (
-            2.0 * ri * rj
-        )
-    theta_crit = math.acos(ct)
+    q, p = ri * ri + rj * rj, ri * rj
+    # nearly equal radii can round the cosine a few ulps above 1
+    theta_crit = math.acos(min(6.0 * p / (q + math.sqrt(q * q + 12.0 * p * p)), 1.0))
     if np.isscalar(theta):
         return float(g), float(gp), theta_crit
     return g, gp, theta_crit

@@ -382,8 +382,8 @@ class _HProfile:
     Equal to its Taylor polynomial p on [0, delta/2], constant p(delta/2)
     beyond delta, and a smooth convex blend of the two in between, which
     keeps the profile strictly positive on (0, s1] whenever p is positive
-    up to delta/2.  p and p' are ascending coefficient tuples evaluated by
-    ``density._horner``, bit for bit what numpy's Polynomial gives.
+    up to delta/2.  p and p' are ascending coefficient tuples in x,
+    evaluated by ``density._horner``.
     """
 
     def __init__(self, derivs: Sequence[float], delta: float):

@@ -17,11 +17,9 @@ sitting exactly at a gap boundary resolves to the left endpoint of the
 gap.  A RadialDensity adds validation on top: total mass must be 1 within
 1e-10 at construction time.
 
-Polynomial pieces are evaluated on plain floats by a scalar Horner loop.
-numpy's Polynomial evaluation is the identity domain map 0 + 1*x followed
-by the Horner recurrence c[-1] + x*0, then c_i + acc*x; the loop performs
-the same IEEE operations in the same order, so its values equal numpy's
-bit for bit without numpy's per-call overhead.
+Polynomial pieces are evaluated on plain floats by a scalar Horner loop,
+the density in x and its antiderivative in t = x - lo, the piece's own
+left end (the pp-form), so a partial mass never cancels against anti(lo).
 
 Quantiles of constant and linear pieces are closed form; higher degrees,
 table pieces and the tail inverse share one Brent solve, ``_brent``, at
@@ -85,10 +83,8 @@ def _brent(f: Callable[[float], float], target: float, lo: float, hi: float) -> 
 
 
 def _horner(coeffs: tuple[float, ...], x: float) -> float:
-    """np.polynomial.Polynomial(coeffs)(x) on plain floats, bit for bit;
-    the domain map 0 + 1*x turns -0.0 into 0.0, as numpy's does."""
-    x = 0.0 + 1.0 * x
-    acc = coeffs[-1] + x * 0
+    """The polynomial with ascending coefficients coeffs at x."""
+    acc = coeffs[-1]
     for c in coeffs[-2::-1]:
         acc = c + acc * x
     return acc
@@ -102,16 +98,16 @@ class PolySegment:
     endpoints and at all interior critical points of the polynomial, and
     the smallest of those values is kept as ``minimum``.
 
-    The density and its antiderivative are coefficient tuples evaluated by
-    the scalar Horner loop; numpy's Polynomial only supplies the
-    antiderivative coefficients and the critical points at construction.
+    The density (in x) and its antiderivative (in t = x - lo, zero at
+    t = 0) are coefficient tuples evaluated by the scalar Horner loop;
+    numpy's Polynomial only supplies the shifted antiderivative and the
+    critical points at construction.
 
     quantile_within inverts mass_below: a constant piece by division, a
-    linear piece by the quadratic root in t = x - lo,
-    t = 2m / (p + sqrt(p^2 + 2qm)) with p the density at lo and q the
-    slope (no cancellation, and it covers q = 0 and p = 0), and higher
-    degrees by Brent.  Linear and higher pieces then take two Newton
-    polish steps against mass_below.
+    linear piece by the quadratic root t = 2m / (p + sqrt(p^2 + 2qm))
+    with p the density at lo and q the slope (no cancellation, and it
+    covers q = 0 and p = 0), and higher degrees by Brent followed by two
+    Newton polish steps against mass_below.
     """
 
     kind = "poly"
@@ -127,9 +123,9 @@ class PolySegment:
         if not all(math.isfinite(c) for c in self.coeffs):
             raise DensityError(f"non-finite poly coefficients {self.coeffs}")
         poly = np.polynomial.Polynomial(self.coeffs)
-        self._anti = tuple(float(c) for c in poly.integ().coef)
-        self._anti_lo = _horner(self._anti, self.lo)
-        self.mass = _horner(self._anti, self.hi) - self._anti_lo
+        local = poly(np.polynomial.Polynomial([self.lo, 1.0]))
+        self._anti = tuple(float(c) for c in local.integ().coef)
+        self.mass = _horner(self._anti, self.hi - self.lo)
         crit = _real_roots_in(poly.deriv(), self.lo, self.hi)
         vals = [_horner(self.coeffs, x) for x in [self.lo, self.hi, *crit]]
         self.minimum = min(vals)
@@ -144,14 +140,14 @@ class PolySegment:
             )
 
     def pdf(self, x: float) -> float:
-        return max(float(_horner(self.coeffs, x)), 0.0)
+        return max(_horner(self.coeffs, x), 0.0)
 
     def mass_below(self, x: float) -> float:
         if x <= self.lo:
             return 0.0
         if x >= self.hi:
             return self.mass
-        return min(max(float(_horner(self._anti, x)) - self._anti_lo, 0.0), self.mass)
+        return min(max(_horner(self._anti, x - self.lo), 0.0), self.mass)
 
     def quantile_within(self, m: float) -> float:
         m = min(max(m, 0.0), self.mass)
@@ -165,9 +161,8 @@ class PolySegment:
             # p*t + q*t^2/2 = m in t = x - lo, by the root that does not cancel
             p, q = _horner(self.coeffs, self.lo), self.coeffs[1]
             t = 2.0 * m / (p + math.sqrt(max(p * p + 2.0 * q * m, 0.0)))
-            x = min(max(self.lo + t, self.lo), self.hi)
-        else:
-            x = _brent(self.mass_below, m, self.lo, self.hi)
+            return min(max(self.lo + t, self.lo), self.hi)
+        x = _brent(self.mass_below, m, self.lo, self.hi)
         # two Newton polish steps where the density is bounded away from 0
         for _ in range(2):
             d = self.pdf(x)
@@ -203,7 +198,8 @@ class TableSegment:
         from scipy.interpolate import PchipInterpolator
         self._interp = PchipInterpolator(xs, ds, extrapolate=False)
         self._anti = self._interp.antiderivative()
-        self.mass = float(self._anti(self.hi) - self._anti(self.lo))
+        # the antiderivative is 0 at the first knot
+        self.mass = float(self._anti(self.hi))
         if not 0.0 < self.mass < math.inf:
             raise DensityError(
                 f"table segment mass {self.mass!r} is not finite and positive"
@@ -219,7 +215,7 @@ class TableSegment:
             return 0.0
         if x >= self.hi:
             return self.mass
-        return min(max(float(self._anti(x) - self._anti(self.lo)), 0.0), self.mass)
+        return min(max(float(self._anti(x)), 0.0), self.mass)
 
     def quantile_within(self, m: float) -> float:
         m = min(max(m, 0.0), self.mass)

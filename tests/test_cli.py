@@ -1,14 +1,26 @@
 """Command line interface: outputs, exit codes, file artifacts."""
 
+import copy
 import json
 import math
+import re
+import warnings
 from decimal import Decimal
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from radialmot import save
+from radialmot import (
+    PolySegment,
+    RadialDensity,
+    TableSegment,
+    block_density,
+    example_counterexample_density,
+    load,
+    save,
+    to_dict,
+)
 from radialmot.cli import main
 
 
@@ -23,6 +35,13 @@ def blocks_file(tmp_path, blocks):
 def uniform_file(tmp_path, uniform):
     p = tmp_path / "uniform.json"
     save(uniform, p)
+    return str(p)
+
+
+@pytest.fixture(scope="module")
+def tail_file(tmp_path_factory):
+    p = tmp_path_factory.mktemp("tail") / "tail_k1.json"
+    save(example_counterexample_density(s1=0.9, s2=1.0, ratio=4.0, k=1), p)
     return str(p)
 
 
@@ -171,6 +190,33 @@ class TestSolve:
         doc = json.loads(out)
         assert doc["method"] == "brute"
 
+    def test_blocks_text_report(self, capsys, blocks_file):
+        code, out, err = run(capsys, ["solve", blocks_file, "--n", "2"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "n per tertile  = 2 (6 atoms)"
+        assert [l.split("=")[0] for l in lines[1:]] == [
+            "lp value       ",
+            "brute value    ",
+            "monge (DDI)    ",
+            "difference     ",
+            "verdict        ",
+        ]
+        assert lines[-1] == "verdict        = monge-optimal"
+        assert err == ""
+
+    def test_tail_text_report_is_suboptimal(self, capsys, tail_file):
+        # nine atoms is past the brute cross-check, so no brute line
+        code, out, _ = run(capsys, ["solve", tail_file, "--n", "3"])
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "n per tertile  = 3 (9 atoms)"
+        lp, monge, diff = (float(l.split("=")[1]) for l in lines[1:4])
+        assert lines[1].startswith("lp value       = ")
+        assert lines[2].startswith("monge (DDI)    = ")
+        assert diff == monge - lp > 1e-3
+        assert lines[4:] == ["verdict        = monge-suboptimal"]
+
     def test_brute_size_cap_is_failure_exit(self, capsys, blocks_file):
         code, _, err = run(
             capsys, ["solve", blocks_file, "--n", "3", "--method", "brute"]
@@ -231,6 +277,39 @@ class TestCounterexample:
         assert ddi["gap"] > 0.0
         assert len(ddi["triples"]) == 2
         assert len(ddi["swap_triples"]) == 2
+
+    def test_text_report_and_artifacts(self, tmp_path, capsys):
+        # the README's example, line by line; numbers within 1e-9 relative
+        rho_file, certs_file = tmp_path / "cex.json", tmp_path / "certs.json"
+        argv = ["counterexample", "--s1", "0.9", "--s2", "1.0", "--ratio", "4"]
+        argv += ["--k", "2", "--out", str(rho_file), "--certs", str(certs_file)]
+        code, out, err = run(capsys, argv)
+        assert code == 0
+        assert err == ""
+        readme = [
+            "s1=0.90000000000000002 s2=1 ratio=4 k=2",
+            "gates: ratio ok, boundary ratio 4 > 7/2 ok",
+            "graph condition worst margin = 0",
+            "eps = 0.0031249999999999993  M = 379.90092954341287",
+            "DDI: swap first coordinates, gap = 0.15221738140065755",
+            "DID: swap third coordinates, gap = 0.0016651326895487095",
+            "III: swap second coordinates, gap = 1.2879333715298813e-05 "
+            "(template extrapolated)",
+            "IDD: swap first coordinates, gap = 0.0015244351597036854 "
+            "(template extrapolated)",
+            f"density written to {rho_file}",
+            f"certificates written to {certs_file}",
+        ]
+        lines = out.splitlines()
+        assert len(lines) == len(readme)
+        number = r"-?\d[\d.e+-]*"
+        for got, want in zip(lines, readme):
+            assert re.sub(number, "#", got) == re.sub(number, "#", want)
+            for a, b in zip(re.findall(number, got), re.findall(number, want)):
+                assert float(a) == pytest.approx(float(b), rel=1e-9)
+        assert load(rho_file).tail_spec.order == 2
+        certs = json.loads(certs_file.read_text())["certificates"]
+        assert set(certs) == {"III", "DDI", "DID", "IDD"}
 
     def test_failed_gate_exits_one(self, capsys):
         code, _, err = run(capsys, ["counterexample", "--s1", "0.8"])
@@ -325,6 +404,29 @@ class TestSweep:
         assert lines == ["r3,alignment,phi_gap"]
 
 
+    def test_overflowing_range_names_the_first_radius(self, capsys):
+        # the width 2e308 overflows; the grid must not, so the first radius
+        # is the one rejected, without numpy warnings or NaN rows
+        argv = ["sweep", "--what", "condition", "--r3-min=-1e308", "--r3-max=1e308"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, [*argv, "--steps", "3"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: radii must be finite and >= 0, got (1.0, 2.0, -1e+308)\n"
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    def test_curves_with_radii_far_apart(self, capsys):
+        # the critical angle of (5e-324, 5e-78) used to be acos of a
+        # cosine far above 1
+        argv = ["sweep", "--what", "curves", "--r1", "5e-324"]
+        argv += ["--r2", "2.5368574515085826e-162", "--r3", "5.244783272764405e-78"]
+        code, out, err = run(capsys, [*argv, "--steps", "2"])
+        assert code == 0
+        assert err == ""
+        assert len([l for l in out.splitlines() if not l.startswith("#")]) == 3
+
+
 class TestTopLevel:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
@@ -391,13 +493,17 @@ def _arg(x: float) -> str:
     return format(Decimal(x), "f") if x < 0.0 else repr(x)
 
 
-def _assert_clean_exit(capsys, argv) -> None:
+def _assert_clean_exit(capsys, argv) -> str:
+    """Run argv; the exit code must be 0, 1 or 2 and stderr hold no
+    traceback.  Returns stderr."""
     try:
         code = main(argv)
     except SystemExit as e:  # argparse's own rejection, e.g. of "-Infinity"
         code = e.code
+    err = capsys.readouterr().err
     assert code in (0, 1, 2)
-    assert "Traceback" not in capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
 
 
 @given(
@@ -419,10 +525,114 @@ def test_cost_exits_cleanly(capsys, r, angles):
 )
 @example(what="stationary", r=(1e200, 2e200, 14e200, 30e200), steps=2)
 @example(what="curves", r=(1e100, 2e100, 3e101, 0.0), steps=2)
+@example(what="condition", r=(1.0, 2.0, -1e308, 1e308), steps=3)
 @_PROPERTY
 def test_sweep_exits_cleanly(capsys, what, r, steps):
-    """r holds r1, r2 and then r3 (curves) or the r3 range."""
+    """r holds r1, r2 and then r3 (curves) or the r3 range.  Without a NaN
+    among the inputs, no NaN reaches the error message."""
     ends = {"--r3": r[2]} if what == "curves" else {"--r3-min": r[2], "--r3-max": r[3]}
     opts = {"--r1": r[0], "--r2": r[1], **ends}
     argv = ["sweep", "--what", what, f"--steps={steps}"]
-    _assert_clean_exit(capsys, [*argv, *(f"{k}={v!r}" for k, v in opts.items())])
+    err = _assert_clean_exit(capsys, [*argv, *(f"{k}={v!r}" for k, v in opts.items())])
+    if not any(math.isnan(v) for v in r):
+        assert "nan" not in err
+
+
+def _cli_documents():
+    xs = [2.0, 2.25, 2.5, 2.75, 3.0]
+    return [
+        to_dict(block_density([(0.0, 1.0), (2.0, 3.0), (15.0, 16.0)])),
+        to_dict(RadialDensity([PolySegment(0.0, 1.0, [0.5, 1.0])])),
+        to_dict(
+            RadialDensity([PolySegment(0.0, 1.0, [0.5]), TableSegment(xs, [0.5] * 5)])
+        ),
+        to_dict(example_counterexample_density(s1=0.9, s2=1.0, ratio=4.0, k=1)),
+        to_dict(example_counterexample_density(s1=0.926, s2=1.0, ratio=3.73, k=2)),
+    ]
+
+
+_CLI_DOCUMENTS = _cli_documents()
+
+
+def _number_sites(node, path=()):
+    """The path of every number in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _number_sites(value, path + (key,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path + (key,)
+
+
+@st.composite
+def _density_files(draw):
+    """A valid density document, one with a number replaced, or a tail
+    whose smoothness order k is out of range or of the wrong type."""
+    doc = copy.deepcopy(draw(st.sampled_from(_CLI_DOCUMENTS)))
+    how = draw(st.sampled_from(["valid", "mutated", "tail-k"]))
+    if how == "mutated":
+        *path, last = draw(st.sampled_from(list(_number_sites(doc))))
+        node = doc
+        for key in path:
+            node = node[key]
+        node[last] = draw(st.sampled_from([math.nan, -math.inf, -1.0, 0.0, 1e308, "x"]))
+    elif how == "tail-k" and doc["segments"][-1]["kind"] == "pushforward-tail":
+        k = draw(st.sampled_from([0, 1, 2, 3, 4, 5, -1, 1.5, "1", True, None]))
+        doc["segments"][-1]["data"]["k"] = k
+    return json.dumps(doc)
+
+
+_CLI_PROPERTY = settings(
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+_OPT_INTS = st.integers(-2, 40)
+
+
+@given(
+    text=_density_files(),
+    pattern=st.sampled_from(["III", "DDI", "DID", "IDD", "XYZ"]),
+    samples=_OPT_INTS,
+    probes=_OPT_INTS,
+    check=st.booleans(),
+    as_json=st.booleans(),
+)
+@_CLI_PROPERTY
+def test_map_exits_cleanly(capsys, tmp_path, text, pattern, samples, probes, check, as_json):
+    path = tmp_path / "density.json"
+    path.write_text(text)
+    argv = ["map", str(path), f"--pattern={pattern}", f"--samples={samples}"]
+    argv += [f"--probes={probes}", *(["--check"] if check else [])]
+    _assert_clean_exit(capsys, [*argv, *(["--json"] if as_json else [])])
+
+
+def _mostly(*values):
+    """One of values two times in three, else an edge float."""
+    return st.one_of(st.sampled_from(values), st.sampled_from(values), _EDGE_FLOATS)
+
+
+@given(
+    text=_density_files(),
+    n=st.one_of(st.integers(1, 3), st.integers(1, 3), st.integers(-1, 0)),
+    tol=_mostly(0.0, 1e-6, 1.0),
+    method=st.sampled_from(["lp", "brute"]),
+)
+@_CLI_PROPERTY
+def test_solve_exits_cleanly(capsys, tmp_path, text, n, tol, method):
+    path = tmp_path / "density.json"
+    path.write_text(text)
+    argv = ["solve", str(path), f"--n={n}", f"--tol={tol!r}", f"--method={method}"]
+    _assert_clean_exit(capsys, argv)
+
+
+@given(
+    s1=_mostly(0.8935, 0.9, 0.93, 0.95, 0.98),
+    s2=_mostly(1.0),
+    ratio=_mostly(3.6, 4.0, 5.0, 8.0),
+    k=st.integers(-1, 6),
+)
+@_CLI_PROPERTY
+def test_counterexample_exits_cleanly(capsys, s1, s2, ratio, k):
+    opts = {"--s1": s1, "--s2": s2, "--ratio": ratio, "--k": k}
+    _assert_clean_exit(capsys, ["counterexample", *(f"{o}={v!r}" for o, v in opts.items())])

@@ -1,6 +1,7 @@
 """Closed-form cost layer: pairwise terms, corners, alignment polynomial."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -259,6 +260,30 @@ class TestGProfile:
         with pytest.raises(DegenerateRadii):
             g_profile(3.0, 1.0, 1.0)
 
+    # rj is the unit-scale r3 of `sweep --what curves --r1 5e-324 --r2
+    # 2.5368574515085826e-162 --r3 5.244783272764405e-78`; written as
+    # -q + sqrt(...), the root of cos(theta_crit) cancels for small ri/rj
+    # and, where rj^4 rounds, leaves a cosine far above 1
+    _RJ = 0.6073044127503193
+
+    @pytest.mark.parametrize("ratio", [1e-300, 1e-80, 1e-10, 1e-5, 0.3])
+    def test_critical_angle_within_an_ulp(self, ratio):
+        ri = ratio * self._RJ
+        theta = g_profile(ri, self._RJ, 1.0)[2]
+        exact = _acos50(_crit_cos50(ri, self._RJ))
+        assert abs(Decimal(theta) - exact) <= Decimal(math.ulp(theta))
+
+    @pytest.mark.parametrize("ratio", [0.999, 1.0 - 2.0**-26, math.nextafter(1.0, 0.0)])
+    def test_critical_cosine_near_equal_radii(self, ratio):
+        # acos is ill-conditioned near 1, so the cosine is what is checked;
+        # it must not round above 1 (math domain error)
+        ri = ratio * self._RJ
+        theta = g_profile(ri, self._RJ, 1.0)[2]
+        with localcontext() as ctx:
+            ctx.prec = 50
+            err = abs(_cos50(Decimal(theta)) - _crit_cos50(ri, self._RJ))
+        assert err <= Decimal(math.ulp(1.0))
+
     @pytest.mark.parametrize("k", [-600, 600])
     def test_scale_free(self, k):
         # g and g' are homogeneous of degree -1, theta_crit of degree 0;
@@ -281,3 +306,35 @@ class TestGProfile:
         fd = -(inv(t + h) - inv(t - h)) / (2 * h)
         g, _, _ = g_profile(ri, rj, t)
         assert g == pytest.approx(fd, rel=1e-8)
+
+
+def _crit_cos50(ri, rj):
+    """cos(theta_crit) of g_profile at 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ri, rj = Decimal(ri), Decimal(rj)
+        q = ri * ri + rj * rj
+        return 6 * ri * rj / (q + (q * q + 12 * ri * ri * rj * rj).sqrt())
+
+
+def _cos50(x):
+    """cos(x) at 50 digits by its Taylor series."""
+    with localcontext() as ctx:
+        ctx.prec = 55
+        total, term, k = Decimal(0), Decimal(1), 0
+        while abs(term) > Decimal(10) ** -54:
+            total += term
+            k += 2
+            term *= -x * x / (k * (k - 1))
+        return +total
+
+
+def _acos50(c):
+    """acos(c) at 50 digits, by Newton's method on cos from math.acos."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = Decimal(math.acos(float(c)))
+        for _ in range(3):
+            sin = (1 - _cos50(x) ** 2).sqrt()
+            x += (_cos50(x) - c) / sin
+        return x

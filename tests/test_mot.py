@@ -253,10 +253,10 @@ BRUTE_PINS = {
     ("blocks", 4): "0x1.0c6be8c627e96p-1",
     ("blocks", 5): "0x1.c7551c6991ec8p-2",
     ("blocks", 6): "0x1.d27d27d27d27dp-2",
-    ("tail_k1", 3): "0x1.183b9a3b6b5dap+1",
-    ("tail_k1", 4): "0x1.f7d774f241839p+0",
-    ("tail_k1", 5): "0x1.ef8c3f451605ep+0",
-    ("tail_k1", 6): "0x1.ed4447f40e12bp+0",
+    ("tail_k1", 3): "0x1.183b9a3b6b5e7p+1",
+    ("tail_k1", 4): "0x1.f7d774f241857p+0",
+    ("tail_k1", 5): "0x1.ef8c3f4516096p+0",
+    ("tail_k1", 6): "0x1.ed4447f40e16fp+0",
 }
 
 
