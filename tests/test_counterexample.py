@@ -344,6 +344,23 @@ class TestBuildPins:
         )
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_tail_inverse_within_forward_error_floor(k):
+    """inverse(psi(x)) lands on x to the resolution the float psi allows:
+    within 4 spacings of y over psi'(x), plus 4 spacings of x, at 25
+    source points from 1e-6 up to s1 (1 - 1e-6)."""
+    rho = example_counterexample_density(k=k)
+    tail, s1 = rho.segments[-1], rho.s1
+    xs = np.concatenate(
+        [np.geomspace(1e-6, s1 / 2.0, 12), s1 * (1.0 - np.geomspace(0.5, 1e-6, 13))]
+    )
+    ys = np.array([float(rho.psi(x)) for x in xs])
+    slopes = np.array([float(rho.psi_prime(x)) for x in xs])
+    floor = 4.0 * np.spacing(ys) / slopes + 4.0 * np.spacing(xs)
+    got = np.array([float(tail.inverse(y)) for y in ys])
+    assert np.all(np.abs(got - xs) <= floor), np.max(np.abs(got - xs) / floor)
+
+
 def _piece_below(seg, x):
     """Exact mass of a float polynomial piece on [lo, x]."""
     c = [Decimal(v) for v in seg.coeffs]

@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -291,6 +292,13 @@ class TestTableSegment:
     def test_monotone_grid_required(self):
         with pytest.raises(DensityError):
             TableSegment([0.0, 0.5, 0.5, 1.0], [1.0, 1.0, 1.0, 1.0])
+
+    def test_huge_values_raise_a_typed_error(self):
+        # the secant slope 2e308 overflows; no RuntimeWarning may escape
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DensityError, match="slope"):
+                TableSegment([0.0, 0.5, 1.0], [1.0, 1e308, 1.0])
 
     def test_negative_values_rejected(self):
         with pytest.raises(DensityError):
