@@ -341,13 +341,15 @@ def alignment_condition(r: Radii | tuple) -> float:
 _PHI_EXACT_LO, _PHI_EXACT_HI = 2.0**-400, 2.0**400
 
 
-def _phi_partials(a: float, b: float) -> tuple[float, float, float]:
-    """phi(a, b) and its two first partial derivatives for 0 <= a < b, in
-    closed form at unit scale."""
-    s = 1.0 if _PHI_EXACT_LO <= b <= _PHI_EXACT_HI else _unit_scale(b)
+def _phi_partials(a, b):
+    """phi(a, b) and its two first partial derivatives for 0 <= a < b,
+    elementwise, in closed form at unit scale."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    exact = (_PHI_EXACT_LO <= b) & (b <= _PHI_EXACT_HI)
+    s = np.where(exact, 1.0, np.ldexp(1.0, np.minimum(np.frexp(b)[1], 1023)))
     a, b = a / s, b / s
     # disc = b^2 + 4 a (3 b - a) > 0 on the admissible wedge
-    root = math.sqrt(b * b + 12.0 * a * b - 4.0 * a * a)
+    root = np.sqrt(b * b + 12.0 * a * b - 4.0 * a * a)
     num = 5.0 * a * b + b * b + (a + b) * root
     gap = b - a
     da_num = 5.0 * b + root + (a + b) * (12.0 * b - 8.0 * a) / (2.0 * root)
@@ -381,7 +383,7 @@ def phi_threshold(r1: float, r2: float) -> float:
         # path of callers that scan phi over grids
         root = math.sqrt(r2 * r2 + 12.0 * r1 * r2 - 4.0 * r1 * r1)
         return (5.0 * r1 * r2 + r2 * r2 + (r1 + r2) * root) / (2.0 * (r2 - r1))
-    return _phi_partials(r1, r2)[0]
+    return float(_phi_partials(r1, r2)[0])
 
 
 def c_pi(r: Radii | tuple) -> float:

@@ -53,6 +53,7 @@ from .density import (
     RadialDensity,
     SegmentStack,
     _horner,
+    _result,
 )
 from .errors import (
     CertificationError,
@@ -64,7 +65,8 @@ from .errors import (
     ViolationNotFound,
 )
 from .maps import build_map
-from .minimize import radial_cost
+# radial_cost stays a module attribute, which tracing tools wrap by name
+from .minimize import _radial_cost_batch, radial_cost  # noqa: F401
 from .mot import MongeTriple, _apply_swap
 
 __all__ = [
@@ -225,12 +227,8 @@ def check_graph_condition(rho: RadialDensity, n: int = 64) -> GraphConditionRepo
     if n < 2:
         raise ValueError("need at least 2 probes")
     ddi = build_map(rho, "DDI")
-    orbits = []
-    for j in range(n):
-        orbit = ddi.orbit_of_mass((1.0 / 3.0) * j / (n - 1))
-        if all(math.isfinite(v) for v in orbit):
-            orbits.append(orbit)
-    v = np.reshape(orbits, (-1, 3))
+    v = np.stack(ddi.orbit_of_mass((1.0 / 3.0) * np.arange(n) / (n - 1)), axis=1)
+    v = v[np.all(np.isfinite(v), axis=1)]
     # P at one unit scale, that of the largest radius, ranks the orbits as
     # the raw P would without under- or overflow; the first of ties wins
     s = _unit_scale(float(v.max()))
@@ -240,7 +238,7 @@ def check_graph_condition(rho: RadialDensity, n: int = 64) -> GraphConditionRepo
     return GraphConditionReport(
         worst_margin=float(p[worst]) * s * s * s * s,
         worst_x=float(v[worst, 0]),
-        n_samples=len(orbits),
+        n_samples=len(v),
         holds=bool(np.all(_alignment_margin(v) >= -_P_ROUNDING)),
     )
 
@@ -352,30 +350,6 @@ def _phi_graph_derivs(t_coeffs: np.ndarray, order: int) -> list[float]:
 # bump profile
 
 
-def _bump_base(t: float) -> float:
-    return math.exp(-1.0 / t) if t > 0.0 else 0.0
-
-
-def _smoothstep(t: float) -> float:
-    if t <= 0.0:
-        return 0.0
-    if t >= 1.0:
-        return 1.0
-    a = _bump_base(t)
-    b = _bump_base(1.0 - t)
-    return a / (a + b)
-
-
-def _smoothstep_d1(t: float) -> float:
-    if t <= 0.0 or t >= 1.0:
-        return 0.0
-    a = _bump_base(t)
-    b = _bump_base(1.0 - t)
-    da = a / (t * t)
-    db = b / ((1.0 - t) * (1.0 - t))
-    return (da * b + a * db) / ((a + b) * (a + b))
-
-
 class _HProfile:
     """Smooth bump realizing a finite jet at 0 and a plateau beyond delta.
 
@@ -383,7 +357,8 @@ class _HProfile:
     beyond delta, and a smooth convex blend of the two in between, which
     keeps the profile strictly positive on (0, s1] whenever p is positive
     up to delta/2.  p and p' are ascending coefficient tuples in x,
-    evaluated by ``density._horner``.
+    evaluated by ``density._horner``; the profile and its slope work
+    elementwise.
     """
 
     def __init__(self, derivs: Sequence[float], delta: float):
@@ -391,28 +366,34 @@ class _HProfile:
         # numpy's polyder: the coefficient of x^(j-1) is j * c_j
         self.dpoly = tuple(j * c for j, c in enumerate(self.poly) if j)
         self.delta = float(delta)
-        self.plateau = _horner(self.poly, self.delta / 2.0)
+        self.plateau = float(_horner(self.poly, self.delta / 2.0))
 
-    def __call__(self, x: float) -> float:
-        if x <= self.delta / 2.0:
-            return float(_horner(self.poly, x))
-        if x >= self.delta:
-            return self.plateau
-        u = (x - self.delta / 2.0) / (self.delta / 2.0)
-        s = _smoothstep(u)
-        return self.plateau + (float(_horner(self.poly, x)) - self.plateau) * (1.0 - s)
+    def _blend(self, x):
+        """Lanes of x inside (delta/2, delta), and there the smoothstep
+        s(u) = e^(-1/u) / (e^(-1/u) + e^(-1/(1-u))) of the blend variable u
+        and its x-derivative."""
+        mid = (x > self.delta / 2.0) & (x < self.delta)
+        u = (x[mid] - self.delta / 2.0) / (self.delta / 2.0)
+        a, b = np.exp(-1.0 / u), np.exp(-1.0 / (1.0 - u))
+        da, db = a / (u * u), b / ((1.0 - u) * (1.0 - u))
+        ds = (da * b + a * db) / ((a + b) * (a + b)) * 2.0 / self.delta
+        return mid, a / (a + b), ds
 
-    def prime(self, x: float) -> float:
-        if x <= self.delta / 2.0:
-            return float(_horner(self.dpoly, x))
-        if x >= self.delta:
-            return 0.0
-        u = (x - self.delta / 2.0) / (self.delta / 2.0)
-        s = _smoothstep(u)
-        ds = _smoothstep_d1(u) * 2.0 / self.delta
-        return float(_horner(self.dpoly, x)) * (1.0 - s) - (
-            float(_horner(self.poly, x)) - self.plateau
-        ) * ds
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        p = _horner(self.poly, x)
+        out = np.where(x >= self.delta, self.plateau, p)
+        mid, s, _ = self._blend(x)
+        out[mid] = self.plateau + (p[mid] - self.plateau) * (1.0 - s)
+        return out
+
+    def prime(self, x):
+        x = np.asarray(x, dtype=float)
+        dp = _horner(self.dpoly, x)
+        out = np.where(x >= self.delta, 0.0, dp)
+        mid, s, ds = self._blend(x)
+        out[mid] = dp[mid] * (1.0 - s) - (_horner(self.poly, x[mid]) - self.plateau) * ds
+        return out
 
 
 def _choose_delta(derivs: Sequence[float], s1: float) -> float:
@@ -472,9 +453,9 @@ class CounterexampleDensity(RadialDensity):
         s1: float,
         s2: float,
         boundary_ratio: float,
-        psi: Callable[[float], float],
-        psi_prime: Callable[[float], float],
-        t_map: Callable[[float], float],
+        psi: Callable,
+        psi_prime: Callable,
+        t_map: Callable,
     ):
         super().__init__(segments)
         self.tail_spec = tail_spec
@@ -573,7 +554,7 @@ def build_counterexample_density(
     stack1 = SegmentStack(rho1)
     stack2 = SegmentStack(rho2)
 
-    def t_map(x: float) -> float:
+    def t_map(x):
         return stack12.mass_quantile(2.0 / 3.0 - stack12.mass_below(x))
 
     probes = np.unique(
@@ -584,9 +565,9 @@ def build_counterexample_density(
                 s1 * np.geomspace(1e-9, 0.5, 40),
             ]
         )
-    ).tolist()
+    )
 
-    def graph_prime(x: float) -> float:
+    def graph_prime(x):
         b = t_map(x)
         _, da, db = _phi_partials(x, b)
         return da + db * (-stack1.pdf(x) / stack2.pdf(b))
@@ -597,38 +578,34 @@ def build_counterexample_density(
     # dense probes every iteration (the global grid can straddle it).  The
     # graph slope on the fixed probes does not depend on delta: it is
     # computed once, and each halving only adds the new bump slope there.
-    probe_slopes = [graph_prime(x) for x in probes]
+    probe_slopes = graph_prime(probes)
     delta = _choose_delta(h_derivs, s1)
     h_profile = _HProfile(h_derivs, delta)
     worst = -math.inf
     for _ in range(_DELTA_HALVINGS):
-        seam = np.linspace(
-            delta / 8.0, min(2.0 * delta, s1 * (1.0 - 1e-6)), 241
-        ).tolist()
-        dpsi = [g + h_profile.prime(x) for g, x in zip(probe_slopes, probes)]
-        dpsi += [graph_prime(x) + h_profile.prime(x) for x in seam]
+        seam = np.linspace(delta / 8.0, min(2.0 * delta, s1 * (1.0 - 1e-6)), 241)
+        points = np.concatenate([probes, seam])
+        dpsi = np.concatenate([probe_slopes, graph_prime(seam)]) + h_profile.prime(points)
         worst = float(np.min(dpsi))
         if worst > 0.0:
             break
         delta /= 2.0
         h_profile = _HProfile(h_derivs, delta)
     else:
-        bad = (probes + seam)[int(np.argmin(dpsi))]
+        bad = points[int(np.argmin(dpsi))]
         raise DensityError(
             f"pushforward map fails to increase near x={bad:.6g} "
             f"(psi'={worst:.3e}); adjust the pieces or the bump"
         )
 
-    def phi_on_graph(x: float) -> float:
-        if x <= 0.0:
-            return s2
-        return _phi_partials(x, t_map(x))[0]
+    def psi(x):
+        x = np.asarray(x, dtype=float)
+        # phi(0, T(0)) = s2 in the limit
+        phi = np.where(x <= 0.0, s2, _phi_partials(x, t_map(x))[0])
+        return _result(phi + h_profile(x))
 
-    def psi(x: float) -> float:
-        return phi_on_graph(x) + h_profile(x)
-
-    def psi_prime(x: float) -> float:
-        return graph_prime(x) + h_profile.prime(x)
+    def psi_prime(x):
+        return _result(graph_prime(x) + h_profile.prime(x))
 
     tail = PushforwardTailSegment(
         lo=s2,
@@ -758,13 +735,11 @@ def _certificate(
     metadata: dict,
 ) -> ViolationCertificate:
     sa, sb = _apply_swap(ta.as_tuple(), tb.as_tuple(), template)
-    ca, cb, cs_a, cs_b = (
-        radial_cost(Radii(*t)).value for t in (ta.as_tuple(), tb.as_tuple(), sa, sb)
-    )
+    quads = tuple(Radii.of(t).as_tuple() for t in (ta.as_tuple(), tb.as_tuple(), sa, sb))
+    ca, cb, cs_a, cs_b = _radial_cost_batch(quads)[0].tolist()
     gap = (ca + cb) - (cs_a + cs_b)
     # the collinear recomputation is only meaningful when every involved
     # triple is certified collinear by the alignment condition
-    quads = (ta.as_tuple(), tb.as_tuple(), sa, sb)
     if np.all(_alignment_margin(quads) > _P_ROUNDING):
         col = (c_pi(ta.as_tuple()) + c_pi(tb.as_tuple())) - (c_pi(sa) + c_pi(sb))
     else:
@@ -807,38 +782,31 @@ def find_violation(rho: RadialDensity, epsm: EpsM | None = None) -> ViolationCer
     ddi = build_map(rho, "DDI")
     eps, m_far = epsm.eps, epsm.M
 
-    x_orbit = None
-    x = min(eps, s1) / 2.0
-    for _ in range(_WINDOW_BISECTIONS):
-        orbit = ddi.orbit(x)
-        if (
-            orbit[0] < eps
-            and s2 - eps < orbit[1] < s2
-            and s2 < orbit[2] < s2 + eps
-        ):
-            x_orbit = MongeTriple(*orbit)
-            break
-        x /= 2.0
-    if x_orbit is None:
+    # each halving ladder evaluated whole; the first orbit in its window
+    # wins.  Orbits past it may meet psi's cancellation next to s1, whose
+    # floating-point warnings are no concern of theirs.
+    steps = np.ldexp(min(eps, s1) / 2.0, -np.arange(_WINDOW_BISECTIONS))
+    # a probe rounded to s1 itself leaves the first tertile and is no hit
+    below = s1 - steps[s1 - steps < s1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x0, x1, x2 = ddi.orbit(steps)
+        y0, y1, y2 = ddi.orbit(below)
+    near = np.flatnonzero(
+        (x0 < eps) & (s2 - eps < x1) & (x1 < s2) & (s2 < x2) & (x2 < s2 + eps)
+    )
+    if not near.size:
         raise ViolationNotFound(
-            f"near-window orbit not found: last probe x={x!r} gave "
-            f"{ddi.orbit(x * 2.0)}"
+            f"near-window orbit not found: last probe x={float(steps[-1]) / 2.0!r} "
+            f"gave {ddi.orbit(float(steps[-1]))}"
         )
-
-    y_orbit = None
-    d = min(eps, s1) / 2.0
-    for _ in range(_WINDOW_BISECTIONS):
-        y = s1 - d
-        orbit = ddi.orbit(y)
-        if s1 - eps < orbit[0] and s1 < orbit[1] < s1 + eps and orbit[2] > m_far:
-            y_orbit = MongeTriple(*orbit)
-            break
-        d /= 2.0
-    if y_orbit is None:
+    far = np.flatnonzero((s1 - eps < y0) & (s1 < y1) & (y1 < s1 + eps) & (y2 > m_far))
+    if not far.size:
         raise ViolationNotFound(
-            f"far-window orbit not found: last probe y={s1 - d * 2.0!r} gave "
-            f"{ddi.orbit(s1 - d * 2.0)}"
+            f"far-window orbit not found: last probe y={float(s1 - steps[-1])!r} "
+            f"gave {ddi.orbit(float(s1 - steps[-1]))}"
         )
+    x_orbit = MongeTriple(*(float(v[near[0]]) for v in (x0, x1, x2)))
+    y_orbit = MongeTriple(*(float(v[far[0]]) for v in (y0, y1, y2)))
 
     cert = _certificate(
         pattern="DDI",
@@ -885,16 +853,15 @@ def _region_violation(rho: RadialDensity, pattern: str) -> ViolationCertificate:
 
     # the map's third power is the identity, so the map sends a third-tertile
     # mass to the first-tertile mass whose second iterate it is
-    def first_mass(x: float) -> float:
-        return smap.image_mass(rho.cdf(x), 2)
+    def first_mass(x):
+        return smap.image_mass(rho.mass_below(x), 2)
 
     m_thresh = 0.0
     for _ in range(10):
-        ends = [rho.quantile(max(m_lo, 1e-15)), rho.quantile(min(m_hi, 1.0 / 3.0 - 1e-15))]
-        a_max = max(ends)
-        img = sorted(smap(e) for e in ends)
+        ends = rho.mass_quantile([max(m_lo, 1e-15), min(m_hi, 1.0 / 3.0 - 1e-15)])
+        img = np.sort(smap(ends))
         bs = np.linspace(img[0], img[1], 129)
-        m_thresh = max(_phi_partials(a_max, float(b))[0] for b in bs) * (1.0 + 1e-6)
+        m_thresh = float(np.max(_phi_partials(ends.max(), bs)[0])) * (1.0 + 1e-6)
         # part of the interval whose second iterate clears the threshold
         m_star = first_mass(m_thresh)
         if increasing_second:
@@ -918,13 +885,12 @@ def _region_violation(rho: RadialDensity, pattern: str) -> ViolationCertificate:
 
     # pick the pair by second-iterate level: well inside the certified range
     lvl_hi, lvl_lo = 4.0 * m_thresh, 2.0 * m_thresh
-    ml, mr = sorted(first_mass(lvl) for lvl in (lvl_lo, lvl_hi))
+    ml, mr = np.sort(first_mass(np.array([lvl_lo, lvl_hi]))).tolist()
     if not (0.0 < ml < mr < 1.0 / 3.0):
         raise RegionEmpty(
             f"{pattern}: level masses ({ml!r}, {mr!r}) left the first tertile"
         )
-    ta = MongeTriple(*smap.orbit_of_mass(ml))
-    tb = MongeTriple(*smap.orbit_of_mass(mr))
+    ta, tb = (MongeTriple(*t) for t in np.stack(smap.orbit_of_mass([ml, mr]), 1).tolist())
 
     template = _REGION_TEMPLATES[pattern]
     # implied collinear positions: middle coordinates reflected across 0

@@ -17,22 +17,27 @@ sitting exactly at a gap boundary resolves to the left endpoint of the
 gap.  A RadialDensity adds validation on top: total mass must be 1 within
 1e-10 at construction time.
 
-Polynomial pieces are evaluated on plain floats by a scalar Horner loop,
-the density in x and its antiderivative in t = x - lo, the piece's own
-left end (the pp-form), so a partial mass never cancels against anti(lo).
+Segments and stacks work elementwise on float64 arrays, and a float
+argument gives a float; each stack method evaluates every segment once, on
+the lanes it holds.  RadialDensity's ``pdf``, ``cdf`` and ``quantile`` take
+and return one float; array callers use ``mass_below`` and
+``mass_quantile``.  Polynomial pieces are evaluated by Horner's rule, the
+density in x and its antiderivative in t = x - lo, the piece's own left
+end (the pp-form), so a partial mass never cancels against anti(lo).
 
 Quantiles of constant and linear pieces are closed form; higher degrees,
-table pieces and the tail inverse share one Brent solve, ``_brent``, at
-one tolerance.  Segments reject non-finite inputs and any mass that is
-not finite and positive, so a NaN never reaches the cumulative stack.
+table pieces and the tail inverse share one root solver,
+``_solve_increasing``: safeguarded Newton steps in lockstep over the
+lanes, each stopping at the forward-error floor of its function.  The tail
+brackets its inverse from a table of the forward map made at construction.
+Segments reject non-finite inputs and any mass that is not finite and
+positive, so a NaN never reaches the cumulative stack.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,7 +55,10 @@ __all__ = [
 ]
 
 _MASS_TOL = 1e-10
-_QUANTILE_XTOL = 1e-14
+# relative rounding of f(x) and of x itself: a root is resolved once a
+# Newton step is below this times |x| + |target| / f'(x)
+_ROUNDING = 8.9e-16
+_MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -73,21 +81,59 @@ def _real_roots_in(coeffs_poly: np.polynomial.Polynomial, lo: float, hi: float):
     return out
 
 
-def _brent(f: Callable[[float], float], target: float, lo: float, hi: float) -> float:
-    """The root of f(x) = target on [lo, hi] by Brent's method, to the
-    quantile tolerance; f must be monotone and bracket target."""
-    from scipy.optimize import brentq
-    return float(
-        brentq(lambda x: f(x) - target, lo, hi, xtol=_QUANTILE_XTOL, rtol=8.9e-16)
-    )
+def _result(a):
+    """a, or a float where a is 0-d: a float argument gives a float."""
+    return float(a) if np.ndim(a) == 0 else a
 
 
-def _horner(coeffs: tuple[float, ...], x: float) -> float:
-    """The polynomial with ascending coefficients coeffs at x."""
-    acc = coeffs[-1]
+def _horner(coeffs: tuple[float, ...], x):
+    """The polynomial with ascending coefficients coeffs at each x."""
+    acc = np.full(np.shape(x), coeffs[-1])
     for c in coeffs[-2::-1]:
         acc = c + acc * x
     return acc
+
+
+def _solve_increasing(f, fprime, target, lo, hi, start) -> np.ndarray:
+    """The x in [lo, hi] with f(x) = target, for each lane of the arrays
+    target, lo, hi and start, where f is increasing with
+    f(lo) <= target <= f(hi).
+
+    Newton steps run in lockstep over the lanes still active, from start;
+    a step that leaves its lane's bracket, or meets a slope that is not
+    positive, is a bisection instead.  A lane stops when its Newton step
+    is within the forward-error floor _ROUNDING * (|x| + |target| / f'(x)),
+    or when it stops moving.
+    """
+    target = np.asarray(target, dtype=float)
+    lo = np.full(target.shape, lo, dtype=float)
+    hi = np.full(target.shape, hi, dtype=float)
+    x = np.array(start, dtype=float)
+    act = np.arange(target.size)
+    for _ in range(_MAX_STEPS):
+        xa, ta = x[act], target[act]
+        r = f(xa) - ta
+        d = fprime(xa)
+        la = lo[act] = np.where(r < 0.0, xa, lo[act])
+        ha = hi[act] = np.where(r > 0.0, xa, hi[act])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = r / d
+            floor = _ROUNDING * (np.abs(xa) + np.abs(ta) / d)
+        xn = xa - step
+        newton = (d > 0.0) & (la <= xn) & (xn <= ha)
+        xn = x[act] = np.where(r == 0.0, xa, np.where(newton, xn, (la + ha) / 2.0))
+        # a lane that no longer moves is done as well
+        act = act[~((xn == xa) | (newton & (np.abs(step) <= floor)))]
+        if act.size == 0:
+            break
+    return x
+
+
+def _mass_root(seg, m, mass_below) -> np.ndarray:
+    """The point of a bounded segment below which it holds mass m, for
+    each m in (0, seg.mass), from the secant start."""
+    start = seg.lo + m / seg.mass * (seg.hi - seg.lo)
+    return _solve_increasing(mass_below, seg.pdf, m, seg.lo, seg.hi, start)
 
 
 class PolySegment:
@@ -99,15 +145,16 @@ class PolySegment:
     the smallest of those values is kept as ``minimum``.
 
     The density (in x) and its antiderivative (in t = x - lo, zero at
-    t = 0) are coefficient tuples evaluated by the scalar Horner loop;
-    numpy's Polynomial only supplies the shifted antiderivative and the
-    critical points at construction.
+    t = 0) are coefficient tuples evaluated by Horner's rule; numpy's
+    Polynomial only supplies the shifted antiderivative and the critical
+    points at construction.
 
     quantile_within inverts mass_below: a constant piece by division, a
     linear piece by the quadratic root t = 2m / (p + sqrt(p^2 + 2qm))
     with p the density at lo and q the slope (no cancellation, and it
-    covers q = 0 and p = 0), and higher degrees by Brent followed by two
-    Newton polish steps against mass_below.
+    covers q = 0 and p = 0), and higher degrees by ``_solve_increasing``
+    with the density as the slope and the residual in extended precision
+    (np.longdouble, plain float64 where the platform has nothing wider).
     """
 
     kind = "poly"
@@ -123,13 +170,20 @@ class PolySegment:
         if not all(math.isfinite(c) for c in self.coeffs):
             raise DensityError(f"non-finite poly coefficients {self.coeffs}")
         poly = np.polynomial.Polynomial(self.coeffs)
-        local = poly(np.polynomial.Polynomial([self.lo, 1.0]))
-        self._anti = tuple(float(c) for c in local.integ().coef)
-        self.mass = _horner(self._anti, self.hi - self.lo)
-        crit = _real_roots_in(poly.deriv(), self.lo, self.hi)
-        vals = [_horner(self.coeffs, x) for x in [self.lo, self.hi, *crit]]
-        self.minimum = min(vals)
-        if self.minimum < -1e-12 * max(1.0, max(abs(v) for v in vals)):
+        # coefficients near the float limit overflow here: an infinite
+        # coefficient, mass or value is rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            local = poly(np.polynomial.Polynomial([self.lo, 1.0]))
+            self._anti = tuple(float(c) for c in local.integ().coef)
+            slope = poly.deriv()
+            if not np.all(np.isfinite([*self._anti, *slope.coef])):
+                raise DensityError(f"poly segment coefficients {self.coeffs} overflow")
+            crit = _real_roots_in(slope, self.lo, self.hi)
+            self.mass = float(_horner(self._anti, self.hi - self.lo))
+            vals = _horner(self.coeffs, np.array([self.lo, self.hi, *crit]))
+            self.minimum = float(vals.min())
+            top = float(np.abs(vals).max())
+        if self.minimum < -1e-12 * max(1.0, top):
             raise DensityError(
                 f"poly segment dips negative on [{self.lo}, {self.hi}] "
                 f"(min value {self.minimum:.3e})"
@@ -139,36 +193,35 @@ class PolySegment:
                 f"poly segment mass {self.mass!r} is not finite and positive"
             )
 
-    def pdf(self, x: float) -> float:
-        return max(_horner(self.coeffs, x), 0.0)
+    def pdf(self, x):
+        v = _horner(self.coeffs, np.asarray(x, dtype=float))
+        return _result(np.where(v < 0.0, 0.0, v))
 
-    def mass_below(self, x: float) -> float:
-        if x <= self.lo:
-            return 0.0
-        if x >= self.hi:
-            return self.mass
-        return min(max(_horner(self._anti, x - self.lo), 0.0), self.mass)
+    def mass_below(self, x):
+        # at lo the antiderivative is exactly 0 and at hi exactly the mass
+        t = np.clip(np.asarray(x, dtype=float), self.lo, self.hi) - self.lo
+        return _result(np.clip(_horner(self._anti, t), 0.0, self.mass))
 
-    def quantile_within(self, m: float) -> float:
-        m = min(max(m, 0.0), self.mass)
-        if m == 0.0:
-            return self.lo
-        if m == self.mass:
-            return self.hi
+    def _long_mass_below(self, x):
+        return _horner(self._anti, np.asarray(x, dtype=np.longdouble) - self.lo)
+
+    def quantile_within(self, m):
+        m = np.clip(np.asarray(m, dtype=float), 0.0, self.mass)
+        x = np.where(m == 0.0, self.lo, self.hi)
+        inner = (m > 0.0) & (m < self.mass)
+        mi = m[inner]
         if len(self.coeffs) == 1:
-            return self.lo + m / self.coeffs[0]
-        if len(self.coeffs) == 2:
+            x[inner] = self.lo + mi / self.coeffs[0]
+        elif len(self.coeffs) == 2:
             # p*t + q*t^2/2 = m in t = x - lo, by the root that does not cancel
-            p, q = _horner(self.coeffs, self.lo), self.coeffs[1]
-            t = 2.0 * m / (p + math.sqrt(max(p * p + 2.0 * q * m, 0.0)))
-            return min(max(self.lo + t, self.lo), self.hi)
-        x = _brent(self.mass_below, m, self.lo, self.hi)
-        # two Newton polish steps where the density is bounded away from 0
-        for _ in range(2):
-            d = self.pdf(x)
-            if d > 1e-12:
-                x = min(max(x - (self.mass_below(x) - m) / d, self.lo), self.hi)
-        return x
+            p, q = float(_horner(self.coeffs, self.lo)), self.coeffs[1]
+            t = 2.0 * mi / (p + np.sqrt(np.maximum(p * p + 2.0 * q * mi, 0.0)))
+            x[inner] = np.clip(self.lo + t, self.lo, self.hi)
+        elif mi.size:
+            # the residual in extended precision where the platform has it,
+            # so that the rounding of mass_below does not limit the root
+            x[inner] = _mass_root(self, mi, self._long_mass_below)
+        return _result(x)
 
 
 class TableSegment:
@@ -191,6 +244,10 @@ class TableSegment:
             raise DensityError("table segment x grid must be strictly increasing")
         if np.any(ds < 0):
             raise DensityError("table segment density values must be >= 0")
+        with np.errstate(over="ignore"):
+            slopes = np.diff(ds) / np.diff(xs)
+        if not np.all(np.isfinite(slopes)):
+            raise DensityError("table segment secant slopes overflow")
         self.lo = float(xs[0])
         self.hi = float(xs[-1])
         self.x = xs
@@ -205,25 +262,22 @@ class TableSegment:
                 f"table segment mass {self.mass!r} is not finite and positive"
             )
 
-    def pdf(self, x: float) -> float:
-        if x < self.lo or x > self.hi:
-            return 0.0
-        return max(float(self._interp(x)), 0.0)
+    def pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        v = self._interp(np.clip(x, self.lo, self.hi))
+        return _result(np.where((x < self.lo) | (x > self.hi) | (v < 0.0), 0.0, v))
 
-    def mass_below(self, x: float) -> float:
-        if x <= self.lo:
-            return 0.0
-        if x >= self.hi:
-            return self.mass
-        return min(max(float(self._anti(x)), 0.0), self.mass)
+    def mass_below(self, x):
+        x = np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
+        return _result(np.clip(self._anti(x), 0.0, self.mass))
 
-    def quantile_within(self, m: float) -> float:
-        m = min(max(m, 0.0), self.mass)
-        if m == 0.0:
-            return self.lo
-        if m == self.mass:
-            return self.hi
-        return _brent(self.mass_below, m, self.lo, self.hi)
+    def quantile_within(self, m):
+        m = np.clip(np.asarray(m, dtype=float), 0.0, self.mass)
+        x = np.where(m == 0.0, self.lo, self.hi)
+        inner = (m > 0.0) & (m < self.mass)
+        if np.any(inner):
+            x[inner] = _mass_root(self, m[inner], self.mass_below)
+        return _result(x)
 
 
 class PushforwardTailSegment:
@@ -233,10 +287,16 @@ class PushforwardTailSegment:
     forward maps the source variable x in [0, x_hi) to the tail variable
     y in [lo, inf), strictly increasing with forward(x) -> inf as
     x -> x_hi.  source_mass_below and source_quantile describe the source
-    mass being pushed (total source_mass).  Tail values follow from the
-    change of variables pdf(y) = source_pdf(x) / forward'(x) at
-    x = forward^{-1}(y); quantiles are forward images of source quantiles,
-    which keeps them exact.
+    mass being pushed (total source_mass).  All five callables work
+    elementwise on arrays.  Tail values follow from the change of
+    variables pdf(y) = source_pdf(x) / forward'(x) at x = forward^{-1}(y);
+    quantiles are forward images of source quantiles, which keeps them
+    exact.
+
+    The inverse is bracketed from forward tabulated once, at construction,
+    at x_hi (1 - 2^-k) for k = 1, 2, ... below x_hi: y falls between the
+    last point whose running maximum is below y and the next one.  y above
+    the largest finite table value cannot be bracketed.
     """
 
     kind = "pushforward-tail"
@@ -247,16 +307,15 @@ class PushforwardTailSegment:
         lo: float,
         source_mass: float,
         x_hi: float,
-        forward: Callable[[float], float],
-        forward_prime: Callable[[float], float],
-        source_pdf: Callable[[float], float],
-        source_mass_below: Callable[[float], float],
-        source_quantile: Callable[[float], float],
+        forward: Callable,
+        forward_prime: Callable,
+        source_pdf: Callable,
+        source_mass_below: Callable,
+        source_quantile: Callable,
     ):
         self.lo = float(lo)
         self.hi = math.inf
         self.mass = float(source_mass)
-        self._x_hi = float(x_hi)
         self._forward = forward
         self._forward_prime = forward_prime
         self._source_pdf = source_pdf
@@ -266,53 +325,72 @@ class PushforwardTailSegment:
             raise DensityError(
                 f"tail segment mass {self.mass!r} is not finite and positive"
             )
+        x_hi = float(x_hi)
+        xs = x_hi - np.ldexp(x_hi, -np.arange(1, 64))
+        xs = xs[xs < x_hi]
+        # forward may overflow or cancel next to x_hi; such points never
+        # bracket anything
+        with np.errstate(all="ignore"):
+            fs = np.asarray(forward(xs), dtype=float)
+        fs = np.where(np.isfinite(fs), fs, -np.inf)
+        self._xs = np.concatenate([[0.0], xs])
+        self._fs = np.concatenate([[self.lo], fs])
+        self._top = np.maximum.accumulate(self._fs)
 
-    def inverse(self, y: float) -> float:
-        """Source point mapping to tail point y; bracketed bisection plus
-        Brent refinement against the increasing forward map."""
-        if y <= self.lo:
-            return 0.0
-        lo_x, hi_x = 0.0, self._x_hi
-        width = self._x_hi / 2.0
-        # walk the bracket toward the blow-up end until forward exceeds y
-        for _ in range(200):
-            cand = self._x_hi - width
-            f = self._forward(cand)
-            if f >= y:
-                hi_x = cand
-                break
-            lo_x = cand
-            width /= 2.0
-        else:
-            raise DensityError(f"tail inverse failed to bracket y={y!r}")
-        return _brent(self._forward, y, lo_x, hi_x)
+    def inverse(self, y):
+        """Source point mapping to each tail point y, 0 at or below lo;
+        bracketed from the table and solved by ``_solve_increasing``."""
+        y = np.asarray(y, dtype=float)
+        j = np.searchsorted(self._top, y)
+        inner = ~(y <= self.lo)
+        bad = inner & (j == self._top.size)
+        if np.any(bad):
+            raise DensityError(
+                f"tail inverse failed to bracket y={float(y[bad].flat[0])!r}"
+            )
+        x = np.zeros(y.shape)
+        if np.any(inner):
+            y, j = y[inner], j[inner]
+            lo, hi = self._xs[j - 1], self._xs[j]
+            # secant start between the table values (the midpoint past a
+            # non-finite one), and hi where y is the table value there
+            f_lo, f_hi = self._fs[j - 1], self._fs[j]
+            with np.errstate(invalid="ignore"):
+                t = (y - f_lo) / (f_hi - f_lo)
+            start = np.where(y < f_hi, lo + np.where(t >= 0.0, t, 0.5) * (hi - lo), hi)
+            x[inner] = _solve_increasing(
+                self._forward, self._forward_prime, y, lo, hi, start
+            )
+        return _result(x)
 
-    def pdf(self, y: float) -> float:
-        if y < self.lo:
-            return 0.0
-        x = self.inverse(y)
-        dp = self._forward_prime(x)
-        if dp <= 0.0:
-            raise DensityError("pushforward map is not increasing at the probe")
-        return self._source_pdf(x) / dp
+    def pdf(self, y):
+        y = np.asarray(y, dtype=float)
+        out = np.zeros(y.shape)
+        on = ~(y < self.lo)
+        if np.any(on):
+            x = self.inverse(y[on])
+            dp = self._forward_prime(x)
+            if not np.all(dp > 0.0):
+                raise DensityError("pushforward map is not increasing at the probe")
+            out[on] = self._source_pdf(x) / dp
+        return _result(out)
 
-    def mass_below(self, y: float) -> float:
-        if y <= self.lo:
-            return 0.0
-        return min(max(self._source_mass_below(self.inverse(y)), 0.0), self.mass)
+    def mass_below(self, y):
+        m = self._source_mass_below(self.inverse(y))
+        return _result(np.clip(m, 0.0, self.mass))
 
-    def quantile_within(self, m: float) -> float:
-        m = min(max(m, 0.0), self.mass)
-        if m == 0.0:
-            return self.lo
-        if m == self.mass:
-            return math.inf
-        return float(self._forward(self._source_quantile(m)))
+    def quantile_within(self, m):
+        m = np.clip(np.asarray(m, dtype=float), 0.0, self.mass)
+        x = np.where(m == 0.0, self.lo, math.inf)
+        inner = (m > 0.0) & (m < self.mass)
+        if np.any(inner):
+            x[inner] = self._forward(self._source_quantile(m[inner]))
+        return _result(x)
 
 
 class SegmentStack:
     """Cumulative mass over ordered disjoint segments: pointwise density,
-    mass below a point and the lower mass quantile.
+    mass below a point and the lower mass quantile, elementwise.
 
     Segments must come sorted by their left ends; gaps between them carry
     no mass.  The total is whatever the segments carry, so a stack may
@@ -322,36 +400,48 @@ class SegmentStack:
 
     def __init__(self, segments: Sequence):
         self.segments = tuple(segments)
-        # plain floats summed in order, bit for bit numpy's cumsum; a list,
-        # so that RadialDensity can pin the total to exactly 1
-        self._cum = [0.0, *accumulate(s.mass for s in self.segments)]
-        self._los = [s.lo for s in self.segments]
+        # summed in order, so RadialDensity can pin the last entry to 1
+        self._cum = np.concatenate([[0.0], np.cumsum([s.mass for s in self.segments])])
+        self._los = np.array([s.lo for s in self.segments])
 
     @property
     def total(self) -> float:
-        return self._cum[-1]
+        return float(self._cum[-1])
 
-    def pdf(self, x: float) -> float:
-        x = float(x)
-        i = bisect_right(self._los, x) - 1
-        if i < 0:
-            return 0.0
-        seg = self.segments[i]
-        if x > seg.hi:
-            return 0.0
-        return seg.pdf(x)
+    def _lanes(self, index):
+        """Each segment with the mask of the lanes index assigns to it."""
+        for k, seg in enumerate(self.segments):
+            lanes = index == k
+            if np.any(lanes):
+                yield k, seg, lanes
 
-    def mass_below(self, x: float) -> float:
-        i = bisect_right(self._los, x) - 1
-        if i < 0:
-            return 0.0
-        return self._cum[i] + self.segments[i].mass_below(x)
+    def pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape)
+        for _, seg, lanes in self._lanes(np.searchsorted(self._los, x, "right") - 1):
+            lanes &= ~(x > seg.hi)
+            out[lanes] = seg.pdf(x[lanes])
+        return _result(out)
 
-    def mass_quantile(self, m: float) -> float:
-        """Lower quantile of mass m, clamped to [0, total]."""
-        m = min(max(m, 0.0), self.total)
-        i = min(bisect_left(self._cum, m, 1) - 1, len(self.segments) - 1)
-        return self.segments[i].quantile_within(m - self._cum[i])
+    def mass_below(self, x):
+        """Mass below each x, at most the total."""
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape)
+        for k, seg, lanes in self._lanes(np.searchsorted(self._los, x, "right") - 1):
+            out[lanes] = self._cum[k] + seg.mass_below(x[lanes])
+        return _result(np.minimum(out, self._cum[-1]))
+
+    def mass_quantile(self, m):
+        """Lower quantile of each mass m, clamped to [0, total]: the first
+        segment whose cumulative mass reaches m answers it."""
+        m = np.clip(np.asarray(m, dtype=float), 0.0, self._cum[-1])
+        index = np.minimum(
+            np.maximum(np.searchsorted(self._cum, m), 1) - 1, len(self.segments) - 1
+        )
+        out = np.empty(m.shape)
+        for k, seg, lanes in self._lanes(index):
+            out[lanes] = seg.quantile_within(m[lanes] - self._cum[k])
+        return _result(out)
 
 
 class RadialDensity(SegmentStack):
@@ -390,8 +480,11 @@ class RadialDensity(SegmentStack):
     def support_hi(self) -> float:
         return self.segments[-1].hi
 
+    def pdf(self, x: float) -> float:
+        return float(super().pdf(float(x)))
+
     def cdf(self, x: float) -> float:
-        return min(self.mass_below(float(x)), 1.0)
+        return float(self.mass_below(float(x)))
 
     def quantile(self, p: float) -> float:
         """Lower quantile inf{x : F(x) >= p}; p=0 gives the support's left
@@ -399,9 +492,15 @@ class RadialDensity(SegmentStack):
         p = float(p)
         if not 0.0 <= p <= 1.0:
             raise DensityError(f"quantile needs p in [0, 1], got {p!r}")
-        if p == 1.0:
-            return self.support_hi
-        return self.mass_quantile(p)
+        return float(self.mass_quantile(p))
+
+    def mass_quantile(self, m):
+        """Lower quantile of each mass m, clamped to [0, 1]; a mass of 1
+        gives the support's right end (inf for an unbounded tail)."""
+        m = np.asarray(m, dtype=float)
+        top = m >= 1.0
+        q = super().mass_quantile(np.where(top, 0.0, m))
+        return _result(np.where(top, self.support_hi, q))
 
     def tertiles(self) -> Tertiles:
         s1 = self.quantile(1.0 / 3.0)

@@ -24,10 +24,11 @@ three-marginal problem.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from .density import RadialDensity, Tertiles
+import numpy as np
+
+from .density import RadialDensity, Tertiles, _result
 
 __all__ = ["PATTERNS", "SeidlMap", "MapDiagnostics", "build_map", "check_map"]
 
@@ -47,45 +48,39 @@ class SeidlMap:
     pattern: str
     tertiles: Tertiles
 
-    def branch_index(self, x: float) -> int:
-        if x < self.tertiles.s1:
-            return 0
-        if x < self.tertiles.s2:
-            return 1
-        return 2
+    def branch_index(self, x):
+        """Tertile index of each x: 0 below s1, 1 below s2, else 2."""
+        return np.searchsorted((self.tertiles.s1, self.tertiles.s2), x, "right")
 
-    def image_mass(self, u: float, branch: int) -> float:
-        """Image of mass coordinate u under the branch's letter formula."""
-        t = u - branch / 3.0
-        t = min(max(t, 0.0), 1.0 / 3.0)
-        base = ((branch + 1) % 3) / 3.0
-        if self.pattern[branch] == "I":
-            v = base + t
-        else:
-            v = base + (1.0 / 3.0 - t)
-        return min(max(v, 0.0), 1.0)
+    def image_mass(self, u, branch):
+        """Image of each mass coordinate u under its branch's letter formula."""
+        t = np.clip(np.asarray(u, dtype=float) - np.divide(branch, 3.0), 0.0, 1.0 / 3.0)
+        base = np.remainder(np.add(branch, 1), 3) / 3.0
+        increasing = np.take([c == "I" for c in self.pattern], branch)
+        v = np.where(increasing, base + t, base + (1.0 / 3.0 - t))
+        return _result(np.clip(v, 0.0, 1.0))
 
-    def __call__(self, x: float) -> float:
-        b = self.branch_index(x)
-        u = self.density.cdf(x)
-        return self.density.quantile(self.image_mass(u, b))
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        v = self.image_mass(self.density.mass_below(x), self.branch_index(x))
+        return self.density.mass_quantile(v)
 
-    def iterate(self, x: float, k: int) -> float:
+    def iterate(self, x, k: int):
         for _ in range(k):
             x = self(x)
         return x
 
-    def orbit(self, x: float) -> tuple[float, float, float]:
+    def orbit(self, x):
         tx = self(x)
-        return (x, tx, self(tx))
+        return (_result(x), tx, self(tx))
 
-    def orbit_of_mass(self, m: float) -> tuple[float, float, float]:
-        """Orbit of the first-tertile mass m in [0, 1/3]: the quantiles of
+    def orbit_of_mass(self, m):
+        """Orbit of each first-tertile mass m in [0, 1/3]: the quantiles of
         m and of its two images under the letter formulas, with no cdf
         taken, so the endpoints m = 0 and m = 1/3 continue the orbit to
         the tertile boundaries."""
         u = self.image_mass(m, 0)
-        q = self.density.quantile
+        q = self.density.mass_quantile
         return (q(m), q(u), q(self.image_mass(u, 1)))
 
 
@@ -128,44 +123,37 @@ def check_map(seidl_map: SeidlMap, n_probe: int = 999) -> MapDiagnostics:
     if n_probe < 1:
         raise ValueError(f"check_map needs at least 1 probe, got {n_probe}")
     rho = seidl_map.density
-    violations: list[str] = []
-    max_cycle = 0.0
-    max_push = 0.0
-    cycle_ok = True
-    per_branch_pts: dict[int, list[tuple[float, float]]] = {0: [], 1: [], 2: []}
+    p = (np.arange(n_probe) + 0.5) / n_probe
+    x = rho.mass_quantile(p)
+    b = np.minimum((3.0 * p).astype(int), 2)
+    tx = seidl_map(x)
+    err_push = np.abs(rho.mass_below(tx) - seidl_map.image_mass(p, b))
+    err_cycle = np.abs(seidl_map.iterate(tx, 2) - x)
+    cycle_bad = err_cycle > _CYCLE_TOL * np.maximum(1.0, np.abs(x))
+    push_bad = err_push > _PUSHFORWARD_TOL
+    # NaN errors are never a maximum, as in a running max() from 0
+    max_cycle = float(np.fmax.reduce(err_cycle, initial=0.0))
+    max_push = float(np.fmax.reduce(err_push, initial=0.0))
 
-    for k in range(n_probe):
-        p = (k + 0.5) / n_probe
-        x = rho.quantile(p)
-        b = min(int(3.0 * p), 2)
-        tx = seidl_map(x)
-        err_push = abs(rho.cdf(tx) - seidl_map.image_mass(p, b))
-        max_push = max(max_push, err_push)
-        err_cycle = abs(seidl_map.iterate(tx, 2) - x)
-        max_cycle = max(max_cycle, err_cycle)
-        if err_cycle > _CYCLE_TOL * max(1.0, abs(x)):
-            cycle_ok = False
-            violations.append(f"cycle error {err_cycle:.3e} at mass {p:.6f}")
-        if err_push > _PUSHFORWARD_TOL:
-            violations.append(f"pushforward error {err_push:.3e} at mass {p:.6f}")
-        per_branch_pts[b].append((x, tx))
+    violations: list[str] = []
+    for k in np.flatnonzero(cycle_bad | push_bad):
+        if cycle_bad[k]:
+            violations.append(f"cycle error {err_cycle[k]:.3e} at mass {p[k]:.6f}")
+        if push_bad[k]:
+            violations.append(f"pushforward error {err_push[k]:.3e} at mass {p[k]:.6f}")
 
     monotone = []
-    for b in range(3):
-        pts = per_branch_pts[b]
-        want_increasing = seidl_map.pattern[b] == "I"
-        ok = True
-        for (x0, t0), (x1, t1) in zip(pts, pts[1:]):
-            if x1 <= x0:
-                continue
-            d = t1 - t0
-            if want_increasing and d < -1e-12:
-                ok = False
-            if not want_increasing and d > 1e-12:
-                ok = False
+    for branch in range(3):
+        # consecutive probes of the branch whose points strictly increase
+        xs, ts = x[b == branch], tx[b == branch]
+        d = np.diff(ts)[np.diff(xs) > 0.0]
+        if seidl_map.pattern[branch] == "I":
+            ok = not np.any(d < -1e-12)
+        else:
+            ok = not np.any(d > 1e-12)
         if not ok:
             violations.append(
-                f"branch {b} not monotone in direction {seidl_map.pattern[b]}"
+                f"branch {branch} not monotone in direction {seidl_map.pattern[branch]}"
             )
         monotone.append(ok)
 
@@ -174,7 +162,7 @@ def check_map(seidl_map: SeidlMap, n_probe: int = 999) -> MapDiagnostics:
         max_cycle_error=max_cycle,
         max_pushforward_error=max_push,
         monotone_ok=tuple(monotone),
-        cycle_ok=cycle_ok,
+        cycle_ok=not np.any(cycle_bad),
         pushforward_ok=max_push <= _PUSHFORWARD_TOL,
         violations=tuple(violations),
     )

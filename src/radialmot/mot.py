@@ -201,7 +201,7 @@ def discretize(rho: RadialDensity, n: int) -> DiscreteProblem:
     atom triple, the angular minima of one kernel batch."""
     if n < 1:
         raise ValueError("need at least one atom")
-    atoms = np.array([rho.quantile((k + 0.5) / n) for k in range(n)])
+    atoms = rho.mass_quantile((np.arange(n) + 0.5) / n)
     triples = _sorted_triples(n)
     # infinite where two radii vanish
     values = _radial_cost_batch(atoms[triples])[0]
@@ -352,9 +352,8 @@ class MongeCostResult:
 
 def graph_triples(seidl_map: SeidlMap, n: int) -> tuple[MongeTriple, ...]:
     """Orbits started from n quantile midpoints of the first tertile."""
-    return tuple(
-        MongeTriple(*seidl_map.orbit_of_mass((j + 0.5) / (3.0 * n))) for j in range(n)
-    )
+    orbits = seidl_map.orbit_of_mass((np.arange(n) + 0.5) / (3.0 * n))
+    return tuple(MongeTriple(*t) for t in np.stack(orbits, axis=1).tolist())
 
 
 def monge_cost(seidl_map: SeidlMap, n: int = 64) -> MongeCostResult:

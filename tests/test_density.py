@@ -243,8 +243,10 @@ class TestSegmentStack:
 
 
 def _blow_up(x):
-    """An increasing map of [0, 1) onto [1, inf)."""
-    return 1.0 + x / (1.0 - x) if x < 1.0 else math.inf
+    """An increasing map of [0, 1) onto [1, inf), elementwise."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(x < 1.0, 1.0 + x / (1.0 - x), math.inf)
 
 
 def _tail(forward):
