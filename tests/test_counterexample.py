@@ -281,6 +281,22 @@ class TestJets:
         )
         assert out.stdout.strip() == "False"
 
+    def test_build_and_map_check_leave_scipy_optimize_unloaded(self):
+        src = str(Path(radialmot.__file__).resolve().parents[1])
+        code = (
+            "import sys, radialmot as r; rho = r.example_counterexample_density(k=1); "
+            "[r.check_map(r.build_map(rho, p), 300) for p in r.PATTERNS]; "
+            "print('scipy.optimize' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "False"
+
 
 class TestBuildPins:
     """Tail builds of the seed-1 cex-build benchmark round.  delta, plateau,
@@ -507,6 +523,20 @@ class TestRefutation:
             assert md["line_strictly_ordered"] is True
             pts = md["line_points"]
             assert all(x < y for x, y in zip(pts, pts[1:]))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_certificate_costs_equal_the_scalar_kernel_bitwise(k):
+    # _certificate evaluates its four triples in one kernel batch
+    for cert in refute_class_T(example_counterexample_density(k=k)).values():
+        triples = (
+            cert.triple_a.as_tuple(),
+            cert.triple_b.as_tuple(),
+            cert.swapped_a,
+            cert.swapped_b,
+        )
+        got = (cert.cost_a, cert.cost_b, cert.cost_swapped_a, cert.cost_swapped_b)
+        assert [v.hex() for v in got] == [radial_cost(t).value.hex() for t in triples]
 
 
 class TestClassRefutationNegative:

@@ -242,6 +242,50 @@ class TestSegmentStack:
         assert stack.mass_quantile(2.0) == 6.0
 
 
+class TestStackArrays:
+    """mass_below and mass_quantile on arrays mixing segment kinds and
+    gaps: elementwise equal to one call per lane, with the lower-inverse
+    rule at every cumulative boundary."""
+
+    @pytest.fixture(scope="class")
+    def rho(self):
+        return RadialDensity(
+            [
+                PolySegment(0.0, 1.0, [0.25]),
+                TableSegment([2.0, 2.5, 3.0], [0.25, 0.5, 0.75]),
+                # 0.75 (x - 5)^2, which vanishes at its left end
+                PolySegment(5.0, 6.0, [18.75, -7.5, 0.75]),
+            ]
+        )
+
+    def test_mass_quantile(self, rho):
+        cum = [float(c) for c in rho._cum]
+        ms = [0.0, 1.0, 0.1, 0.5, 0.9, *cum]
+        ms += [float(np.nextafter(c, d)) for c in cum[1:-1] for d in (0.0, 1.0)]
+        ms += [float(np.nextafter(0.0, 1.0)), float(np.nextafter(1.0, 0.0))]
+        got = rho.mass_quantile(ms)
+        assert got.tolist() == [rho.mass_quantile(m) for m in ms]
+        assert got.tolist() == [rho.quantile(m) for m in ms]
+        assert got[:2].tolist() == [0.0, 6.0]
+        # a mass that ends a segment resolves to that segment's right end,
+        # the next float up to the next segment
+        for k, seg in enumerate(rho.segments[:-1]):
+            assert rho.mass_quantile(cum[k + 1]) == seg.hi
+            above = rho.mass_quantile(np.nextafter(cum[k + 1], 1.0))
+            assert rho.segments[k + 1].lo <= above < rho.segments[k + 1].hi
+        # the Galois inequality F(Q(m)) >= m, up to the rounding of F
+        assert np.all(rho.mass_below(got) >= np.array(ms) - 1e-15)
+
+    def test_mass_below(self, rho):
+        xs = [-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.2, 2.5, 3.0, 4.0, 5.0, 5.5, 6.0, 7.0]
+        xs += [float(np.nextafter(x, d)) for x in (1.0, 2.0, 3.0, 5.0) for d in (0.0, 9.0)]
+        got = rho.mass_below(xs)
+        assert got.tolist() == [rho.mass_below(x) for x in xs]
+        assert got.tolist() == [rho.cdf(x) for x in xs]
+        assert np.all(np.diff(rho.mass_below(sorted(xs))) >= 0.0)
+        assert rho.mass_below([-1.0, 1.5, 4.0, 7.0]).tolist() == [0.0, 0.25, 0.75, 1.0]
+
+
 def _blow_up(x):
     """An increasing map of [0, 1) onto [1, inf), elementwise."""
     x = np.asarray(x, dtype=float)

@@ -143,3 +143,23 @@ class TestCycleToleranceRelative:
         diag = check_map(broken, n_probe=300)
         assert not diag.cycle_ok
         assert not diag.ok
+
+
+# max cycle error of check_map at 300 probes on the built-in k = 1 and
+# k = 2 examples, recorded with the scalar density layer and Brent's
+# tail inverse; the array layer must do no worse
+_CYCLE_RECORDED = {
+    "III": 2.3874235921539366e-12,
+    "DDI": 4.5929482439532876e-11,
+    "DID": 2.3874235921539366e-12,
+    "IDD": 4.5929482439532876e-11,
+}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_cycle_error_no_worse_than_recorded(k):
+    rho = example_counterexample_density(k=k)
+    for pattern, recorded in _CYCLE_RECORDED.items():
+        diag = check_map(build_map(rho, pattern), n_probe=300)
+        assert diag.ok
+        assert diag.max_cycle_error <= recorded
