@@ -129,6 +129,17 @@ def _solve_increasing(f, fprime, target, lo, hi, start) -> np.ndarray:
     return x
 
 
+def _quantile_within(seg, m, root):
+    """The lower quantile inside a segment of each mass m, clamped to
+    [0, seg.mass]: seg.lo at 0, seg.hi at the full mass, root(m) between."""
+    m = np.clip(np.asarray(m, dtype=float), 0.0, seg.mass)
+    x = np.where(m == 0.0, seg.lo, seg.hi)
+    inner = (m > 0.0) & (m < seg.mass)
+    if np.any(inner):
+        x[inner] = root(m[inner])
+    return _result(x)
+
+
 def _mass_root(seg, m, mass_below) -> np.ndarray:
     """The point of a bounded segment below which it holds mass m, for
     each m in (0, seg.mass), from the secant start."""
@@ -202,26 +213,22 @@ class PolySegment:
         t = np.clip(np.asarray(x, dtype=float), self.lo, self.hi) - self.lo
         return _result(np.clip(_horner(self._anti, t), 0.0, self.mass))
 
-    def _long_mass_below(self, x):
-        return _horner(self._anti, np.asarray(x, dtype=np.longdouble) - self.lo)
-
     def quantile_within(self, m):
-        m = np.clip(np.asarray(m, dtype=float), 0.0, self.mass)
-        x = np.where(m == 0.0, self.lo, self.hi)
-        inner = (m > 0.0) & (m < self.mass)
-        mi = m[inner]
+        return _quantile_within(self, m, self._root)
+
+    def _root(self, m):
         if len(self.coeffs) == 1:
-            x[inner] = self.lo + mi / self.coeffs[0]
-        elif len(self.coeffs) == 2:
+            return self.lo + m / self.coeffs[0]
+        if len(self.coeffs) == 2:
             # p*t + q*t^2/2 = m in t = x - lo, by the root that does not cancel
             p, q = float(_horner(self.coeffs, self.lo)), self.coeffs[1]
-            t = 2.0 * mi / (p + np.sqrt(np.maximum(p * p + 2.0 * q * mi, 0.0)))
-            x[inner] = np.clip(self.lo + t, self.lo, self.hi)
-        elif mi.size:
-            # the residual in extended precision where the platform has it,
-            # so that the rounding of mass_below does not limit the root
-            x[inner] = _mass_root(self, mi, self._long_mass_below)
-        return _result(x)
+            t = 2.0 * m / (p + np.sqrt(np.maximum(p * p + 2.0 * q * m, 0.0)))
+            return np.clip(self.lo + t, self.lo, self.hi)
+        # the residual in extended precision where the platform has it, so
+        # that the rounding of mass_below does not limit the root
+        return _mass_root(
+            self, m, lambda x: _horner(self._anti, x.astype(np.longdouble) - self.lo)
+        )
 
 
 class TableSegment:
@@ -272,12 +279,7 @@ class TableSegment:
         return _result(np.clip(self._anti(x), 0.0, self.mass))
 
     def quantile_within(self, m):
-        m = np.clip(np.asarray(m, dtype=float), 0.0, self.mass)
-        x = np.where(m == 0.0, self.lo, self.hi)
-        inner = (m > 0.0) & (m < self.mass)
-        if np.any(inner):
-            x[inner] = _mass_root(self, m[inner], self.mass_below)
-        return _result(x)
+        return _quantile_within(self, m, lambda mi: _mass_root(self, mi, self.mass_below))
 
 
 class PushforwardTailSegment:
@@ -365,27 +367,18 @@ class PushforwardTailSegment:
 
     def pdf(self, y):
         y = np.asarray(y, dtype=float)
-        out = np.zeros(y.shape)
-        on = ~(y < self.lo)
-        if np.any(on):
-            x = self.inverse(y[on])
-            dp = self._forward_prime(x)
-            if not np.all(dp > 0.0):
-                raise DensityError("pushforward map is not increasing at the probe")
-            out[on] = self._source_pdf(x) / dp
-        return _result(out)
+        x = self.inverse(y)
+        dp = self._forward_prime(x)
+        if not np.all(dp > 0.0):
+            raise DensityError("pushforward map is not increasing at the probe")
+        return _result(np.where(y < self.lo, 0.0, self._source_pdf(x) / dp))
 
     def mass_below(self, y):
         m = self._source_mass_below(self.inverse(y))
         return _result(np.clip(m, 0.0, self.mass))
 
     def quantile_within(self, m):
-        m = np.clip(np.asarray(m, dtype=float), 0.0, self.mass)
-        x = np.where(m == 0.0, self.lo, math.inf)
-        inner = (m > 0.0) & (m < self.mass)
-        if np.any(inner):
-            x[inner] = self._forward(self._source_quantile(m[inner]))
-        return _result(x)
+        return _quantile_within(self, m, lambda mi: self._forward(self._source_quantile(mi)))
 
 
 class SegmentStack:

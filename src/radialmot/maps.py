@@ -147,10 +147,8 @@ def check_map(seidl_map: SeidlMap, n_probe: int = 999) -> MapDiagnostics:
         # consecutive probes of the branch whose points strictly increase
         xs, ts = x[b == branch], tx[b == branch]
         d = np.diff(ts)[np.diff(xs) > 0.0]
-        if seidl_map.pattern[branch] == "I":
-            ok = not np.any(d < -1e-12)
-        else:
-            ok = not np.any(d > 1e-12)
+        direction = 1.0 if seidl_map.pattern[branch] == "I" else -1.0
+        ok = not np.any(direction * d < -1e-12)
         if not ok:
             violations.append(
                 f"branch {branch} not monotone in direction {seidl_map.pattern[branch]}"
