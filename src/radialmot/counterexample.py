@@ -567,10 +567,11 @@ def build_counterexample_density(
         )
     )
 
-    def graph_prime(x):
+    def graph(x):
+        """phi(x, T(x)) and its derivative along the branch graph."""
         b = t_map(x)
-        _, da, db = _phi_partials(x, b)
-        return da + db * (-stack1.pdf(x) / stack2.pdf(b))
+        phi, da, db = _phi_partials(x, b)
+        return phi, da + db * (-stack1.pdf(x) / stack2.pdf(b))
 
     # shrinking delta both restores positivity of the jet polynomial and
     # tames the blend slope, so one halving loop covers monotonicity too;
@@ -578,14 +579,14 @@ def build_counterexample_density(
     # dense probes every iteration (the global grid can straddle it).  The
     # graph slope on the fixed probes does not depend on delta: it is
     # computed once, and each halving only adds the new bump slope there.
-    probe_slopes = graph_prime(probes)
+    probe_slopes = graph(probes)[1]
     delta = _choose_delta(h_derivs, s1)
     h_profile = _HProfile(h_derivs, delta)
     worst = -math.inf
     for _ in range(_DELTA_HALVINGS):
         seam = np.linspace(delta / 8.0, min(2.0 * delta, s1 * (1.0 - 1e-6)), 241)
         points = np.concatenate([probes, seam])
-        dpsi = np.concatenate([probe_slopes, graph_prime(seam)]) + h_profile.prime(points)
+        dpsi = np.concatenate([probe_slopes, graph(seam)[1]]) + h_profile.prime(points)
         worst = float(np.min(dpsi))
         if worst > 0.0:
             break
@@ -598,21 +599,24 @@ def build_counterexample_density(
             f"(psi'={worst:.3e}); adjust the pieces or the bump"
         )
 
-    def psi(x):
+    def psi_and_prime(x):
         x = np.asarray(x, dtype=float)
+        phi, slope = graph(x)
         # phi(0, T(0)) = s2 in the limit
-        phi = np.where(x <= 0.0, s2, _phi_partials(x, t_map(x))[0])
-        return _result(phi + h_profile(x))
+        return np.where(x <= 0.0, s2, phi) + h_profile(x), slope + h_profile.prime(x)
+
+    def psi(x):
+        return _result(psi_and_prime(x)[0])
 
     def psi_prime(x):
-        return _result(graph_prime(x) + h_profile.prime(x))
+        return _result(psi_and_prime(x)[1])
 
     tail = PushforwardTailSegment(
         lo=s2,
         source_mass=1.0 / 3.0,
         x_hi=s1,
         forward=psi,
-        forward_prime=psi_prime,
+        forward_and_prime=psi_and_prime,
         source_pdf=stack1.pdf,
         source_mass_below=stack1.mass_below,
         source_quantile=stack1.mass_quantile,
@@ -765,12 +769,12 @@ def _certificate(
 def find_violation(rho: RadialDensity, epsm: EpsM | None = None) -> ViolationCertificate:
     """Monotonicity violation for the DDI branch map via window bisection.
 
-    Bisects toward x -> 0 until the orbit enters the near window
-    (0, eps) x (s2-eps, s2) x (s2, s2+eps), and toward y -> s1 until that
-    orbit enters the far window (s1-eps, s1) x (s1, s1+eps) x (M, inf);
-    swapping the first coordinates of the two orbits then lowers the
-    total cost strictly.  Raises ViolationNotFound when the bisection
-    budget runs out before both windows are hit.
+    Halves x toward 0 until the orbit enters the near window
+    (0, eps) x (s2-eps, s2) x (s2, s2+eps), and s1 - y toward 0 until that
+    orbit enters the far window (s1-eps, s1) x (s1, s1+eps) x (M, inf),
+    each ladder of halvings evaluated as one array; swapping the first
+    coordinates of the two orbits then lowers the total cost strictly.
+    Raises ViolationNotFound when a ladder misses its window.
     """
     t = rho.tertiles()
     s1, s2 = t.s1, t.s2
@@ -782,9 +786,8 @@ def find_violation(rho: RadialDensity, epsm: EpsM | None = None) -> ViolationCer
     ddi = build_map(rho, "DDI")
     eps, m_far = epsm.eps, epsm.M
 
-    # each halving ladder evaluated whole; the first orbit in its window
-    # wins.  Orbits past it may meet psi's cancellation next to s1, whose
-    # floating-point warnings are no concern of theirs.
+    # each halving ladder whole: the first orbit in its window wins, and the
+    # orbits past it may meet psi's cancellation next to s1 (warnings off)
     steps = np.ldexp(min(eps, s1) / 2.0, -np.arange(_WINDOW_BISECTIONS))
     # a probe rounded to s1 itself leaves the first tertile and is no hit
     below = s1 - steps[s1 - steps < s1]

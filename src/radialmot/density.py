@@ -88,16 +88,18 @@ def _result(a):
 
 def _horner(coeffs: tuple[float, ...], x):
     """The polynomial with ascending coefficients coeffs at each x."""
-    acc = np.full(np.shape(x), coeffs[-1])
-    for c in coeffs[-2::-1]:
+    if len(coeffs) == 1:
+        return np.full(np.shape(x), coeffs[0])
+    acc = coeffs[-2] + coeffs[-1] * x
+    for c in coeffs[-3::-1]:
         acc = c + acc * x
     return acc
 
 
-def _solve_increasing(f, fprime, target, lo, hi, start) -> np.ndarray:
+def _solve_increasing(f, target, lo, hi, start) -> np.ndarray:
     """The x in [lo, hi] with f(x) = target, for each lane of the arrays
     target, lo, hi and start, where f is increasing with
-    f(lo) <= target <= f(hi).
+    f(lo) <= target <= f(hi); f returns its values and slopes f'.
 
     Newton steps run in lockstep over the lanes still active, from start;
     a step that leaves its lane's bracket, or meets a slope that is not
@@ -112,8 +114,8 @@ def _solve_increasing(f, fprime, target, lo, hi, start) -> np.ndarray:
     act = np.arange(target.size)
     for _ in range(_MAX_STEPS):
         xa, ta = x[act], target[act]
-        r = f(xa) - ta
-        d = fprime(xa)
+        r, d = f(xa)
+        r = r - ta
         la = lo[act] = np.where(r < 0.0, xa, lo[act])
         ha = hi[act] = np.where(r > 0.0, xa, hi[act])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -122,7 +124,6 @@ def _solve_increasing(f, fprime, target, lo, hi, start) -> np.ndarray:
         xn = xa - step
         newton = (d > 0.0) & (la <= xn) & (xn <= ha)
         xn = x[act] = np.where(r == 0.0, xa, np.where(newton, xn, (la + ha) / 2.0))
-        # a lane that no longer moves is done as well
         act = act[~((xn == xa) | (newton & (np.abs(step) <= floor)))]
         if act.size == 0:
             break
@@ -132,19 +133,33 @@ def _solve_increasing(f, fprime, target, lo, hi, start) -> np.ndarray:
 def _quantile_within(seg, m, root):
     """The lower quantile inside a segment of each mass m, clamped to
     [0, seg.mass]: seg.lo at 0, seg.hi at the full mass, root(m) between."""
-    m = np.clip(np.asarray(m, dtype=float), 0.0, seg.mass)
+    m = np.asarray(m, dtype=float).clip(0.0, seg.mass)
     x = np.where(m == 0.0, seg.lo, seg.hi)
     inner = (m > 0.0) & (m < seg.mass)
-    if np.any(inner):
+    if inner.any():
         x[inner] = root(m[inner])
     return _result(x)
 
 
-def _mass_root(seg, m, mass_below) -> np.ndarray:
-    """The point of a bounded segment below which it holds mass m, for
-    each m in (0, seg.mass), from the secant start."""
-    start = seg.lo + m / seg.mass * (seg.hi - seg.lo)
-    return _solve_increasing(mass_below, seg.pdf, m, seg.lo, seg.hi, start)
+def _mass_table(seg) -> tuple[np.ndarray, np.ndarray]:
+    """17 equally spaced knots of a bounded segment, from lo to hi, and
+    the mass below each."""
+    xs = np.linspace(seg.lo, seg.hi, 17)
+    return xs, seg.mass_below(xs)
+
+
+def _table_root(f, y, xs, fs) -> np.ndarray:
+    """The root of the increasing f at each y, bracketed by the first knot
+    of xs where the running maximum of the values fs reaches y and the knot
+    before it; Newton starts at the secant point between their values (the
+    midpoint past a non-finite one, the knot itself where y is its value).
+    Needs fs[0] < y <= max(fs)."""
+    j = np.searchsorted(np.maximum.accumulate(fs), y)
+    lo, hi, f_lo, f_hi = xs[j - 1], xs[j], fs[j - 1], fs[j]
+    with np.errstate(invalid="ignore"):
+        t = (y - f_lo) / (f_hi - f_lo)
+    start = np.where(y < f_hi, lo + np.where(t >= 0.0, t, 0.5) * (hi - lo), hi)
+    return _solve_increasing(f, y, lo, hi, start)
 
 
 class PolySegment:
@@ -181,8 +196,7 @@ class PolySegment:
         if not all(math.isfinite(c) for c in self.coeffs):
             raise DensityError(f"non-finite poly coefficients {self.coeffs}")
         poly = np.polynomial.Polynomial(self.coeffs)
-        # coefficients near the float limit overflow here: an infinite
-        # coefficient, mass or value is rejected below
+        # near the float limit these overflow, and are rejected below
         with np.errstate(over="ignore", invalid="ignore"):
             local = poly(np.polynomial.Polynomial([self.lo, 1.0]))
             self._anti = tuple(float(c) for c in local.integ().coef)
@@ -203,6 +217,7 @@ class PolySegment:
             raise DensityError(
                 f"poly segment mass {self.mass!r} is not finite and positive"
             )
+        self._table = _mass_table(self)
 
     def pdf(self, x):
         v = _horner(self.coeffs, np.asarray(x, dtype=float))
@@ -210,8 +225,8 @@ class PolySegment:
 
     def mass_below(self, x):
         # at lo the antiderivative is exactly 0 and at hi exactly the mass
-        t = np.clip(np.asarray(x, dtype=float), self.lo, self.hi) - self.lo
-        return _result(np.clip(_horner(self._anti, t), 0.0, self.mass))
+        t = np.asarray(x, dtype=float).clip(self.lo, self.hi) - self.lo
+        return _result(_horner(self._anti, t).clip(0.0, self.mass))
 
     def quantile_within(self, m):
         return _quantile_within(self, m, self._root)
@@ -223,12 +238,13 @@ class PolySegment:
             # p*t + q*t^2/2 = m in t = x - lo, by the root that does not cancel
             p, q = float(_horner(self.coeffs, self.lo)), self.coeffs[1]
             t = 2.0 * m / (p + np.sqrt(np.maximum(p * p + 2.0 * q * m, 0.0)))
-            return np.clip(self.lo + t, self.lo, self.hi)
+            return (self.lo + t).clip(self.lo, self.hi)
         # the residual in extended precision where the platform has it, so
         # that the rounding of mass_below does not limit the root
-        return _mass_root(
-            self, m, lambda x: _horner(self._anti, x.astype(np.longdouble) - self.lo)
-        )
+        def f(x):
+            return _horner(self._anti, x.astype(np.longdouble) - self.lo), self.pdf(x)
+
+        return _table_root(f, m, *self._table)
 
 
 class TableSegment:
@@ -268,18 +284,22 @@ class TableSegment:
             raise DensityError(
                 f"table segment mass {self.mass!r} is not finite and positive"
             )
+        self._table = _mass_table(self)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        v = self._interp(np.clip(x, self.lo, self.hi))
+        v = self._interp(x.clip(self.lo, self.hi))
         return _result(np.where((x < self.lo) | (x > self.hi) | (v < 0.0), 0.0, v))
 
     def mass_below(self, x):
-        x = np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
-        return _result(np.clip(self._anti(x), 0.0, self.mass))
+        x = np.asarray(x, dtype=float).clip(self.lo, self.hi)
+        return _result(self._anti(x).clip(0.0, self.mass))
 
     def quantile_within(self, m):
-        return _quantile_within(self, m, lambda mi: _mass_root(self, mi, self.mass_below))
+        def f(x):
+            return self.mass_below(x), self.pdf(x)
+
+        return _quantile_within(self, m, lambda mi: _table_root(f, mi, *self._table))
 
 
 class PushforwardTailSegment:
@@ -289,7 +309,8 @@ class PushforwardTailSegment:
     forward maps the source variable x in [0, x_hi) to the tail variable
     y in [lo, inf), strictly increasing with forward(x) -> inf as
     x -> x_hi.  source_mass_below and source_quantile describe the source
-    mass being pushed (total source_mass).  All five callables work
+    mass being pushed (total source_mass); forward_and_prime returns
+    forward and its derivative together.  All five callables work
     elementwise on arrays.  Tail values follow from the change of
     variables pdf(y) = source_pdf(x) / forward'(x) at x = forward^{-1}(y);
     quantiles are forward images of source quantiles, which keeps them
@@ -310,7 +331,7 @@ class PushforwardTailSegment:
         source_mass: float,
         x_hi: float,
         forward: Callable,
-        forward_prime: Callable,
+        forward_and_prime: Callable,
         source_pdf: Callable,
         source_mass_below: Callable,
         source_quantile: Callable,
@@ -319,7 +340,7 @@ class PushforwardTailSegment:
         self.hi = math.inf
         self.mass = float(source_mass)
         self._forward = forward
-        self._forward_prime = forward_prime
+        self._forward_and_prime = forward_and_prime
         self._source_pdf = source_pdf
         self._source_mass_below = source_mass_below
         self._source_quantile = source_quantile
@@ -337,45 +358,33 @@ class PushforwardTailSegment:
         fs = np.where(np.isfinite(fs), fs, -np.inf)
         self._xs = np.concatenate([[0.0], xs])
         self._fs = np.concatenate([[self.lo], fs])
-        self._top = np.maximum.accumulate(self._fs)
 
     def inverse(self, y):
         """Source point mapping to each tail point y, 0 at or below lo;
         bracketed from the table and solved by ``_solve_increasing``."""
         y = np.asarray(y, dtype=float)
-        j = np.searchsorted(self._top, y)
         inner = ~(y <= self.lo)
-        bad = inner & (j == self._top.size)
-        if np.any(bad):
+        bad = inner & ~(y <= self._fs.max())
+        if bad.any():
             raise DensityError(
                 f"tail inverse failed to bracket y={float(y[bad].flat[0])!r}"
             )
         x = np.zeros(y.shape)
-        if np.any(inner):
-            y, j = y[inner], j[inner]
-            lo, hi = self._xs[j - 1], self._xs[j]
-            # secant start between the table values (the midpoint past a
-            # non-finite one), and hi where y is the table value there
-            f_lo, f_hi = self._fs[j - 1], self._fs[j]
-            with np.errstate(invalid="ignore"):
-                t = (y - f_lo) / (f_hi - f_lo)
-            start = np.where(y < f_hi, lo + np.where(t >= 0.0, t, 0.5) * (hi - lo), hi)
-            x[inner] = _solve_increasing(
-                self._forward, self._forward_prime, y, lo, hi, start
-            )
+        if inner.any():
+            x[inner] = _table_root(self._forward_and_prime, y[inner], self._xs, self._fs)
         return _result(x)
 
     def pdf(self, y):
         y = np.asarray(y, dtype=float)
         x = self.inverse(y)
-        dp = self._forward_prime(x)
+        dp = self._forward_and_prime(x)[1]
         if not np.all(dp > 0.0):
             raise DensityError("pushforward map is not increasing at the probe")
         return _result(np.where(y < self.lo, 0.0, self._source_pdf(x) / dp))
 
     def mass_below(self, y):
         m = self._source_mass_below(self.inverse(y))
-        return _result(np.clip(m, 0.0, self.mass))
+        return _result(np.asarray(m).clip(0.0, self.mass))
 
     def quantile_within(self, m):
         return _quantile_within(self, m, lambda mi: self._forward(self._source_quantile(mi)))
@@ -405,7 +414,7 @@ class SegmentStack:
         """Each segment with the mask of the lanes index assigns to it."""
         for k, seg in enumerate(self.segments):
             lanes = index == k
-            if np.any(lanes):
+            if lanes.any():
                 yield k, seg, lanes
 
     def pdf(self, x):
@@ -427,7 +436,7 @@ class SegmentStack:
     def mass_quantile(self, m):
         """Lower quantile of each mass m, clamped to [0, total]: the first
         segment whose cumulative mass reaches m answers it."""
-        m = np.clip(np.asarray(m, dtype=float), 0.0, self._cum[-1])
+        m = np.asarray(m, dtype=float).clip(0.0, self._cum[-1])
         index = np.minimum(
             np.maximum(np.searchsorted(self._cum, m), 1) - 1, len(self.segments) - 1
         )
@@ -496,8 +505,7 @@ class RadialDensity(SegmentStack):
         return _result(np.where(top, self.support_hi, q))
 
     def tertiles(self) -> Tertiles:
-        s1 = self.quantile(1.0 / 3.0)
-        s2 = self.quantile(2.0 / 3.0)
+        s1, s2 = self.mass_quantile([1.0 / 3.0, 2.0 / 3.0]).tolist()
         if not s1 < s2:
             raise DegenerateTertile(
                 f"tertile boundaries collapse: s1={s1!r}, s2={s2!r}"

@@ -80,8 +80,8 @@ class SeidlMap:
         taken, so the endpoints m = 0 and m = 1/3 continue the orbit to
         the tertile boundaries."""
         u = self.image_mass(m, 0)
-        q = self.density.mass_quantile
-        return (q(m), q(u), q(self.image_mass(u, 1)))
+        orbit = self.density.mass_quantile(np.stack([m, u, self.image_mass(u, 1)]))
+        return tuple(_result(q) for q in orbit)
 
 
 @dataclass(frozen=True)

@@ -300,7 +300,7 @@ def _tail(forward):
         source_mass=src.mass,
         x_hi=1.0,
         forward=forward,
-        forward_prime=lambda x: 1.0 / (1.0 - x) ** 2,
+        forward_and_prime=lambda x: (forward(x), 1.0 / (1.0 - x) ** 2),
         source_pdf=src.pdf,
         source_mass_below=src.mass_below,
         source_quantile=src.quantile_within,
