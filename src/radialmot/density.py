@@ -28,8 +28,9 @@ end (the pp-form), so a partial mass never cancels against anti(lo).
 Quantiles of constant and linear pieces are closed form; higher degrees,
 table pieces and the tail inverse share one root solver,
 ``_solve_increasing``: safeguarded Newton steps in lockstep over the
-lanes, each stopping at the forward-error floor of its function.  The tail
-brackets its inverse from a table of the forward map made at construction.
+lanes, each stopping at the forward-error floor of its function.  Each
+root is bracketed from a table made at construction, 17 knots of a
+bounded segment's mass or the tail's forward map at x_hi (1 - 2^-k).
 Segments reject non-finite inputs and any mass that is not finite and
 positive, so a NaN never reaches the cumulative stack.
 """
