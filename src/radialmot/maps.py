@@ -42,7 +42,8 @@ _PUSHFORWARD_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SeidlMap:
-    """A branch map for one density and pattern; callable on points."""
+    """A branch map for one density and pattern; callable on points,
+    elementwise on arrays."""
 
     density: RadialDensity
     pattern: str
@@ -131,7 +132,7 @@ def check_map(seidl_map: SeidlMap, n_probe: int = 999) -> MapDiagnostics:
     err_cycle = np.abs(seidl_map.iterate(tx, 2) - x)
     cycle_bad = err_cycle > _CYCLE_TOL * np.maximum(1.0, np.abs(x))
     push_bad = err_push > _PUSHFORWARD_TOL
-    # NaN errors are never a maximum, as in a running max() from 0
+    # a NaN error is never the maximum
     max_cycle = float(np.fmax.reduce(err_cycle, initial=0.0))
     max_push = float(np.fmax.reduce(err_push, initial=0.0))
 
