@@ -247,6 +247,11 @@ def _unit_scale(top: float) -> float:
     return math.ldexp(1.0, min(math.frexp(top)[1], 1023))
 
 
+def _unit_scales(top):
+    """:func:`_unit_scale` of each element of an array, by the same rule."""
+    return np.ldexp(1.0, np.minimum(np.frexp(top)[1], 1023))
+
+
 def _alignment_terms(r1, r2, r3):
     """The three terms of P, cubes written as products so that floats and
     arrays give the same bits."""
@@ -345,8 +350,7 @@ def _phi_partials(a, b):
     """phi(a, b) and its two first partial derivatives for 0 <= a < b,
     elementwise, in closed form at unit scale."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    exact = (_PHI_EXACT_LO <= b) & (b <= _PHI_EXACT_HI)
-    s = np.where(exact, 1.0, np.ldexp(1.0, np.minimum(np.frexp(b)[1], 1023)))
+    s = np.where((_PHI_EXACT_LO <= b) & (b <= _PHI_EXACT_HI), 1.0, _unit_scales(b))
     a, b = a / s, b / s
     # disc = b^2 + 4 a (3 b - a) > 0 on the admissible wedge
     root = np.sqrt(b * b + 12.0 * a * b - 4.0 * a * a)

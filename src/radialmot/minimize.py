@@ -9,12 +9,12 @@ alignment theorem gives the value c_pi in closed form.  Elsewhere the
 collinear corner is a saddle between two mirrored minima, every local
 minimum is global, and f(a, b) is smooth on the torus away from
 coincidences.  So each such triple is seeded once, at the lowest node of a
-fixed 16 x 16 grid, and descends by damped saddle-free Newton steps: the
-Newton step where the Hessian is positive definite, -|H|^-1 g elsewhere,
-and a step along the negative-curvature direction off an exact saddle.  A
-lane counts as converged only where the Hessian is positive semidefinite.
-One descent runs in lockstep over the batch, on numpy arrays, whose
-elementwise results do not depend on the batch.
+fixed 16 x 16 grid built from per-pair tables, and descends by damped
+saddle-free Newton steps: the Newton step where the Hessian is positive
+definite, -|H|^-1 g elsewhere, and a step along the negative-curvature
+direction off an exact saddle; a lane converges only where the Hessian is
+positive semidefinite.  One descent runs in lockstep over the batch, on
+numpy arrays, whose elementwise results do not depend on the batch.
 
 Stationary points solve the closed-form gradient system; a multistart
 Newton iteration run in lockstep over all starts converges quadratically
@@ -45,8 +45,10 @@ from .costs import (
     _alignment_margin,
     _energy_terms,
     _grad_hess_arrays,
+    _inv_dist,
     _inv_dist_d1,
     _unit_scale,
+    _unit_scales,
     canonical_angle,
     g_profile,
     grad_hess,
@@ -78,6 +80,8 @@ _MAX_STEP = 0.7
 # corner (-pi, 0) is a node; _SEED_A, _SEED_B list the grid in flat order
 _SEED_NODES = -_PI + _TWO_PI * np.arange(16) / 16
 _SEED_A, _SEED_B = np.repeat(_SEED_NODES, 16), np.tile(_SEED_NODES, 16)
+# the 79 distinct node differences a - b, and each flat node's index into them
+_SEED_DIFFS, _SEED_DIFF_OF = np.unique(_SEED_A - _SEED_B, return_inverse=True)
 # seeded rows evaluated together at most, which bounds the grid's memory
 _ROW_CHUNK = 1024
 
@@ -229,13 +233,14 @@ def _radial_cost_batch(radii):
     and rescaled.  Where the alignment margin of the row certifies P > 0,
     the value is c_pi in closed form at the collinear argmin with the
     middle radius opposite the other two (0 candidates, 0 iterations).
-    Every other row is seeded once, at the lowest node of the 16 x 16 seed
-    grid (grid_value, 1 candidate), and descends from there by
-    :func:`_newton_lanes`, all rows in lockstep.
+    Every other row is seeded at the lowest node of the 16 x 16 seed grid
+    (grid_value, 1 candidate), added from per-pair tables in the order of
+    the builtin sum, the first node winning ties, and descends from there
+    by :func:`_newton_lanes`, all rows in lockstep.
     """
     r = np.array(radii, dtype=float).reshape(-1, 3)
     m = len(r)
-    s = np.array([_unit_scale(top) for top in r.max(axis=1).tolist()])
+    s = _unit_scales(r.max(axis=1))
     u = r / s[:, None]
     value, grid_value = np.full((2, m), np.inf)
     alpha, beta = np.zeros((2, m))
@@ -255,13 +260,14 @@ def _radial_cost_batch(radii):
     # rows are independent, so chunks only bound the seed grid's memory
     for lo in range(0, seeded.size, _ROW_CHUNK):
         i = seeded[lo : lo + _ROW_CHUNK]
-        q = u[i]
-        # every live row has a finite node; ties go to the first in flat order
-        f = sum(_energy_terms(q[:, :1], q[:, 1:2], q[:, 2:], _SEED_A, _SEED_B))
+        q1, q2, q3 = u[i, :1], u[i, 1:2], u[i, 2:]
+        f12, f13 = _inv_dist(q1, q2, _SEED_NODES), _inv_dist(q1, q3, _SEED_NODES)
+        f = (f12[:, :, None] + f13[:, None, :]).reshape(-1, _SEED_A.size)
+        f += _inv_dist(q2, q3, _SEED_DIFFS).take(_SEED_DIFF_OF, axis=1)
         node = np.argmin(f, axis=1)
         grid_value[i] = f[np.arange(i.size), node]
         value[i], a, b, iterations[i] = _newton_lanes(
-            q[:, 0], q[:, 1], q[:, 2], _SEED_A[node], _SEED_B[node]
+            q1[:, 0], q2[:, 0], q3[:, 0], _SEED_A[node], _SEED_B[node]
         )
         alpha[i], beta[i] = canonical_angle(a), canonical_angle(b)
     return value / s, alpha, beta, grid_value / s, candidates, iterations

@@ -110,6 +110,15 @@ class TestCost:
             1.0 / 3.0 + 1.0 / 29.0 + 1.0 / 32.0, rel=1e-14
         )
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the two tiny radii read as coincident: AllInfinite, exit 1",
+    )
+    def test_two_tiny_radii(self, capsys):
+        code, _, _ = run(capsys, ["cost", "1e-200", "2e-200", "1"])
+        assert code == 0
+
 
     @pytest.mark.parametrize(
         "radii", [["1e200", "2e200", "3e201"], ["1e-200", "2e-200", "3e-199"]]

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from radialmot import (
     AllInfinite,
     DegenerateRadii,
+    RadialMotError,
     alignment_condition,
     c_delta,
     c_pi,
@@ -17,6 +19,8 @@ from radialmot import (
     torus_distance,
     trace_implicit_curves,
 )
+from radialmot import minimize
+from radialmot.costs import _energy_terms, _unit_scale, _unit_scales
 from radialmot.minimize import _newton_lanes
 
 PI = math.pi
@@ -62,6 +66,18 @@ class TestRadialCost:
         # two charges pinned at the origin can never separate
         with pytest.raises(AllInfinite):
             radial_cost((0.0, 0.0, 1.0))
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AllInfinite,
+        reason="at unit scale the squared distance of the two small radii "
+        "underflows to 0, so every configuration reads as coincident",
+    )
+    def test_two_tiny_radii_are_finite(self):
+        # P > 0, so the minimum is c_pi, about 3.3e199
+        r1, r2, r3 = 1e-200, 2e-200, 1.0
+        expected = 1.0 / (r1 + r2) + 1.0 / (r3 - r1) + 1.0 / (r2 + r3)
+        assert radial_cost((r1, r2, r3)).value == pytest.approx(expected, rel=1e-12)
 
     def test_upper_bounds(self, rng):
         for _ in range(25):
@@ -126,6 +142,54 @@ def test_radial_cost_bitwise_pin(case):
     assert got == (value, alpha, beta)
     assert res.grid_value.hex() == grid_value
     assert (res.candidates, res.iterations) == (candidates, iterations)
+
+
+def test_seed_grid_matches_the_direct_sum_bitwise(rng, monkeypatch):
+    # the kernel builds the grid from per-pair tables; the reference is the
+    # direct sum over all 256 nodes, in the order of the builtin sum
+    base = np.sort(rng.uniform(0.3, 4.0, size=(1100, 3)), axis=1)
+    special = [
+        (1.0, 2.0, 15.0),  # aligned
+        (0.0, 1.0, 2.0),  # r1 = 0, aligned
+        (0.0, 1.0, 1.0),  # r1 = 0, P = 0
+        (0.0, 0.0, 1.0),  # two zero radii
+        (1.0, 1.0, 1.0),
+        (1.0, 1.0, 3.0),
+        (1.0, 1.0 + 1e-12, 1.0 + 2e-12),
+        (1.0, 1.0000000001, 5.0),
+    ]
+    r = np.vstack([special, base])
+    r *= 10.0 ** rng.uniform(-150.0, 150.0, size=(len(r), 1))
+    r = rng.permuted(r, axis=1)
+    seeds = []
+
+    def spy(r1, r2, r3, a, b):
+        seeds.append((a, b))
+        return _newton_lanes(r1, r2, r3, a, b)
+
+    monkeypatch.setattr(minimize, "_newton_lanes", spy)
+    value, _, _, grid_value, candidates, _ = minimize._radial_cost_batch(r)
+    seeded = np.flatnonzero(candidates == 1)
+    assert seeded.size > minimize._ROW_CHUNK and len(seeds) > 1
+    s = np.array([_unit_scale(top) for top in r.max(axis=1)])
+    q = r[seeded] / s[seeded, None]
+    with np.errstate(divide="ignore"):
+        terms = _energy_terms(
+            q[:, :1], q[:, 1:2], q[:, 2:], minimize._SEED_A, minimize._SEED_B
+        )
+    f = sum(terms)
+    node = np.argmin(f, axis=1)
+    want = f[np.arange(seeded.size), node] / s[seeded]
+    assert grid_value[seeded].tobytes() == want.tobytes()
+    a, b = (np.concatenate(v) for v in zip(*seeds))
+    assert a.tobytes() == minimize._SEED_A[node].tobytes()
+    assert b.tobytes() == minimize._SEED_B[node].tobytes()
+    closed = np.flatnonzero(candidates == 0)
+    assert np.array_equal(grid_value[closed], value[closed])
+
+    tops = np.array([0.0, 5e-324, 1.0, sys.float_info.max])
+    want = np.array([_unit_scale(t) for t in tops])
+    assert _unit_scales(tops).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -269,6 +333,19 @@ class TestStationaryPoints:
 
 
 class TestImplicitCurves:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=RuntimeWarning,
+        reason="at theta = 0, D = (r1 - r2)^2 rounds to 0: both the g_profile "
+        "call that reads theta_crit and the bracket endpoint g12(2 pi) warn",
+    )
+    def test_near_equal_radii_trace_without_warning(self):
+        # curves or a typed error, with no floating-point warning on the way
+        try:
+            trace_implicit_curves((1.0, 1.0000000001, 5.0), n_beta=5)
+        except RadialMotError:
+            pass
+
     def test_exact_slopes(self):
         cb = trace_implicit_curves((1.0, 2.0, 15.0))
         assert cb.slope_alpha_pi == pytest.approx(405.0 / 5488.0, rel=1e-14)
