@@ -222,11 +222,6 @@ def _inv_dist_derivs(ri, rj, theta):
     return -ri * rj * np.sin(theta) * d ** -1.5, -ri * rj * q * d ** -2.5
 
 
-def _inv_dist_d1(ri, rj, theta):
-    """F'(theta) alone."""
-    return _inv_dist_derivs(ri, rj, theta)[0]
-
-
 def _energy_terms(r1, r2, r3, a, b):
     """F12(a), F13(b), F23(a - b) at arrays of angles; +inf on coincidence."""
     return _inv_dist(r1, r2, a), _inv_dist(r1, r3, b), _inv_dist(r2, r3, a - b)
@@ -428,6 +423,16 @@ def corner_values(r: Radii | tuple) -> CornerValues:
     )
 
 
+def _critical_angle(ri: float, rj: float) -> float:
+    """:func:`g_profile`'s theta_crit for 0 < ri <= rj, at the unit scale of
+    rj; 0 where nearly equal radii round its cosine to 1."""
+    s = _unit_scale(rj)
+    ri, rj = ri / s, rj / s
+    q, p = ri * ri + rj * rj, ri * rj
+    # nearly equal radii can round the cosine a few ulps above 1
+    return math.acos(min(6.0 * p / (q + math.sqrt(q * q + 12.0 * p * p)), 1.0))
+
+
 def g_profile(ri: float, rj: float, theta):
     """Pairwise attraction profile g = -F' and its derivative, plus the
     critical angle where g peaks.
@@ -455,9 +460,7 @@ def g_profile(ri: float, rj: float, theta):
     ri, rj = ri / s, rj / s
     d1, d2 = _inv_dist_derivs(ri, rj, theta)
     g, gp = -d1 / s, -d2 / s
-    q, p = ri * ri + rj * rj, ri * rj
-    # nearly equal radii can round the cosine a few ulps above 1
-    theta_crit = math.acos(min(6.0 * p / (q + math.sqrt(q * q + 12.0 * p * p)), 1.0))
+    theta_crit = _critical_angle(ri, rj)
     if np.isscalar(theta):
         return float(g), float(gp), theta_crit
     return g, gp, theta_crit

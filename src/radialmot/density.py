@@ -26,10 +26,10 @@ density in x and its antiderivative in t = x - lo, the piece's own left
 end (the pp-form), so a partial mass never cancels against anti(lo).
 
 Quantiles of constant and linear pieces are closed form; higher degrees,
-table pieces and the tail inverse share one root solver,
-``_solve_increasing``: safeguarded Newton steps in lockstep over the
-lanes, each stopping at the forward-error floor of its function.  Each
-root is bracketed from a table made at construction, 17 knots of a
+table pieces, the tail inverse and ``minimize``'s curve tracer share one
+root solver, ``_solve_increasing``: lockstep safeguarded Newton steps,
+each lane stopping at the forward-error floor of its function.  Each
+root here is bracketed from a table made at construction, 17 knots of a
 bounded segment's mass or the tail's forward map at x_hi (1 - 2^-k).
 Segments reject non-finite inputs and any mass that is not finite and
 positive, so a NaN never reaches the cumulative stack.
@@ -100,7 +100,8 @@ def _horner(coeffs: tuple[float, ...], x):
 def _solve_increasing(f, target, lo, hi, start) -> np.ndarray:
     """The x in [lo, hi] with f(x) = target, for each lane of the arrays
     target, lo, hi and start, where f is increasing with
-    f(lo) <= target <= f(hi); f returns its values and slopes f'.
+    f(lo) <= target <= f(hi); f returns its values and slopes f'.  It
+    solves the quantiles here and each branch of ``trace_implicit_curves``.
 
     Newton steps run in lockstep over the lanes still active, from start;
     a step that leaves its lane's bracket, or meets a slope that is not

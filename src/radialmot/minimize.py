@@ -27,14 +27,16 @@ of the split stationarity system
     g12(alpha) = -g13(beta)        (curves alpha_pi, alpha_0)
     g23(alpha - beta) = g13(beta)  (curves alpha_hat_pi, alpha_hat_0)
 
-whose intersections are exactly the stationary points.  Brackets for the
-one-dimensional solves come from the unimodal shape of each g profile.
+whose intersections are exactly the stationary points.  Each branch is one
+lockstep solve over every beta by ``density._solve_increasing``, bracketed
+by a multiple of pi and a peak of the unimodal g profile.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -43,17 +45,18 @@ from .costs import (
     Radii,
     _P_ROUNDING,
     _alignment_margin,
+    _critical_angle,
     _energy_terms,
     _grad_hess_arrays,
     _inv_dist,
-    _inv_dist_d1,
+    _inv_dist_derivs,
     _unit_scale,
     _unit_scales,
     canonical_angle,
-    g_profile,
     grad_hess,
     torus_distance,
 )
+from .density import _solve_increasing
 from .errors import AllInfinite, DegenerateRadii, RootNotBracketed
 
 __all__ = [
@@ -331,6 +334,21 @@ def _unit_radii(r: Radii | tuple, what: str) -> tuple[float, float, float, float
     return r1, r2, r3, s
 
 
+def _representatives(a, b) -> list[int]:
+    """Indices of the points (a, b) in [-pi, pi)^2 that represent the rest:
+    in sorted order, the first point left represents every point left
+    within _DEDUP_TOL of it on the torus.  For such angles min(d, 2 pi - d)
+    of d = |p - q| is |remainder(p - q, 2 pi)| exactly, as torus_distance."""
+    todo, reps = np.lexsort((b, a)), []
+    while todo.size:
+        i = todo[0]
+        reps.append(i)
+        da, db = np.abs(a[todo] - a[i]), np.abs(b[todo] - b[i])
+        dist = np.maximum(np.minimum(da, _TWO_PI - da), np.minimum(db, _TWO_PI - db))
+        todo = todo[dist > _DEDUP_TOL]
+    return reps
+
+
 def find_stationary_points(r: Radii | tuple) -> StationaryReport:
     """All gradient zeros of the energy found from a dense multistart sweep.
 
@@ -368,129 +386,106 @@ def find_stationary_points(r: Radii | tuple) -> StationaryReport:
 
     g1, g2, *_ = _grad_hess_arrays(r1, r2, r3, a, b)
     gn = np.hypot(g1, g2)
-    keep = gn <= 1e-12
-    pts = sorted(zip(a[keep], b[keep], gn[keep] / s))
-    n_converged = len(pts)
-
-    reps: list[tuple[float, float, float]] = []
-    for pa, pb, pg in pts:
-        hit = False
-        for qa, qb, _ in reps:
-            if torus_distance((pa, pb), (qa, qb)) <= _DEDUP_TOL:
-                hit = True
-                break
-        if not hit:
-            reps.append((pa, pb, pg))
-
-    points = []
-    max_g = 0.0
-    for pa, pb, pg in reps:
-        _, h = grad_hess((r1, r2, r3), (pa, pb))
-        points.append(
-            StationaryPoint(
-                config=AngularConfig(pa, pb),
-                classification=_classify(h),
-                grad_norm=float(pg),
-            )
+    keep = np.flatnonzero(gn <= 1e-12)
+    points = tuple(
+        StationaryPoint(
+            config=AngularConfig(a[i], b[i]),
+            classification=_classify(grad_hess((r1, r2, r3), (a[i], b[i]))[1]),
+            grad_norm=float(gn[i] / s),
         )
-        max_g = max(max_g, float(pg))
-
+        for i in keep[_representatives(a[keep], b[keep])]
+    )
     only_corners = all(
         min(torus_distance(p.config.as_tuple(), c) for c in _CORNERS)
         <= _DEDUP_TOL
         for p in points
     )
     return StationaryReport(
-        points=tuple(points),
+        points=points,
         only_corner_points=only_corners,
         n_starts=n0 * n0,
-        n_converged=n_converged,
-        max_grad_norm=max_g,
+        n_converged=keep.size,
+        max_grad_norm=max((p.grad_norm for p in points), default=0.0),
     )
 
 
-def _bracketed_root(fn, lo: float, hi: float, what: str) -> float:
-    from scipy.optimize import brentq
-    flo, fhi = fn(lo), fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise RootNotBracketed(
-            f"{what}: no sign change on [{lo:.6g}, {hi:.6g}] "
-            f"(f(lo)={flo:.3e}, f(hi)={fhi:.3e}); the alignment condition "
-            "may fail for these radii or the geometry is too extreme"
-        )
-    return float(brentq(fn, lo, hi, xtol=1e-13, rtol=8.9e-16))
+def _signed_g(ri, rj, sign, x):
+    """sign g and its slope sign g' at the angles x, for the pair's profile
+    g = -F', with g exactly 0 at multiples of pi, where sin vanishes:
+    sin(2 pi) rounds to -2.4e-16, which D^(-3/2) magnifies where the radii
+    nearly coincide."""
+    d1, d2 = _inv_dist_derivs(ri, rj, x)
+    return np.where(x % _PI == 0.0, 0.0, -sign * d1), -sign * d2
 
 
 def trace_implicit_curves(r: Radii | tuple, n_beta: int = 181) -> CurveBundle:
     """Sample the four stationarity branch curves over beta in [0, pi].
 
     Solves g12(alpha) = -g13(beta) for the two alpha branches and
-    g23(alpha - beta) = g13(beta) for the two alpha_hat branches, each by
-    bracketed one-dimensional root finding between profile peaks.  The
-    brackets exist when pairwise attraction toward the outer charge stays
-    dominated, which is what the alignment condition guarantees; a missing
-    sign change raises :class:`RootNotBracketed`.  Runs on the radii divided
-    by a power of two near the largest, so no output depends on the scale.
+    g23(alpha - beta) = g13(beta) for the two alpha_hat branches.  Each
+    branch is one lockstep solve over every beta by
+    :func:`density._solve_increasing`, on a bracket between a profile peak
+    and a multiple of pi where g is monotone.  The brackets exist when
+    pairwise attraction toward the outer charge stays dominated, which is
+    what the alignment condition guarantees; a missing sign change, or a
+    bracket left empty by a critical angle that rounds to 0, raises
+    :class:`RootNotBracketed`.  Runs on the radii divided by a power of
+    two near the largest, so no output depends on the scale.
     """
     r1, r2, r3, _ = _unit_radii(r, "curve tracing")
     if n_beta < 2:
         raise ValueError("n_beta must be at least 2")
-
-    _, _, th12 = g_profile(r1, r2, 0.0)
-    _, _, th13 = g_profile(r1, r3, 0.0)
-    _, _, th23 = g_profile(r2, r3, 0.0)
-
-    def g12(t: float) -> float:
-        return float(-_inv_dist_d1(r1, r2, t))
-
-    def g13(t: float) -> float:
-        return float(-_inv_dist_d1(r1, r3, t))
-
-    def g23(t: float) -> float:
-        return float(-_inv_dist_d1(r2, r3, t))
-
-    # below this the target is numerically indistinguishable from the
-    # exact-endpoint case beta in {0, pi} where the roots are known
-    tiny_target = 1e-12 * g13(th13)
-
-    betas = np.linspace(0.0, _PI, n_beta)
-    a_pi = np.empty(n_beta)
-    a_0 = np.empty(n_beta)
-    ah_pi = np.empty(n_beta)
-    ah_0 = np.empty(n_beta)
-
-    for i, beta in enumerate(betas):
-        tgt = g13(float(beta))
-        if tgt <= tiny_target:
-            a_pi[i], a_0[i] = _PI, _TWO_PI
-            ah_0[i], ah_pi[i] = beta, beta + _PI
-            continue
-        a_pi[i] = _bracketed_root(
-            lambda t: g12(t) + tgt, _PI, _TWO_PI - th12, "alpha_pi"
-        )
-        a_0[i] = _bracketed_root(
-            lambda t: g12(t) + tgt, _TWO_PI - th12, _TWO_PI, "alpha_0"
-        )
-        u_near = _bracketed_root(lambda u: g23(u) - tgt, 0.0, th23, "alpha_hat_0")
-        u_far = _bracketed_root(lambda u: g23(u) - tgt, th23, _PI, "alpha_hat_pi")
-        ah_0[i] = beta + u_near
-        ah_pi[i] = beta + u_far
-
-    slope_pi = r3 * (r1 + r2) ** 3 / (r2 * (r3 - r1) ** 3)
-    slope_hat = (r2 * (r3 - r1) ** 3 - r1 * (r2 + r3) ** 3) / (
-        r2 * (r3 - r1) ** 3
+    th12, th13, th23 = (
+        _critical_angle(ri, rj) for ri, rj in ((r1, r2), (r1, r3), (r2, r3))
+    )
+    # name, pair, bracket, the sign that makes sign g increasing on it, the
+    # side in g(x) = side g13(beta), and the root at a target of 0; the
+    # brackets that a critical angle of 0 leaves empty come first
+    branches = (
+        ("alpha_0", r1, r2, _TWO_PI - th12, _TWO_PI, 1.0, -1.0, _TWO_PI),
+        ("alpha_hat_0", r2, r3, 0.0, th23, 1.0, 1.0, 0.0),
+        ("alpha_pi", r1, r2, _PI, _TWO_PI - th12, -1.0, -1.0, _PI),
+        ("alpha_hat_pi", r2, r3, th23, _PI, -1.0, 1.0, _PI),
     )
 
-    slack = 1e-9
-    viol = 0.0
-    viol = max(viol, float(np.max(_PI - a_pi)))
-    viol = max(viol, float(np.max(a_pi - (_PI + slope_pi * betas))))
-    viol = max(viol, float(np.max((_PI + slope_hat * betas) - ah_pi)))
-    viol = max(viol, float(np.max(ah_pi - (_PI + betas))))
+    betas = np.linspace(0.0, _PI, n_beta)
+    tgt = _signed_g(r1, r3, 1.0, betas)[0]
+    # below this the target is numerically indistinguishable from the
+    # exact-endpoint case beta in {0, pi} where the roots are known
+    solved = np.flatnonzero(tgt > 1e-12 * _signed_g(r1, r3, 1.0, th13)[0])
+    roots = {}
+    for what, ri, rj, lo, hi, sign, side, known in branches:
+        # lanes with a tiny target keep the known root; with no other lane
+        # no g is evaluated, as far-apart radii can overflow it
+        roots[what] = x = np.full(n_beta, known)
+        if solved.size == 0:
+            continue
+        w = sign * side * tgt[solved]
+        # a bracket that a critical angle of 0 leaves empty is one multiple
+        # of pi, where g is 0 and nearly equal radii coincide
+        ends = np.array([lo, hi])
+        f_lo, f_hi = _signed_g(ri, rj, sign, ends)[0] if lo < hi else (0.0, 0.0)
+        bad = np.flatnonzero(~((f_lo <= w) & (w <= f_hi)))
+        if bad.size:
+            wb = w[bad[0]]
+            raise RootNotBracketed(
+                f"{what}: no sign change on [{lo:.6g}, {hi:.6g}] "
+                f"(f(lo)={sign * (f_lo - wb):.3e}, f(hi)={sign * (f_hi - wb):.3e}); "
+                "the alignment condition may fail for these radii or the "
+                "geometry is too extreme"
+            )
+        start = lo + (w - f_lo) / (f_hi - f_lo) * (hi - lo)
+        f = partial(_signed_g, ri, rj, sign)
+        x[solved] = _solve_increasing(f, w, lo, hi, start)
+    a_pi, a_0 = roots["alpha_pi"], roots["alpha_0"]
+    ah_0, ah_pi = betas + roots["alpha_hat_0"], betas + roots["alpha_hat_pi"]
+
+    d = r2 * (r3 - r1) ** 3
+    slope_pi, slope_hat = r3 * (r1 + r2) ** 3 / d, (d - r1 * (r2 + r3) ** 3) / d
+
+    excess = (_PI - a_pi, a_pi - (_PI + slope_pi * betas))
+    excess += ((_PI + slope_hat * betas) - ah_pi, ah_pi - (_PI + betas))
+    viol = max(0.0, *(float(np.max(v)) for v in excess))
     return CurveBundle(
         beta=betas,
         alpha_pi=a_pi,
@@ -499,6 +494,6 @@ def trace_implicit_curves(r: Radii | tuple, n_beta: int = 181) -> CurveBundle:
         alpha_hat_0=ah_0,
         slope_alpha_pi=slope_pi,
         slope_alpha_hat_pi=slope_hat,
-        confinement_ok=viol <= slack,
+        confinement_ok=viol <= 1e-9,
         max_confinement_violation=viol,
     )

@@ -534,6 +534,7 @@ def test_cost_exits_cleanly(capsys, r, angles):
 )
 @example(what="stationary", r=(1e200, 2e200, 14e200, 30e200), steps=2)
 @example(what="curves", r=(1e100, 2e100, 3e101, 0.0), steps=2)
+@example(what="curves", r=(1.0, 1.0000000001, 5.0, 0.0), steps=2)
 @example(what="condition", r=(1.0, 2.0, -1e308, 1e308), steps=3)
 @_PROPERTY
 def test_sweep_exits_cleanly(capsys, what, r, steps):

@@ -2,15 +2,22 @@
 
 import itertools
 import math
+import os
+import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import radialmot
 from radialmot import (
     AllInfinite,
+    AngularConfig,
     DegenerateRadii,
     RadialMotError,
+    RootNotBracketed,
     alignment_condition,
     c_delta,
     c_pi,
@@ -20,7 +27,7 @@ from radialmot import (
     trace_implicit_curves,
 )
 from radialmot import minimize
-from radialmot.costs import _energy_terms, _unit_scale, _unit_scales
+from radialmot.costs import _energy_terms, _inv_dist_derivs, _unit_scale, _unit_scales
 from radialmot.minimize import _newton_lanes
 
 PI = math.pi
@@ -331,20 +338,89 @@ class TestStationaryPoints:
         assert rep.n_starts == 128 * 128
         assert rep.n_converged > 0
 
+    def test_representatives_match_greedy_loop(self):
+        # clusters at the wrap of -pi, pi and chains spaced near _DEDUP_TOL
+        rng = np.random.default_rng(5)
+        centers = rng.uniform(-PI, PI, (40, 2))
+        centers[:10] = [-PI, 0.0]
+        pts = centers.repeat(8, axis=0) + rng.uniform(-1.5e-6, 1.5e-6, (320, 2))
+        pts = np.vstack([pts, np.c_[np.arange(30) * 0.7e-6 - 1e-5, np.zeros(30)]])
+        a, b = minimize.canonical_angle(pts.T)
+        reps = []
+        for i in sorted(range(a.size), key=lambda i: (a[i], b[i])):
+            if all(torus_distance((a[i], b[i]), (a[j], b[j])) > 1e-6 for j in reps):
+                reps.append(i)
+        assert [int(i) for i in minimize._representatives(a, b)] == reps
+
+    @pytest.mark.parametrize(
+        "r", [(1.0, 2.0, 15.0), (1.0, 2.0, 14.0), (1.0, 1.5, 20.0), (0.3, 1.0, 9.0)]
+    )
+    def test_census_matches_greedy_deduplication(self, monkeypatch, r):
+        # reference: a greedy loop that compares each sorted converged point
+        # with every representative so far through torus_distance
+        calls = []
+        grad_hess_arrays = minimize._grad_hess_arrays
+
+        def record(*args):
+            calls.append((args[3:], grad_hess_arrays(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(minimize, "_grad_hess_arrays", record)
+        rep = find_stationary_points(r)
+        (a, b), (g1, g2, *_) = calls[-1]
+        gn = np.hypot(g1, g2)
+        keep = gn <= 1e-12
+        reps = []
+        for p in sorted(zip(a[keep], b[keep], gn[keep])):
+            if all(torus_distance(p[:2], q[:2]) > 1e-6 for q in reps):
+                reps.append(p)
+        assert rep.n_converged == np.count_nonzero(keep)
+        assert rep.configs() == tuple(AngularConfig(pa, pb) for pa, pb, _ in reps)
+        s = _unit_scale(r[2])
+        assert [p.grad_norm for p in rep.points] == [pg / s for _, _, pg in reps]
+
 
 class TestImplicitCurves:
-    @pytest.mark.xfail(
-        strict=True,
-        raises=RuntimeWarning,
-        reason="at theta = 0, D = (r1 - r2)^2 rounds to 0: both the g_profile "
-        "call that reads theta_crit and the bracket endpoint g12(2 pi) warn",
-    )
     def test_near_equal_radii_trace_without_warning(self):
         # curves or a typed error, with no floating-point warning on the way
         try:
             trace_implicit_curves((1.0, 1.0000000001, 5.0), n_beta=5)
         except RadialMotError:
             pass
+
+    @pytest.mark.parametrize("r2", [1.000001, 1.0000001])
+    def test_near_equal_radii_trace(self, r2):
+        # g12 is exactly 0 at the bracket end 2 pi: the rounded sin(2 pi)
+        # times D^(-3/2) read -1959 there at r2 = 1.000001 and hid the root
+        cb = trace_implicit_curves((1.0, r2, 5.0))
+        assert cb.confinement_ok
+        assert np.all((PI <= cb.alpha_pi) & (cb.alpha_pi <= cb.alpha_0))
+        assert np.all(cb.alpha_0 <= 2 * PI)
+
+    @pytest.mark.parametrize(
+        "r, bracket",
+        [((1.0, 1.0000000001, 5.0), "alpha_0: no sign change on [6.28319, 6.28319]"),
+         ((1.0, 4.9999999999, 5.0), "alpha_hat_0: no sign change on [0, 0]")],
+    )
+    def test_empty_bracket_is_typed(self, r, bracket):
+        # a critical angle that rounds to 0 leaves a one-point bracket at a
+        # multiple of pi, where g is 0 and is not evaluated
+        with pytest.raises(RootNotBracketed, match=re.escape(bracket)):
+            trace_implicit_curves(r)
+
+    def test_lane_without_sign_change_is_typed(self, monkeypatch):
+        # a critical angle of 1e-3 cuts the alpha_0 bracket to [2 pi - 1e-3,
+        # 2 pi], where g12 stays above -g13(beta) for the larger targets; the
+        # message names the first such lane, with f = g12(alpha) + g13(beta)
+        # at the bracket ends and g12(2 pi) = 0
+        monkeypatch.setattr(minimize, "_critical_angle", lambda ri, rj: 1e-3)
+        g12_lo = -_inv_dist_derivs(1 / 16, 2 / 16, 2 * PI - 1e-3)[0]
+        g13 = -_inv_dist_derivs(1 / 16, 15 / 16, np.linspace(0.0, PI, 181))[0]
+        k = np.argmax(g12_lo + g13 > 0.0)
+        msg = "alpha_0: no sign change on [6.28219, 6.28319] "
+        msg += f"(f(lo)={g12_lo + g13[k]:.3e}, f(hi)={g13[k]:.3e})"
+        with pytest.raises(RootNotBracketed, match=re.escape(msg)):
+            trace_implicit_curves((1.0, 2.0, 15.0))
 
     def test_exact_slopes(self):
         cb = trace_implicit_curves((1.0, 2.0, 15.0))
@@ -376,13 +452,17 @@ class TestImplicitCurves:
         assert cb.alpha_hat_pi[0] == pytest.approx(PI, abs=1e-12)
 
     def test_curves_on_stationary_locus(self):
-        # every sampled point of alpha_pi solves g12(a) = -g13(b)
-        from radialmot.minimize import _inv_dist_d1
+        # every sampled point solves g12(a) = -g13(b) (alpha branches) or
+        # g23(a - b) = g13(b) (alpha_hat branches), at unit scale
+        def g(ri, rj, t):
+            return -_inv_dist_derivs(ri / 16.0, rj / 16.0, t)[0]
 
         cb = trace_implicit_curves((1.0, 2.0, 15.0), n_beta=61)
-        for b, a in zip(cb.beta[1:-1], cb.alpha_pi[1:-1]):
-            res = -_inv_dist_d1(1.0, 2.0, a) - _inv_dist_d1(1.0, 15.0, b)
-            assert abs(res) < 1e-10
+        g13 = g(1.0, 15.0, cb.beta)
+        for a in (cb.alpha_pi, cb.alpha_0):
+            assert np.max(np.abs(g(1.0, 2.0, a) + g13)) < 1e-12
+        for a in (cb.alpha_hat_pi, cb.alpha_hat_0):
+            assert np.max(np.abs(g(2.0, 15.0, a - cb.beta) - g13)) < 1e-12
 
     @pytest.mark.parametrize("k", [-600, 600])
     def test_scale_free(self, k):
@@ -393,6 +473,22 @@ class TestImplicitCurves:
             assert np.array_equal(getattr(cb, name), getattr(base, name))
         assert cb.slope_alpha_pi == base.slope_alpha_pi
         assert cb.slope_alpha_hat_pi == base.slope_alpha_hat_pi
+
+    def test_tracer_and_census_leave_scipy_optimize_unloaded(self):
+        src = str(Path(radialmot.__file__).resolve().parents[1])
+        code = (
+            "import sys, radialmot as r; r.trace_implicit_curves((1, 2, 15)); "
+            "r.find_stationary_points((1, 2, 14)); "
+            "print('scipy.optimize' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "False"
 
     def test_input_validation(self):
         with pytest.raises(DegenerateRadii):
