@@ -357,8 +357,8 @@ class _HProfile:
     beyond delta, and a smooth convex blend of the two in between, which
     keeps the profile strictly positive on (0, s1] whenever p is positive
     up to delta/2.  p and p' are ascending coefficient tuples in x,
-    evaluated by ``density._horner``; the profile and its slope work
-    elementwise.
+    evaluated by ``density._horner``; ``value_and_prime`` gives the
+    profile and its slope together, elementwise.
     """
 
     def __init__(self, derivs: Sequence[float], delta: float):
@@ -379,21 +379,15 @@ class _HProfile:
         ds = (da * b + a * db) / ((a + b) * (a + b)) * 2.0 / self.delta
         return mid, a / (a + b), ds
 
-    def __call__(self, x):
+    def value_and_prime(self, x):
         x = np.asarray(x, dtype=float)
-        p = _horner(self.poly, x)
+        p, dp = _horner(self.poly, x), _horner(self.dpoly, x)
         out = np.where(x >= self.delta, self.plateau, p)
-        mid, s, _ = self._blend(x)
-        out[mid] = self.plateau + (p[mid] - self.plateau) * (1.0 - s)
-        return out
-
-    def prime(self, x):
-        x = np.asarray(x, dtype=float)
-        dp = _horner(self.dpoly, x)
-        out = np.where(x >= self.delta, 0.0, dp)
+        dout = np.where(x >= self.delta, 0.0, dp)
         mid, s, ds = self._blend(x)
-        out[mid] = dp[mid] * (1.0 - s) - (_horner(self.poly, x[mid]) - self.plateau) * ds
-        return out
+        out[mid] = self.plateau + (p[mid] - self.plateau) * (1.0 - s)
+        dout[mid] = dp[mid] * (1.0 - s) - (p[mid] - self.plateau) * ds
+        return out, dout
 
 
 def _choose_delta(derivs: Sequence[float], s1: float) -> float:
@@ -586,7 +580,8 @@ def build_counterexample_density(
     for _ in range(_DELTA_HALVINGS):
         seam = np.linspace(delta / 8.0, min(2.0 * delta, s1 * (1.0 - 1e-6)), 241)
         points = np.concatenate([probes, seam])
-        dpsi = np.concatenate([probe_slopes, graph(seam)[1]]) + h_profile.prime(points)
+        dpsi = np.concatenate([probe_slopes, graph(seam)[1]])
+        dpsi += h_profile.value_and_prime(points)[1]
         worst = float(np.min(dpsi))
         if worst > 0.0:
             break
@@ -602,8 +597,9 @@ def build_counterexample_density(
     def psi_and_prime(x):
         x = np.asarray(x, dtype=float)
         phi, slope = graph(x)
+        h, dh = h_profile.value_and_prime(x)
         # phi(0, T(0)) = s2 in the limit
-        return np.where(x <= 0.0, s2, phi) + h_profile(x), slope + h_profile.prime(x)
+        return np.where(x <= 0.0, s2, phi) + h, slope + dh
 
     def psi(x):
         return _result(psi_and_prime(x)[0])

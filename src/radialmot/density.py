@@ -29,8 +29,10 @@ Quantiles of constant and linear pieces are closed form; higher degrees,
 table pieces, the tail inverse and ``minimize``'s curve tracer share one
 root solver, ``_solve_increasing``: lockstep safeguarded Newton steps,
 each lane stopping at the forward-error floor of its function.  Each
-root here is bracketed from a table made at construction, 17 knots of a
-bounded segment's mass or the tail's forward map at x_hi (1 - 2^-k).
+root here is bracketed from a table: 17 knots of a bounded segment's
+mass, made at construction, or the tail's forward map and its slope at
+the source quantiles of 128 equal masses and at x_hi (1 - 2^-k), made on
+the first inverse, which starts Newton at a cubic Hermite point.
 Segments reject non-finite inputs and any mass that is not finite and
 positive, so a NaN never reaches the cumulative stack.
 """
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -150,18 +153,28 @@ def _mass_table(seg) -> tuple[np.ndarray, np.ndarray]:
     return xs, seg.mass_below(xs)
 
 
-def _table_root(f, y, xs, fs) -> np.ndarray:
+def _table_root(f, y, xs, fs, dfs=None) -> np.ndarray:
     """The root of the increasing f at each y, bracketed by the first knot
     of xs where the running maximum of the values fs reaches y and the knot
-    before it; Newton starts at the secant point between their values (the
-    midpoint past a non-finite one, the knot itself where y is its value).
-    Needs fs[0] < y <= max(fs)."""
+    before it.  Newton starts at the secant point between their values (the
+    midpoint past a non-finite one, the knot itself where y is its value);
+    given the knot slopes dfs, at the cubic Hermite interpolant of the
+    inverse, with slopes 1/dfs, where both slopes are finite and positive
+    and it stays in the bracket.  Needs fs[0] < y <= max(fs)."""
     j = np.searchsorted(np.maximum.accumulate(fs), y)
     lo, hi, f_lo, f_hi = xs[j - 1], xs[j], fs[j - 1], fs[j]
-    with np.errstate(invalid="ignore"):
+    with np.errstate(all="ignore"):
         t = (y - f_lo) / (f_hi - f_lo)
-    start = np.where(y < f_hi, lo + np.where(t >= 0.0, t, 0.5) * (hi - lo), hi)
-    return _solve_increasing(f, y, lo, hi, start)
+        start = lo + np.where(t >= 0.0, t, 0.5) * (hi - lo)
+        if dfs is not None:
+            m_lo, m_hi = (f_hi - f_lo) / dfs[j - 1], (f_hi - f_lo) / dfs[j]
+            cubic = (
+                lo + (hi - lo) * t * t * (3.0 - 2.0 * t)
+                + t * (1.0 - t) * ((1.0 - t) * m_lo - t * m_hi)
+            )
+            ok = (m_lo > 0.0) & (m_lo < np.inf) & (m_hi > 0.0) & (m_hi < np.inf)
+            start = np.where(ok & (lo <= cubic) & (cubic <= hi), cubic, start)
+    return _solve_increasing(f, y, lo, hi, np.where(y < f_hi, start, hi))
 
 
 class PolySegment:
@@ -318,10 +331,13 @@ class PushforwardTailSegment:
     quantiles are forward images of source quantiles, which keeps them
     exact.
 
-    The inverse is bracketed from forward tabulated once, at construction,
-    at x_hi (1 - 2^-k) for k = 1, 2, ... below x_hi: y falls between the
-    last point whose running maximum is below y and the next one.  y above
-    the largest finite table value cannot be bracketed.
+    The inverse is bracketed from forward_and_prime tabulated once, on the
+    first inverse, at 0, at the source quantiles of 128 equally spaced
+    source masses and at x_hi (1 - 2^-k) for k = 1, 2, ... below x_hi: y
+    falls between the last point whose running maximum is below y and the
+    next one, and Newton starts at the cubic Hermite interpolant of the
+    inverse there.  y above the largest finite table value cannot be
+    bracketed.
     """
 
     kind = "pushforward-tail"
@@ -350,30 +366,33 @@ class PushforwardTailSegment:
             raise DensityError(
                 f"tail segment mass {self.mass!r} is not finite and positive"
             )
-        x_hi = float(x_hi)
-        xs = x_hi - np.ldexp(x_hi, -np.arange(1, 64))
-        xs = xs[xs < x_hi]
-        # forward may overflow or cancel next to x_hi; such points never
-        # bracket anything
+        self._x_hi = float(x_hi)
+
+    @cached_property
+    def _table(self):
+        """The knots, and forward's values and slopes there; forward may
+        overflow or cancel next to x_hi, and such values bracket nothing."""
+        walk = self._x_hi - np.ldexp(self._x_hi, -np.arange(1, 64))
+        quantiles = self._source_quantile(self.mass * np.arange(1, 128) / 128.0)
+        xs = np.unique(np.concatenate([[0.0], quantiles, walk[walk < self._x_hi]]))
         with np.errstate(all="ignore"):
-            fs = np.asarray(forward(xs), dtype=float)
+            fs, dfs = (np.asarray(v, dtype=float) for v in self._forward_and_prime(xs))
         fs = np.where(np.isfinite(fs), fs, -np.inf)
-        self._xs = np.concatenate([[0.0], xs])
-        self._fs = np.concatenate([[self.lo], fs])
+        return xs, np.concatenate([[self.lo], fs[1:]]), dfs
 
     def inverse(self, y):
         """Source point mapping to each tail point y, 0 at or below lo;
         bracketed from the table and solved by ``_solve_increasing``."""
         y = np.asarray(y, dtype=float)
         inner = ~(y <= self.lo)
-        bad = inner & ~(y <= self._fs.max())
+        bad = inner & ~(y <= self._table[1].max())
         if bad.any():
             raise DensityError(
                 f"tail inverse failed to bracket y={float(y[bad].flat[0])!r}"
             )
         x = np.zeros(y.shape)
         if inner.any():
-            x[inner] = _table_root(self._forward_and_prime, y[inner], self._xs, self._fs)
+            x[inner] = _table_root(self._forward_and_prime, y[inner], *self._table)
         return _result(x)
 
     def pdf(self, y):

@@ -61,10 +61,13 @@ class SeidlMap:
         v = np.where(increasing, base + t, base + (1.0 / 3.0 - t))
         return _result(np.clip(v, 0.0, 1.0))
 
+    def push(self, u, x):
+        """Image of each point x, given the mass u below it."""
+        return self.density.mass_quantile(self.image_mass(u, self.branch_index(x)))
+
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        v = self.image_mass(self.density.mass_below(x), self.branch_index(x))
-        return self.density.mass_quantile(v)
+        return self.push(self.density.mass_below(x), x)
 
     def iterate(self, x, k: int):
         for _ in range(k):
@@ -128,8 +131,9 @@ def check_map(seidl_map: SeidlMap, n_probe: int = 999) -> MapDiagnostics:
     x = rho.mass_quantile(p)
     b = np.minimum((3.0 * p).astype(int), 2)
     tx = seidl_map(x)
-    err_push = np.abs(rho.mass_below(tx) - seidl_map.image_mass(p, b))
-    err_cycle = np.abs(seidl_map.iterate(tx, 2) - x)
+    u = rho.mass_below(tx)
+    err_push = np.abs(u - seidl_map.image_mass(p, b))
+    err_cycle = np.abs(seidl_map(seidl_map.push(u, tx)) - x)
     cycle_bad = err_cycle > _CYCLE_TOL * np.maximum(1.0, np.abs(x))
     push_bad = err_push > _PUSHFORWARD_TOL
     # a NaN error is never the maximum

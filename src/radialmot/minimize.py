@@ -353,8 +353,10 @@ def find_stationary_points(r: Radii | tuple) -> StationaryReport:
     """All gradient zeros of the energy found from a dense multistart sweep.
 
     Newton iterations run in lockstep over a 128 x 128 set of initial angle
-    pairs; non-converged starts are dropped, survivors are deduplicated
-    within 1e-6 on the torus and classified by Hessian eigenvalue signs.
+    pairs, each start leaving after one step from a gradient norm within
+    1e-13 (or NaN); non-converged starts are dropped, survivors are
+    deduplicated within 1e-6 on the torus and classified by Hessian
+    eigenvalue signs.
     The four corner configurations are stationary for
     every radius triple and always appear.
 
@@ -369,11 +371,9 @@ def find_stationary_points(r: Radii | tuple) -> StationaryReport:
     a = np.repeat(g, n0).astype(float)
     b = np.tile(g, n0).astype(float)
 
+    run = np.arange(a.size)
     for _ in range(_MAX_ITER):
-        g1, g2, h11, h12, h22 = _grad_hess_arrays(r1, r2, r3, a, b)
-        gn = np.hypot(g1, g2)
-        if np.all(gn <= 1e-13):
-            break
+        g1, g2, h11, h12, h22 = _grad_hess_arrays(r1, r2, r3, a[run], b[run])
         det = h11 * h22 - h12 * h12
         scale = np.maximum(np.abs(h11) + np.abs(h22) + np.abs(h12), 1e-300)
         safe = np.abs(det) > 1e-14 * scale * scale
@@ -382,7 +382,11 @@ def find_stationary_points(r: Radii | tuple) -> StationaryReport:
         sb = np.where(safe, -(h11 * g2 - h12 * g1) / inv_det, 0.0)
         sn = np.hypot(sa, sb)
         clip = np.where(sn > 0.5, 0.5 / np.maximum(sn, 1e-300), 1.0)
-        a, b = canonical_angle(a + clip * sa), canonical_angle(b + clip * sb)
+        a[run] = canonical_angle(a[run] + clip * sa)
+        b[run] = canonical_angle(b[run] + clip * sb)
+        run = run[np.hypot(g1, g2) > 1e-13]
+        if run.size == 0:
+            break
 
     g1, g2, *_ = _grad_hess_arrays(r1, r2, r3, a, b)
     gn = np.hypot(g1, g2)

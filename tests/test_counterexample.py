@@ -301,12 +301,14 @@ class TestJets:
 class TestBuildPins:
     """Tail builds of the seed-1 cex-build benchmark round.  delta, plateau,
     h_taylor and the k=3 message are bit for bit as recorded before the
-    density layer moved to scalar Horner evaluation.  The tail pdf, cdf and
-    quantiles are recorded after the density layer moved to arrays, with a
-    Newton tail inverse and extended-precision residuals for cubic
-    quantiles; pdf and cdf must still agree within 1e-12 relative with the
-    values before linear pieces got their closed-form quantile, and
-    quantiles within 1e-12 relative with a 60-digit oracle."""
+    density layer moved to scalar Horner evaluation.  The tail quantiles
+    are recorded after the density layer moved to arrays, with
+    extended-precision residuals for cubic quantiles, and the tail pdf and
+    cdf after the Newton tail inverse started from a cubic Hermite
+    interpolant, which lands elsewhere within the forward-error floor (the
+    pdf at 1.001 moved 7 ulps); pdf and cdf must still agree within 1e-12
+    relative with the values before linear pieces got their closed-form
+    quantile, and quantiles within 1e-12 relative with a 60-digit oracle."""
 
     def test_k2_tail(self):
         rho = example_counterexample_density(
@@ -323,11 +325,11 @@ class TestBuildPins:
         ]
         # y: (pdf, cdf) now, then (pdf, cdf) before the closed form
         tail = {
-            1.001: ("0x1.cf6682ea1ff7dp-1", "0x1.55d22b8765ce3p-1",
+            1.001: ("0x1.cf6682ea1ff76p-1", "0x1.55d22b8765ce3p-1",
                     "0x1.cf6682ea2195bp-1", "0x1.55d22b8765c80p-1"),
-            1.1: ("0x1.e8b8ce4994af0p-2", "0x1.73f2999694879p-1",
+            1.1: ("0x1.e8b8ce4994aefp-2", "0x1.73f299969487ap-1",
                   "0x1.e8b8ce4994b55p-2", "0x1.73f2999694840p-1"),
-            2.0: ("0x1.5c4fc4f9299cap-5", "0x1.c6e05d535dbc3p-1",
+            2.0: ("0x1.5c4fc4f9299ccp-5", "0x1.c6e05d535dbc3p-1",
                   "0x1.5c4fc4f9299e5p-5", "0x1.c6e05d535db94p-1"),
             10.0: ("0x1.b31306cca8e88p-9", "0x1.e78285d8bc3bep-1",
                    "0x1.b31306cca8ebfp-9", "0x1.e78285d8bc390p-1"),
@@ -376,6 +378,28 @@ def test_tail_inverse_within_forward_error_floor(k):
     floor = 4.0 * np.spacing(ys) / slopes + 4.0 * np.spacing(xs)
     got = np.array([float(tail.inverse(y)) for y in ys])
     assert np.all(np.abs(got - xs) <= floor), np.max(np.abs(got - xs) / floor)
+
+
+def test_tail_inverse_calls_psi_at_most_four_times():
+    """The 100 third-tertile probes of check_map(n_probe=300) invert in at
+    most 4 evaluations of psi and psi', once the knot table is built."""
+    rho = example_counterexample_density(k=1)
+    tail = rho.segments[-1]
+    p = (np.arange(300) + 0.5) / 300
+    ys = rho.mass_quantile(p[p >= 2.0 / 3.0])
+    tail.inverse(ys[0])  # builds the knot table
+    calls = []
+    forward_and_prime = tail._forward_and_prime
+
+    def counted(x):
+        calls.append(np.size(x))
+        return forward_and_prime(x)
+
+    tail._forward_and_prime = counted
+    x = tail.inverse(ys)
+    assert ys.size == 100 and calls[0] == 100
+    assert len(calls) <= 4, calls
+    np.testing.assert_allclose(rho.psi(x), ys, rtol=1e-15)
 
 
 def _piece_below(seg, x):

@@ -17,6 +17,7 @@ from radialmot import (
     example_piece_specs,
     uniform_density,
 )
+from radialmot import density
 from radialmot.density import SegmentStack
 
 
@@ -307,13 +308,49 @@ def _tail(forward):
     )
 
 
+_WALK = [1.0 - 0.5**k for k in range(1, 40)]
+_WALK_POINTS = [
+    *_WALK,
+    *(0.5 * (a + b) for a, b in zip(_WALK, _WALK[1:])),
+    *(0.002, 0.37, 1.0 - 1e-13, 1.0 - 3e-15),
+]
+
+
 class TestTailInverse:
     def test_inverts_at_and_between_walk_points(self):
         seg = _tail(_blow_up)
-        walk = [1.0 - 0.5**k for k in range(1, 40)]
-        points = walk + [0.5 * (a + b) for a, b in zip(walk, walk[1:])]
-        points += [0.002, 0.37, 1.0 - 1e-13, 1.0 - 3e-15]
-        for x in points:
+        for x in _WALK_POINTS:
+            assert seg.inverse(_blow_up(x)) == pytest.approx(x, rel=1e-14)
+
+    def test_non_finite_knot_falls_back_to_the_secant_start(self, monkeypatch):
+        """forward is NaN at the knot 97/128 alone: Newton starts at the
+        secant rule's midpoint in the bracket above it, at the cubic
+        Hermite point of the inverse elsewhere, and the walk points still
+        invert."""
+        knot = 97.0 / 128.0
+
+        def forward(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(np.abs(x - knot) < 1e-9, math.nan, _blow_up(x))
+
+        starts = []
+        solve = density._solve_increasing
+
+        def spy(f, target, lo, hi, start):
+            starts.append((lo, hi, start))
+            return solve(f, target, lo, hi, start)
+
+        monkeypatch.setattr(density, "_solve_increasing", spy)
+        seg = _tail(forward)
+        xs = np.array([0.76, 0.3])
+        assert seg.inverse(_blow_up(xs)) == pytest.approx(xs, rel=1e-14)
+        (lo, lo_b), (hi, hi_b), (start, start_b) = starts[-1]
+        assert lo == pytest.approx(knot, abs=1e-9)
+        assert start == lo + 0.5 * (hi - lo)
+        f_lo, f_hi = _blow_up(lo_b), _blow_up(hi_b)
+        secant = lo_b + (_blow_up(0.3) - f_lo) / (f_hi - f_lo) * (hi_b - lo_b)
+        assert abs(start_b - 0.3) < 1e-3 * abs(secant - 0.3)
+        for x in _WALK_POINTS:
             assert seg.inverse(_blow_up(x)) == pytest.approx(x, rel=1e-14)
 
     def test_at_or_below_lo_is_zero(self):
