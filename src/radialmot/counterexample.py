@@ -358,35 +358,39 @@ class _HProfile:
     keeps the profile strictly positive on (0, s1] whenever p is positive
     up to delta/2.  p and p' are ascending coefficient tuples in x,
     evaluated by ``density._horner``; ``value_and_prime`` gives the
-    profile and its slope together, elementwise.
+    profile and its slope together, elementwise.  delta may be an array
+    that broadcasts against x, one width per lane; plateau then has its
+    shape.
     """
 
-    def __init__(self, derivs: Sequence[float], delta: float):
+    def __init__(self, derivs: Sequence[float], delta):
         self.poly = tuple(float(d) / math.factorial(j) for j, d in enumerate(derivs))
         # numpy's polyder: the coefficient of x^(j-1) is j * c_j
         self.dpoly = tuple(j * c for j, c in enumerate(self.poly) if j)
-        self.delta = float(delta)
-        self.plateau = float(_horner(self.poly, self.delta / 2.0))
+        self.delta = _result(np.asarray(delta, dtype=float))
+        self.plateau = _result(_horner(self.poly, self.delta / 2.0))
 
     def _blend(self, x):
-        """Lanes of x inside (delta/2, delta), and there the smoothstep
-        s(u) = e^(-1/u) / (e^(-1/u) + e^(-1/(1-u))) of the blend variable u
-        and its x-derivative."""
-        mid = (x > self.delta / 2.0) & (x < self.delta)
-        u = (x[mid] - self.delta / 2.0) / (self.delta / 2.0)
+        """Lanes of x inside (delta/2, delta), their widths and plateaus,
+        and there the smoothstep s(u) = e^(-1/u) / (e^(-1/u) + e^(-1/(1-u)))
+        of the blend variable u and its x-derivative."""
+        delta, plateau = (np.broadcast_to(v, x.shape) for v in (self.delta, self.plateau))
+        mid = (x > delta / 2.0) & (x < delta)
+        delta, plateau = delta[mid], plateau[mid]
+        u = (x[mid] - delta / 2.0) / (delta / 2.0)
         a, b = np.exp(-1.0 / u), np.exp(-1.0 / (1.0 - u))
         da, db = a / (u * u), b / ((1.0 - u) * (1.0 - u))
-        ds = (da * b + a * db) / ((a + b) * (a + b)) * 2.0 / self.delta
-        return mid, a / (a + b), ds
+        ds = (da * b + a * db) / ((a + b) * (a + b)) * 2.0 / delta
+        return mid, plateau, a / (a + b), ds
 
     def value_and_prime(self, x):
         x = np.asarray(x, dtype=float)
         p, dp = _horner(self.poly, x), _horner(self.dpoly, x)
         out = np.where(x >= self.delta, self.plateau, p)
         dout = np.where(x >= self.delta, 0.0, dp)
-        mid, s, ds = self._blend(x)
-        out[mid] = self.plateau + (p[mid] - self.plateau) * (1.0 - s)
-        dout[mid] = dp[mid] * (1.0 - s) - (p[mid] - self.plateau) * ds
+        mid, plateau, s, ds = self._blend(x)
+        out[mid] = plateau + (p[mid] - plateau) * (1.0 - s)
+        dout[mid] = dp[mid] * (1.0 - s) - (p[mid] - plateau) * ds
         return out, dout
 
 
@@ -568,31 +572,41 @@ def build_counterexample_density(
         return phi, da + db * (-stack1.pdf(x) / stack2.pdf(b))
 
     # shrinking delta both restores positivity of the jet polynomial and
-    # tames the blend slope, so one halving loop covers monotonicity too;
-    # the blend seam [delta/2, delta] moves with delta, so it gets its own
-    # dense probes every iteration (the global grid can straddle it).  The
-    # graph slope on the fixed probes does not depend on delta: it is
-    # computed once, and each halving only adds the new bump slope there.
+    # tames the blend slope, so the first of the widths delta0 2^-j that
+    # keeps psi' positive is taken.  The blend seam [delta/2, delta] moves
+    # with delta, so each width gets its own dense seam probes (the global
+    # grid can straddle it); the graph slope on the fixed probes does not
+    # depend on delta and is computed once.  The widths are tried in
+    # batches of 1, 2, 4, ... rows, one row of probes and seam per width,
+    # so a first width that works costs one row and the whole budget six
+    # passes; every operation is elementwise, so a row gives the bits a
+    # lone width would.
     probe_slopes = graph(probes)[1]
-    delta = _choose_delta(h_derivs, s1)
-    h_profile = _HProfile(h_derivs, delta)
-    worst = -math.inf
-    for _ in range(_DELTA_HALVINGS):
-        seam = np.linspace(delta / 8.0, min(2.0 * delta, s1 * (1.0 - 1e-6)), 241)
-        points = np.concatenate([probes, seam])
-        dpsi = np.concatenate([probe_slopes, graph(seam)[1]])
-        dpsi += h_profile.value_and_prime(points)[1]
-        worst = float(np.min(dpsi))
-        if worst > 0.0:
+    delta0 = _choose_delta(h_derivs, s1)
+    start = 0
+    while start < _DELTA_HALVINGS:
+        stop = min(2 * start + 1, _DELTA_HALVINGS)
+        deltas = np.ldexp(delta0, -np.arange(start, stop))
+        seams = np.linspace(
+            deltas / 8.0, np.minimum(2.0 * deltas, s1 * (1.0 - 1e-6)), 241, axis=1
+        )
+        rows = (deltas.size, probes.size)
+        points = np.concatenate([np.broadcast_to(probes, rows), seams], axis=1)
+        dpsi = np.concatenate([np.broadcast_to(probe_slopes, rows), graph(seams)[1]], axis=1)
+        dpsi += _HProfile(h_derivs, deltas[:, None]).value_and_prime(points)[1]
+        worst = dpsi.min(axis=1)
+        passed = np.flatnonzero(worst > 0.0)
+        if passed.size:
+            delta = float(deltas[passed[0]])
             break
-        delta /= 2.0
-        h_profile = _HProfile(h_derivs, delta)
+        start = stop
     else:
-        bad = points[int(np.argmin(dpsi))]
+        bad = points[-1, np.argmin(dpsi[-1])]
         raise DensityError(
             f"pushforward map fails to increase near x={bad:.6g} "
-            f"(psi'={worst:.3e}); adjust the pieces or the bump"
+            f"(psi'={worst[-1]:.3e}); adjust the pieces or the bump"
         )
+    h_profile = _HProfile(h_derivs, delta)
 
     def psi_and_prime(x):
         x = np.asarray(x, dtype=float)
@@ -832,92 +846,117 @@ def find_violation(rho: RadialDensity, epsm: EpsM | None = None) -> ViolationCer
 _REGION_TEMPLATES = {"DID": "third", "III": "second", "IDD": "first"}
 
 
-def _region_violation(rho: RadialDensity, pattern: str) -> ViolationCertificate:
-    """Shrinking-region construction for the non-DDI patterns.
+def _region_violations(
+    rho: RadialDensity, patterns: Sequence[str]
+) -> dict[str, ViolationCertificate]:
+    """Shrinking-region construction for the non-DDI patterns, in lockstep.
 
     The second iterate of each pattern's map diverges at one end of the
     first tertile; shrinking the region until its second-iterate range
     dominates the running threshold sup phi turns every involved triple
     collinear, and the six-point line ordering dictates which coordinate
     swap must win.
+
+    The patterns shrink together, one row of arrays each: a step takes
+    the region ends, their images, the thresholds and the first-tertile
+    masses under them (the tail inverse) in one call each, over the rows
+    still shrinking, and one more call gives every pattern's level
+    masses.  Every operation is elementwise, so a row gives the bits a
+    lone pattern would.  Where patterns fail, the first of them in the
+    given order raises its error.
     """
-    smap = build_map(rho, pattern)
-    increasing_second = pattern == "III"  # second iterate increasing on tertile 1
+    smaps = {p: build_map(rho, p) for p in patterns}
+    # initial mass interval hugging the divergence end; the second iterate
+    # of III alone is increasing on tertile 1
+    region = {p: (0.25, 1.0 / 3.0) if p == "III" else (0.0, 1.0 / 12.0) for p in patterns}
+    thresh: dict[str, float] = {}
+    failed: dict[str, RegionEmpty] = {}
 
-    # initial mass interval hugging the divergence end
-    if increasing_second:
-        m_lo, m_hi = 0.25, 1.0 / 3.0
-    else:
-        m_lo, m_hi = 0.0, 1.0 / 12.0
+    def image_masses(rows, x, branch):
+        """Image of the mass below each point of x under the letter
+        formula of branch, one row of x per pattern in rows."""
+        u = rho.mass_below(x)
+        branch = np.broadcast_to(branch, u.shape)
+        return np.stack([smaps[p].image_mass(*ub) for p, *ub in zip(rows, u, branch)])
 
-    # the map's third power is the identity, so the map sends a third-tertile
-    # mass to the first-tertile mass whose second iterate it is
-    def first_mass(x):
-        return smap.image_mass(rho.mass_below(x), 2)
-
-    m_thresh = 0.0
+    active = list(patterns)
     for _ in range(10):
-        ends = rho.mass_quantile([max(m_lo, 1e-15), min(m_hi, 1.0 / 3.0 - 1e-15)])
-        img = np.sort(smap(ends))
-        bs = np.linspace(img[0], img[1], 129)
-        m_thresh = float(np.max(_phi_partials(ends.max(), bs)[0])) * (1.0 + 1e-6)
-        # part of the interval whose second iterate clears the threshold
-        m_star = first_mass(m_thresh)
-        if increasing_second:
-            new_lo = max(m_lo, m_star)
-            if new_lo >= m_hi - 1e-15:
-                raise RegionEmpty(
-                    f"{pattern}: no first-tertile mass clears threshold {m_thresh!r}"
-                )
-            shrunk = new_lo > m_lo + 1e-15
-            m_lo = new_lo
-        else:
-            new_hi = min(m_hi, m_star)
-            if new_hi <= m_lo + 1e-15:
-                raise RegionEmpty(
-                    f"{pattern}: no first-tertile mass clears threshold {m_thresh!r}"
-                )
-            shrunk = new_hi < m_hi - 1e-15
-            m_hi = new_hi
-        if not shrunk:
+        if not active:
             break
-
-    # pick the pair by second-iterate level: well inside the certified range
-    lvl_hi, lvl_lo = 4.0 * m_thresh, 2.0 * m_thresh
-    ml, mr = np.sort(first_mass(np.array([lvl_lo, lvl_hi]))).tolist()
-    if not (0.0 < ml < mr < 1.0 / 3.0):
-        raise RegionEmpty(
-            f"{pattern}: level masses ({ml!r}, {mr!r}) left the first tertile"
+        ends = rho.mass_quantile(
+            [[max(lo, 1e-15), min(hi, 1.0 / 3.0 - 1e-15)] for lo, hi in map(region.get, active)]
         )
-    ta, tb = (MongeTriple(*t) for t in np.stack(smap.orbit_of_mass([ml, mr]), 1).tolist())
+        # each row's image under its own map; the maps share the tertiles
+        branch = smaps[active[0]].branch_index(ends)
+        img = np.sort(rho.mass_quantile(image_masses(active, ends, branch)), axis=1)
+        bs = np.linspace(img[:, 0], img[:, 1], 129, axis=1)
+        tops = np.max(_phi_partials(ends.max(axis=1)[:, None], bs)[0], axis=1) * (1.0 + 1e-6)
+        # part of each interval whose second iterate clears the threshold:
+        # the map's third power is the identity, so it sends a third-tertile
+        # mass to the first-tertile mass whose second iterate it is
+        stars = image_masses(active, tops, 2)
+        shrinking = []
+        for p, m_thresh, m_star in zip(active, tops.tolist(), stars.tolist()):
+            thresh[p] = m_thresh
+            m_lo, m_hi = region[p]
+            if p == "III":
+                new_lo = max(m_lo, m_star)
+                empty, shrunk = new_lo >= m_hi - 1e-15, new_lo > m_lo + 1e-15
+                region[p] = (new_lo, m_hi)
+            else:
+                new_hi = min(m_hi, m_star)
+                empty, shrunk = new_hi <= m_lo + 1e-15, new_hi < m_hi - 1e-15
+                region[p] = (m_lo, new_hi)
+            if empty:
+                failed[p] = RegionEmpty(
+                    f"{p}: no first-tertile mass clears threshold {m_thresh!r}"
+                )
+            elif shrunk:
+                shrinking.append(p)
+        active = shrinking
 
-    template = _REGION_TEMPLATES[pattern]
-    # implied collinear positions: middle coordinates reflected across 0
-    line = sorted(
-        (-ta.tx, -tb.tx, ta.x, tb.x, ta.t2x, tb.t2x)
-    )
-    strictly_ordered = all(a < b for a, b in zip(line, line[1:]))
-    cert = _certificate(
-        pattern=pattern,
-        template=template,
-        ta=ta,
-        tb=tb,
-        extrapolated=pattern in ("III", "IDD"),
-        metadata={
-            "region_mass": (m_lo, m_hi),
-            "threshold": m_thresh,
-            "levels": (lvl_lo, lvl_hi),
-            "line_points": tuple(line),
-            "line_strictly_ordered": strictly_ordered,
-            "alignment_a": alignment_condition(ta.as_tuple()),
-            "alignment_b": alignment_condition(tb.as_tuple()),
-        },
-    )
-    if cert.gap <= 0.0:
-        raise ViolationNotFound(
-            f"{pattern}: region pair found but swap gap is {cert.gap!r}"
+    # pick each pair by second-iterate level: well inside the certified range
+    done = [p for p in patterns if p not in failed]
+    pairs = {}
+    if done:
+        levels = [[2.0 * thresh[p], 4.0 * thresh[p]] for p in done]
+        masses = np.sort(image_masses(done, levels, 2), axis=1).tolist()
+        for p, (ml, mr) in zip(done, masses):
+            if 0.0 < ml < mr < 1.0 / 3.0:
+                pairs[p] = (ml, mr)
+            else:
+                failed[p] = RegionEmpty(
+                    f"{p}: level masses ({ml!r}, {mr!r}) left the first tertile"
+                )
+
+    out: dict[str, ViolationCertificate] = {}
+    for p in patterns:
+        if p in failed:
+            raise failed[p]
+        orbits = np.stack(smaps[p].orbit_of_mass(pairs[p]), 1).tolist()
+        ta, tb = (MongeTriple(*t) for t in orbits)
+        # implied collinear positions: middle coordinates reflected across 0
+        line = sorted((-ta.tx, -tb.tx, ta.x, tb.x, ta.t2x, tb.t2x))
+        cert = _certificate(
+            pattern=p,
+            template=_REGION_TEMPLATES[p],
+            ta=ta,
+            tb=tb,
+            extrapolated=p in ("III", "IDD"),
+            metadata={
+                "region_mass": region[p],
+                "threshold": thresh[p],
+                "levels": (2.0 * thresh[p], 4.0 * thresh[p]),
+                "line_points": tuple(line),
+                "line_strictly_ordered": all(a < b for a, b in zip(line, line[1:])),
+                "alignment_a": alignment_condition(ta.as_tuple()),
+                "alignment_b": alignment_condition(tb.as_tuple()),
+            },
         )
-    return cert
+        if cert.gap <= 0.0:
+            raise ViolationNotFound(f"{p}: region pair found but swap gap is {cert.gap!r}")
+        out[p] = cert
+    return out
 
 
 def refute_class_T(rho: RadialDensity) -> dict[str, ViolationCertificate]:
@@ -928,8 +967,4 @@ def refute_class_T(rho: RadialDensity) -> dict[str, ViolationCertificate]:
     ordering (third coordinates for DID, second for III, first for IDD;
     the latter two are template extrapolations and flagged as such).
     """
-    out: dict[str, ViolationCertificate] = {}
-    out["DDI"] = find_violation(rho)
-    for pattern in ("DID", "III", "IDD"):
-        out[pattern] = _region_violation(rho, pattern)
-    return out
+    return {"DDI": find_violation(rho), **_region_violations(rho, ("DID", "III", "IDD"))}

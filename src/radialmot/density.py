@@ -155,19 +155,25 @@ def _mass_table(seg) -> tuple[np.ndarray, np.ndarray]:
 
 def _table_root(f, y, xs, fs, dfs=None) -> np.ndarray:
     """The root of the increasing f at each y, bracketed by the first knot
-    of xs where the running maximum of the values fs reaches y and the knot
-    before it.  Newton starts at the secant point between their values (the
-    midpoint past a non-finite one, the knot itself where y is its value);
-    given the knot slopes dfs, at the cubic Hermite interpolant of the
-    inverse, with slopes 1/dfs, where both slopes are finite and positive
-    and it stays in the bracket.  Needs fs[0] < y <= max(fs)."""
-    j = np.searchsorted(np.maximum.accumulate(fs), y)
-    lo, hi, f_lo, f_hi = xs[j - 1], xs[j], fs[j - 1], fs[j]
+    of xs where the running maximum of the values fs reaches y and the last
+    knot before it where that maximum was reached, so that knots whose
+    values are not finite (stored as -inf) or fall below an earlier value
+    bracket nothing.  Newton starts at the secant point between the two
+    values (the knot itself where y is its value); given the knot slopes
+    dfs, at the cubic Hermite interpolant of the inverse, with slopes
+    1/dfs, where both slopes are finite and positive and it stays in the
+    bracket.  Needs fs[0] finite and fs[0] < y <= max(fs)."""
+    top = np.maximum.accumulate(fs)
+    # index of the knot where the running maximum was last reached
+    last = np.maximum.accumulate(np.where(fs == top, np.arange(fs.size), 0))
+    j = np.searchsorted(top, y)
+    i = last[j - 1]
+    lo, hi, f_lo, f_hi = xs[i], xs[j], fs[i], fs[j]
     with np.errstate(all="ignore"):
         t = (y - f_lo) / (f_hi - f_lo)
-        start = lo + np.where(t >= 0.0, t, 0.5) * (hi - lo)
+        start = lo + t * (hi - lo)
         if dfs is not None:
-            m_lo, m_hi = (f_hi - f_lo) / dfs[j - 1], (f_hi - f_lo) / dfs[j]
+            m_lo, m_hi = (f_hi - f_lo) / dfs[i], (f_hi - f_lo) / dfs[j]
             cubic = (
                 lo + (hi - lo) * t * t * (3.0 - 2.0 * t)
                 + t * (1.0 - t) * ((1.0 - t) * m_lo - t * m_hi)
@@ -334,10 +340,10 @@ class PushforwardTailSegment:
     The inverse is bracketed from forward_and_prime tabulated once, on the
     first inverse, at 0, at the source quantiles of 128 equally spaced
     source masses and at x_hi (1 - 2^-k) for k = 1, 2, ... below x_hi: y
-    falls between the last point whose running maximum is below y and the
-    next one, and Newton starts at the cubic Hermite interpolant of the
-    inverse there.  y above the largest finite table value cannot be
-    bracketed.
+    falls between the first point whose running maximum reaches y and the
+    last point before it where that maximum was reached, and Newton starts
+    at the cubic Hermite interpolant of the inverse there.  y above the
+    largest finite table value cannot be bracketed.
     """
 
     kind = "pushforward-tail"

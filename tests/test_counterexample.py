@@ -18,6 +18,7 @@ from radialmot import (
     GateFailed,
     JetNotPositive,
     MongeTriple,
+    RegionEmpty,
     ViolationNotFound,
     alignment_condition,
     block_density,
@@ -36,7 +37,9 @@ from radialmot import (
     uniform_density,
 )
 import radialmot
-from radialmot.counterexample import _certificate, _choose_delta
+from radialmot import counterexample
+from radialmot.counterexample import _certificate, _choose_delta, _region_violations
+from radialmot.density import PushforwardTailSegment
 
 
 class TestGates:
@@ -362,6 +365,62 @@ class TestBuildPins:
             "(psi'=-4.479e+00); adjust the pieces or the bump"
         )
 
+    def test_k4_density_error(self):
+        with pytest.raises(DensityError) as err:
+            example_counterexample_density(
+                s1=0.9140145442943428, s2=1.0, ratio=7.080474589924133, k=4
+            )
+        assert str(err.value) == (
+            "pushforward map fails to increase near x=6.62716e-19 "
+            "(psi'=-6.782e+00); adjust the pieces or the bump"
+        )
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Patch owner.name to record each call; returns the record."""
+    calls = []
+    inner = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_failing_build_tries_its_widths_in_seven_graph_passes(monkeypatch):
+    """The k=3 build of TestBuildPins tries all 60 bump widths in batches
+    of 1, 2, 4, ... widths: one graph pass on the fixed probes and six on
+    the seams, where one pass per width made 61."""
+    calls = _count_calls(monkeypatch, counterexample, "_phi_partials")
+    with pytest.raises(DensityError):
+        example_counterexample_density(
+            s1=0.961492451625062, s2=1.0, ratio=6.27870189758566, k=3
+        )
+    assert len(calls) <= 7, len(calls)
+
+
+def test_k2_build_finds_its_width_in_five_graph_passes(monkeypatch):
+    """The k=2 build of TestBuildPins takes its ninth width, found in the
+    fourth batch, where one pass per width made 10 graph passes."""
+    calls = _count_calls(monkeypatch, counterexample, "_phi_partials")
+    example_counterexample_density(
+        s1=0.926193142634143, s2=1.0, ratio=3.732988291532693, k=2
+    )
+    assert len(calls) <= 5, len(calls)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_refutation_inverts_the_tail_at_most_three_times(monkeypatch, k):
+    """The three shrinking regions share each step's tail inverse, and one
+    more inverse gives all their level masses (7 inverses one pattern at a
+    time)."""
+    rho = example_counterexample_density(k=k)
+    calls = _count_calls(monkeypatch, PushforwardTailSegment, "inverse")
+    refute_class_T(rho)
+    assert len(calls) <= 3, len(calls)
+
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_tail_inverse_within_forward_error_floor(k):
@@ -561,6 +620,46 @@ def test_certificate_costs_equal_the_scalar_kernel_bitwise(k):
         )
         got = (cert.cost_a, cert.cost_b, cert.cost_swapped_a, cert.cost_swapped_b)
         assert [v.hex() for v in got] == [radial_cost(t).value.hex() for t in triples]
+
+
+class TestRegionFailures:
+    """Texts of the shrinking-region failures, recorded when each pattern
+    shrank on its own."""
+
+    @pytest.mark.parametrize(
+        "pattern, threshold",
+        [("DID", 1.288155835601994), ("III", 5.362244272500795), ("IDD", 1.0833344166666665)],
+    )
+    def test_uniform_region_empties(self, uniform, pattern, threshold):
+        with pytest.raises(RegionEmpty) as err:
+            _region_violations(uniform, (pattern,))
+        assert str(err.value) == (
+            f"{pattern}: no first-tertile mass clears threshold {threshold!r}"
+        )
+
+    @pytest.mark.parametrize(
+        "pattern, levels",
+        [
+            ("DID", (0.0, 0.3333333333333333)),
+            ("III", (0.3333333333333333, 0.3333333333333333)),
+            ("IDD", (0.0, 0.3333333333333333)),
+        ],
+    )
+    def test_blocks_level_masses_leave_the_tertile(self, blocks, pattern, levels):
+        with pytest.raises(RegionEmpty) as err:
+            _region_violations(blocks, (pattern,))
+        assert str(err.value) == (
+            f"{pattern}: level masses {levels!r} left the first tertile"
+        )
+
+    @pytest.mark.parametrize("rho", ["uniform", "blocks"])
+    def test_lockstep_raises_the_first_pattern(self, request, rho):
+        rho = request.getfixturevalue(rho)
+        with pytest.raises(RegionEmpty) as alone:
+            _region_violations(rho, ("DID",))
+        with pytest.raises(RegionEmpty) as err:
+            _region_violations(rho, ("DID", "III", "IDD"))
+        assert str(err.value) == str(alone.value)
 
 
 class TestClassRefutationNegative:

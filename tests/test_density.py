@@ -294,18 +294,45 @@ def _blow_up(x):
         return np.where(x < 1.0, 1.0 + x / (1.0 - x), math.inf)
 
 
-def _tail(forward):
+def _blow_up_prime(x):
+    return 1.0 / (1.0 - x) ** 2
+
+
+def _nan_at(f, knot):
+    """f, but NaN at the knot alone."""
+
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(np.abs(x - knot) < 1e-9, math.nan, f(x))
+
+    return g
+
+
+def _tail(forward, prime=_blow_up_prime):
     src = PolySegment(0.0, 1.0, [1.0 / 3.0])
     return PushforwardTailSegment(
         lo=1.0,
         source_mass=src.mass,
         x_hi=1.0,
         forward=forward,
-        forward_and_prime=lambda x: (forward(x), 1.0 / (1.0 - x) ** 2),
+        forward_and_prime=lambda x: (forward(x), prime(x)),
         source_pdf=src.pdf,
         source_mass_below=src.mass_below,
         source_quantile=src.quantile_within,
     )
+
+
+def _spy_starts(monkeypatch):
+    """Record the brackets and starts of each ``_solve_increasing`` call."""
+    starts = []
+    solve = density._solve_increasing
+
+    def spy(f, target, lo, hi, start):
+        starts.append((lo, hi, start))
+        return solve(f, target, lo, hi, start)
+
+    monkeypatch.setattr(density, "_solve_increasing", spy)
+    return starts
 
 
 _WALK = [1.0 - 0.5**k for k in range(1, 40)]
@@ -322,36 +349,48 @@ class TestTailInverse:
         for x in _WALK_POINTS:
             assert seg.inverse(_blow_up(x)) == pytest.approx(x, rel=1e-14)
 
-    def test_non_finite_knot_falls_back_to_the_secant_start(self, monkeypatch):
-        """forward is NaN at the knot 97/128 alone: Newton starts at the
-        secant rule's midpoint in the bracket above it, at the cubic
-        Hermite point of the inverse elsewhere, and the walk points still
-        invert."""
-        knot = 97.0 / 128.0
+    def test_root_below_a_non_finite_knot(self):
+        """forward is NaN at the knot 97/128 alone: a root just below it is
+        bracketed from 96/128, where the running maximum was last reached,
+        and not answered by the NaN knot itself."""
+        seg = _tail(_nan_at(_blow_up, 97.0 / 128.0))
+        assert seg.inverse(_blow_up(0.755)) == pytest.approx(0.755, rel=1e-14)
 
-        def forward(x):
-            x = np.asarray(x, dtype=float)
-            return np.where(np.abs(x - knot) < 1e-9, math.nan, _blow_up(x))
-
-        starts = []
-        solve = density._solve_increasing
-
-        def spy(f, target, lo, hi, start):
-            starts.append((lo, hi, start))
-            return solve(f, target, lo, hi, start)
-
-        monkeypatch.setattr(density, "_solve_increasing", spy)
-        seg = _tail(forward)
+    def test_non_finite_knot_brackets_from_the_last_maximum(self, monkeypatch):
+        """forward is NaN at the knot 97/128 alone: the bracket of a root
+        above it starts at 96/128, Newton starts at the cubic Hermite point
+        of the inverse, 1000x nearer the root than the secant point, and
+        the walk points still invert."""
+        starts = _spy_starts(monkeypatch)
+        seg = _tail(_nan_at(_blow_up, 97.0 / 128.0))
         xs = np.array([0.76, 0.3])
         assert seg.inverse(_blow_up(xs)) == pytest.approx(xs, rel=1e-14)
-        (lo, lo_b), (hi, hi_b), (start, start_b) = starts[-1]
-        assert lo == pytest.approx(knot, abs=1e-9)
-        assert start == lo + 0.5 * (hi - lo)
-        f_lo, f_hi = _blow_up(lo_b), _blow_up(hi_b)
-        secant = lo_b + (_blow_up(0.3) - f_lo) / (f_hi - f_lo) * (hi_b - lo_b)
-        assert abs(start_b - 0.3) < 1e-3 * abs(secant - 0.3)
+        for lo, hi, start, x in zip(*starts[-1], xs):
+            assert lo < x < hi
+            assert hi - lo == pytest.approx(2.0 / 128.0 if x == 0.76 else 1.0 / 128.0)
+            f_lo, f_hi = _blow_up(lo), _blow_up(hi)
+            secant = lo + (_blow_up(x) - f_lo) / (f_hi - f_lo) * (hi - lo)
+            assert abs(start - x) < 1e-3 * abs(secant - x)
         for x in _WALK_POINTS:
             assert seg.inverse(_blow_up(x)) == pytest.approx(x, rel=1e-14)
+
+    def test_non_finite_slope_falls_back_to_the_secant_start(self, monkeypatch):
+        """forward' is NaN at the knot 97/128 alone: Newton starts at the
+        secant point in the two brackets that end there, at the cubic
+        Hermite point elsewhere."""
+        knot = 97.0 / 128.0
+        starts = _spy_starts(monkeypatch)
+        seg = _tail(_blow_up, _nan_at(_blow_up_prime, knot))
+        xs = np.array([0.755, 0.76, 0.3])
+        assert seg.inverse(_blow_up(xs)) == pytest.approx(xs, rel=1e-14)
+        for lo, hi, start, x in zip(*starts[-1], xs):
+            assert lo < x < hi
+            f_lo, f_hi = _blow_up(lo), _blow_up(hi)
+            secant = lo + (_blow_up(x) - f_lo) / (f_hi - f_lo) * (hi - lo)
+            if min(abs(lo - knot), abs(hi - knot)) < 1e-9:
+                assert start == secant
+            else:
+                assert abs(start - x) < 1e-3 * abs(secant - x)
 
     def test_at_or_below_lo_is_zero(self):
         seg = _tail(_blow_up)
