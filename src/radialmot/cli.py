@@ -251,6 +251,8 @@ def cmd_solve(args) -> int:
             "marginal_residual": exact.certificate.marginal_residual,
             "max_dual_violation": exact.certificate.max_dual_violation,
             "duality_gap": exact.certificate.duality_gap,
+            "columns": exact.certificate.columns,
+            "rounds": exact.certificate.rounds,
         }
     if args.json:
         _print_json("solve", payload)

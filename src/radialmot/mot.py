@@ -11,15 +11,18 @@ path for n > 8 builds them.
 
 The symmetric problem over those atoms is solved two ways:
 
-* "lp": the symmetric linear program, one column per finite sorted triple
-  and one uniform-marginal row per atom, solved by HiGHS at 1e-10
+* "lp": the symmetric linear program over the finite sorted triples, one
+  uniform-marginal row per atom, by column generation.  HiGHS, at 1e-10
   feasibility tolerances on the costs divided by the power of two of the
-  largest one.  Symmetrizing an optimal coupling keeps it optimal, so this
-  has the optimum of the full program over n^3 coupling tensors (Friesecke
-  & Voegler, SIAM J. Math. Anal. 2018).  The returned coupling and duals
-  are those of the full program, and they are certified independently
-  (marginal residuals, dual feasibility, duality gap, all at 1e-9, the
-  last two relative to that power of two);
+  largest one, solves it on a subset of the columns: first the diagonal
+  and the index neighbourhoods of the four branch-map supports, then each
+  round the neighbourhoods of the columns its duals price below zero.
+  Symmetrizing an optimal coupling keeps it optimal, so this has the
+  optimum of the full program over n^3 coupling tensors (Friesecke &
+  Voegler, SIAM J. Math. Anal. 2018).  The returned coupling and duals
+  are those of the full program, and they are certified independently on
+  every finite column (marginal residuals, dual feasibility, duality gap,
+  all at 1e-9, the last two relative to that power of two);
 * "brute-monge": exact minimization over permutation-pair couplings
   (id, sigma, tau), by one optimal assignment per sigma, n <= 8.  The
   coupling returned is the symmetrization of (id, sigma, tau), which has
@@ -166,12 +169,16 @@ class DiscreteProblem:
 @dataclass(frozen=True)
 class LpCertificate:
     """Duals of the full program and its residuals; the dual violation and
-    the duality gap are relative to the power of two of the largest cost."""
+    the duality gap are relative to the power of two of the largest cost.
+    columns is the size of the final column subset, rounds the number of
+    restricted programs solved."""
 
     duals: tuple[np.ndarray, np.ndarray, np.ndarray]
     marginal_residual: float
     max_dual_violation: float
     duality_gap: float
+    columns: int
+    rounds: int
 
     @property
     def certified(self) -> bool:
@@ -208,14 +215,52 @@ def discretize(rho: RadialDensity, n: int) -> DiscreteProblem:
     return DiscreteProblem(atoms=atoms, triples=triples, values=values)
 
 
+def _neighbourhood(triples: np.ndarray, n: int) -> np.ndarray:
+    """Every index of every row moved by -1, 0 or +1, clipped to [0, n) and
+    sorted: 27 rows per row, with repeats."""
+    steps = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
+    return np.sort(np.clip(triples[:, None, :] + steps, 0, n - 1).reshape(-1, 3))
+
+
+def _lookup(columns: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
+    """Row numbers in columns, sorted triples in lexicographic order, of the
+    sorted triples t found there, by their keys (i n + j) n + k."""
+    keys, q = ((x[:, 0] * n + x[:, 1]) * n + x[:, 2] for x in (columns, t))
+    at = np.minimum(np.searchsorted(keys, q), keys.size - 1)
+    return at[keys[at] == q]
+
+
+def _lp_seed(n: int) -> np.ndarray:
+    """Sorted index triples the LP's column subset starts from: the diagonal
+    (i, i, i), on which every restricted program is feasible, and the width-1
+    neighbourhoods of the index supports of the four branch patterns on
+    m = n // 3 atoms per tertile, (i, m + i | 2m - 1 - i, 2m + i | 3m - 1 - i)."""
+    m = n // 3
+    i = np.arange(m)
+    supports = [
+        np.stack([i, j, k], axis=1)
+        for j in (m + i, 2 * m - 1 - i)
+        for k in (2 * m + i, 3 * m - 1 - i)
+    ]
+    diagonal = np.repeat(np.arange(n)[:, None], 3, axis=1)
+    return np.concatenate([diagonal, _neighbourhood(np.concatenate(supports), n)])
+
+
 def _solve_lp(problem: DiscreteProblem) -> SolveResult:
-    """The symmetric LP: one column per finite sorted triple.
+    """The symmetric LP over every finite sorted triple, by column generation.
 
     The cost is symmetric, so symmetrizing any optimal coupling leaves an
     optimal one, and a symmetric coupling is fixed by the total weight x_t
     of each sorted triple t.  Its marginal at atom i is
     sum_t x_t count_i(t) / 3, which gives n rows instead of 3n, and the
     dual u yields the full LP's duals (u/3, u/3, u/3).
+
+    HiGHS solves restricted programs over a growing subset of the finite
+    columns, seeded by _lp_seed.  Each round prices every finite column,
+    c_t - (u_i + u_j + u_k) / 3, and adds the width-1 neighbourhood of each
+    one outside the subset priced below -_LP_TOL, until none is left; at
+    worst the subset ends as every column.  The last duals are then
+    feasible for every finite column, which the certificate checks.
 
     HiGHS solves on the costs divided by the power of two s of the largest
     one, which is exact, so its absolute tolerances and the certificate's
@@ -230,39 +275,52 @@ def _solve_lp(problem: DiscreteProblem) -> SolveResult:
     c = c / s
     ii, jj, kk = triples.T
 
-    m = c.size
-    rows = np.concatenate([ii, jj, kk])
-    cols = np.concatenate([np.arange(m)] * 3)
     from scipy.optimize import linprog
     from scipy.sparse import csr_matrix
 
-    # duplicate (row, column) entries add up to count_i(t)
-    a_eq = csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, m)) / 3.0
     b_eq = np.full(n, 1.0 / n)
-
-    tols = dict(
-        dual_feasibility_tolerance=_LP_TOL, primal_feasibility_tolerance=_LP_TOL
+    # each restricted program is small and solved from scratch, and there
+    # HiGHS's presolve costs more than it saves
+    options = dict(
+        dual_feasibility_tolerance=_LP_TOL,
+        primal_feasibility_tolerance=_LP_TOL,
+        presolve=False,
     )
-    res = linprog(
-        c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs", options=tols
-    )
-    if res.status != 0:
-        raise InfeasibleCost(f"linear program failed: {res.message}")
+    subset = np.zeros(c.size, dtype=bool)
+    subset[_lookup(triples, _lp_seed(n), n)] = True
+    # a restricted program holding every diagonal column (i, i, i) is
+    # feasible; when one of them is infinite, the subset is every column
+    if np.count_nonzero(subset & (ii == kk)) < n:
+        subset[:] = True
+    for rounds in itertools.count(1):
+        cols = np.flatnonzero(subset)
+        rows = triples[cols].T.ravel()
+        # duplicate (row, column) entries add up to count_i(t)
+        a_eq = csr_matrix(
+            (np.ones(rows.size), (rows, np.tile(np.arange(cols.size), 3))),
+            shape=(n, cols.size),
+        ) / 3.0
+        res = linprog(c[cols], A_eq=a_eq, b_eq=b_eq, method="highs", options=options)
+        if res.status != 0:
+            raise InfeasibleCost(f"linear program failed: {res.message}")
+        u = np.asarray(res.eqlin.marginals)
+        third = u / 3.0
+        # every finite column priced in one vector pass
+        slack = c - (third[ii] + third[jj] + third[kk])
+        priced = np.flatnonzero((slack < -_LP_TOL) & ~subset)
+        if priced.size == 0:
+            break
+        subset[_lookup(triples, _neighbourhood(triples[priced], n), n)] = True
 
     charged = res.x != 0.0
-    coupling = Coupling(n=n, triples=triples[charged], mass=res.x[charged])
-
-    u = np.asarray(res.eqlin.marginals)
-    third = u / 3.0
-    # dual feasibility over all finite columns, in one vector pass
-    slack = c - (third[ii] + third[jj] + third[kk])
-    max_dual_violation = float(max(0.0, -slack.min()))
-    dual_obj = float(b_eq @ u)
+    coupling = Coupling(n=n, triples=triples[cols][charged], mass=res.x[charged])
     cert = LpCertificate(
         duals=(third * s,) * 3,
         marginal_residual=coupling.marginal_residual(),
-        max_dual_violation=max_dual_violation,
-        duality_gap=float(res.fun - dual_obj),
+        max_dual_violation=float(max(0.0, -slack.min())),
+        duality_gap=float(res.fun - b_eq @ u),
+        columns=cols.size,
+        rounds=rounds,
     )
     if not cert.certified:
         raise CertificationError(

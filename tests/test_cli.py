@@ -188,6 +188,10 @@ class TestSolve:
         assert cert["marginal_residual"] <= 1e-9
         assert cert["max_dual_violation"] <= 1e-9
         assert abs(cert["duality_gap"]) <= 1e-9
+        # the LP's column subset and its rounds: at most all 56 sorted
+        # triples of six atoms
+        assert 1 <= cert["columns"] <= 56
+        assert cert["rounds"] >= 1
         # six atoms is inside the brute cross-check budget
         assert doc["brute_value"] == pytest.approx(doc["exact_value"], abs=1e-9)
 
