@@ -621,16 +621,7 @@ def build_counterexample_density(
     def psi_prime(x):
         return _result(psi_and_prime(x)[1])
 
-    tail = PushforwardTailSegment(
-        lo=s2,
-        source_mass=1.0 / 3.0,
-        x_hi=s1,
-        forward=psi,
-        forward_and_prime=psi_and_prime,
-        source_pdf=stack1.pdf,
-        source_mass_below=stack1.mass_below,
-        source_quantile=stack1.mass_quantile,
-    )
+    tail = PushforwardTailSegment(s2, stack1, psi_and_prime)
     spec = TailSpec(
         order=k,
         h_taylor=tuple(float(v) for v in h_derivs),

@@ -23,7 +23,8 @@ the lanes it holds.  RadialDensity's ``pdf``, ``cdf`` and ``quantile`` take
 and return one float; array callers use ``mass_below`` and
 ``mass_quantile``.  Polynomial pieces are evaluated by Horner's rule, the
 density in x and its antiderivative in t = x - lo, the piece's own left
-end (the pp-form), so a partial mass never cancels against anti(lo).
+end (the pp-form), so a partial mass never cancels against anti(lo);
+table pieces hold one such cubic per interval, summed power by power.
 
 Quantiles of constant and linear pieces are closed form; higher degrees,
 table pieces, the tail inverse and ``minimize``'s curve tracer share one
@@ -98,6 +99,35 @@ def _horner(coeffs: tuple[float, ...], x):
     for c in coeffs[-3::-1]:
         acc = c + acc * x
     return acc
+
+
+def _power_sum(coeffs, t):
+    """coeffs[0] + coeffs[1] t + coeffs[2] t^2 + ..., summed from the
+    constant up with each power a running product of t, not by Horner."""
+    acc, z = coeffs[0], 1.0
+    for c in coeffs[1:]:
+        z = z * t
+        acc = acc + c * z
+    return acc
+
+
+def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Monotone PCHIP knot slopes on spacings h and secant slopes m: the
+    weighted harmonic mean of the secants inside (Fritsch & Butland 1984),
+    0 where they differ in sign or vanish; shape-limited one-sided
+    three-point ends; the secant at both knots of a two-knot table."""
+    if m.size == 1:
+        return np.array([m[0], m[0]])
+    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+        inner = np.where(flat, 0.0, 1.0 / mean)
+        d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        clipped = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+        ends = np.where(np.sign(d) != np.sign(m0), 0.0, np.where(clipped, 3.0 * m0, d))
+    return np.concatenate([ends[:1], inner, ends[1:]])
 
 
 def _solve_increasing(f, target, lo, hi, start) -> np.ndarray:
@@ -271,8 +301,11 @@ class PolySegment:
 class TableSegment:
     """Tabulated density piece, interpolated with a shape-preserving cubic.
 
-    The interpolant preserves nonnegativity of the tabulated values, and
-    its exact antiderivative supplies partial masses.
+    The monotone PCHIP knot slopes keep the interpolant nonnegative.  Each
+    interval k holds its own cubic in t = x - x[k] (the pp-form), and its
+    antiderivative a constant chained from the interval before, zero at the
+    first knot.  Both are power sums in PPoly's order, so every value equals
+    PchipInterpolator's bit for bit.
     """
 
     kind = "table"
@@ -284,37 +317,52 @@ class TableSegment:
             raise DensityError("table segment needs matching 1-d x and density")
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ds))):
             raise DensityError("table segment x and density must be finite")
-        if not np.all(np.diff(xs) > 0):
+        h = np.diff(xs)
+        if not np.all(h > 0):
             raise DensityError("table segment x grid must be strictly increasing")
         if np.any(ds < 0):
             raise DensityError("table segment density values must be >= 0")
         with np.errstate(over="ignore"):
-            slopes = np.diff(ds) / np.diff(xs)
+            slopes = np.diff(ds) / h
         if not np.all(np.isfinite(slopes)):
             raise DensityError("table segment secant slopes overflow")
         self.lo = float(xs[0])
         self.hi = float(xs[-1])
         self.x = xs
         self.density = ds
-        from scipy.interpolate import PchipInterpolator
-        self._interp = PchipInterpolator(xs, ds, extrapolate=False)
-        self._anti = self._interp.antiderivative()
-        # the antiderivative is 0 at the first knot
-        self.mass = float(self._anti(self.hi))
+        d = _pchip_slopes(h, slopes)
+        # near the float limit these overflow, and the mass is rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = (d[:-1] + d[1:] - 2.0 * slopes) / h
+            self._cubic = np.array([ds[:-1], d[:-1], (slopes - d[:-1]) / h - t, t / h])
+            terms = self._cubic / np.array([[1.0], [2.0], [3.0], [4.0]])
+        # the mass below x[k + 1]: the power sum of interval k at its width
+        anti = [0.0]
+        for col, width in zip(terms.T.tolist(), h.tolist()):
+            anti.append(_power_sum([anti[-1], *col], width))
+        self.mass = anti[-1]
         if not 0.0 < self.mass < math.inf:
             raise DensityError(
                 f"table segment mass {self.mass!r} is not finite and positive"
             )
+        self._anti = np.concatenate([[anti[:-1]], terms])
         self._table = _mass_table(self)
+
+    def _eval(self, coeffs, x):
+        """The pp-form with ascending coefficient rows coeffs at each x in
+        [lo, hi]; x = hi belongs to the last interval."""
+        k = np.minimum(np.searchsorted(self.x, x, "right") - 1, self.x.size - 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _power_sum(coeffs[:, k], x - self.x[k])
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        v = self._interp(x.clip(self.lo, self.hi))
+        v = self._eval(self._cubic, x.clip(self.lo, self.hi))
         return _result(np.where((x < self.lo) | (x > self.hi) | (v < 0.0), 0.0, v))
 
     def mass_below(self, x):
         x = np.asarray(x, dtype=float).clip(self.lo, self.hi)
-        return _result(self._anti(x).clip(0.0, self.mass))
+        return _result(self._eval(self._anti, x).clip(0.0, self.mass))
 
     def quantile_within(self, m):
         def f(x):
@@ -324,16 +372,16 @@ class TableSegment:
 
 
 class PushforwardTailSegment:
-    """Unbounded tail equal to the image of a source piece under an
+    """Unbounded tail equal to the image of a source stack under an
     increasing map.
 
+    source is the SegmentStack whose mass is pushed: the tail's mass is
+    its total, and its last segment ends at x_hi.  forward_and_prime
+    returns the forward map and its derivative, elementwise on arrays:
     forward maps the source variable x in [0, x_hi) to the tail variable
     y in [lo, inf), strictly increasing with forward(x) -> inf as
-    x -> x_hi.  source_mass_below and source_quantile describe the source
-    mass being pushed (total source_mass); forward_and_prime returns
-    forward and its derivative together.  All five callables work
-    elementwise on arrays.  Tail values follow from the change of
-    variables pdf(y) = source_pdf(x) / forward'(x) at x = forward^{-1}(y);
+    x -> x_hi.  Tail values follow from the change of variables
+    pdf(y) = source.pdf(x) / forward'(x) at x = forward^{-1}(y);
     quantiles are forward images of source quantiles, which keeps them
     exact.
 
@@ -348,38 +396,24 @@ class PushforwardTailSegment:
 
     kind = "pushforward-tail"
 
-    def __init__(
-        self,
-        *,
-        lo: float,
-        source_mass: float,
-        x_hi: float,
-        forward: Callable,
-        forward_and_prime: Callable,
-        source_pdf: Callable,
-        source_mass_below: Callable,
-        source_quantile: Callable,
-    ):
+    def __init__(self, lo: float, source: SegmentStack, forward_and_prime: Callable):
         self.lo = float(lo)
         self.hi = math.inf
-        self.mass = float(source_mass)
-        self._forward = forward
+        self.mass = source.total
+        self._source = source
         self._forward_and_prime = forward_and_prime
-        self._source_pdf = source_pdf
-        self._source_mass_below = source_mass_below
-        self._source_quantile = source_quantile
         if not 0.0 < self.mass < math.inf:
             raise DensityError(
                 f"tail segment mass {self.mass!r} is not finite and positive"
             )
-        self._x_hi = float(x_hi)
+        self._x_hi = source.segments[-1].hi
 
     @cached_property
     def _table(self):
         """The knots, and forward's values and slopes there; forward may
         overflow or cancel next to x_hi, and such values bracket nothing."""
         walk = self._x_hi - np.ldexp(self._x_hi, -np.arange(1, 64))
-        quantiles = self._source_quantile(self.mass * np.arange(1, 128) / 128.0)
+        quantiles = self._source.mass_quantile(self.mass * np.arange(1, 128) / 128.0)
         xs = np.unique(np.concatenate([[0.0], quantiles, walk[walk < self._x_hi]]))
         with np.errstate(all="ignore"):
             fs, dfs = (np.asarray(v, dtype=float) for v in self._forward_and_prime(xs))
@@ -407,14 +441,17 @@ class PushforwardTailSegment:
         dp = self._forward_and_prime(x)[1]
         if not np.all(dp > 0.0):
             raise DensityError("pushforward map is not increasing at the probe")
-        return _result(np.where(y < self.lo, 0.0, self._source_pdf(x) / dp))
+        return _result(np.where(y < self.lo, 0.0, self._source.pdf(x) / dp))
 
     def mass_below(self, y):
-        m = self._source_mass_below(self.inverse(y))
+        m = self._source.mass_below(self.inverse(y))
         return _result(np.asarray(m).clip(0.0, self.mass))
 
     def quantile_within(self, m):
-        return _quantile_within(self, m, lambda mi: self._forward(self._source_quantile(mi)))
+        def root(mi):
+            return self._forward_and_prime(self._source.mass_quantile(mi))[0]
+
+        return _quantile_within(self, m, root)
 
 
 class SegmentStack:
@@ -539,27 +576,9 @@ class RadialDensity(SegmentStack):
             )
         return Tertiles(s1=s1, s2=s2)
 
-    def total_mass(self, quadrature: bool = False) -> float:
-        """Sum of segment masses; with quadrature=True, an independent
-        adaptive-quadrature evaluation of the density instead."""
-        if not quadrature:
-            return self.total
-        from scipy.integrate import quad
-
-        total = 0.0
-        for seg in self.segments:
-            hi = seg.hi
-            if math.isinf(hi):
-                # integrate the tail in its source variable: exact mass
-                # there is the source mass; quadrature goes over a long
-                # but finite window plus the analytic remainder
-                far = seg.quantile_within(seg.mass * (1.0 - 1e-9))
-                val, _ = quad(seg.pdf, seg.lo, far, limit=200)
-                total += val + seg.mass * 1e-9
-            else:
-                val, _ = quad(seg.pdf, seg.lo, hi, limit=200)
-                total += val
-        return total
+    def total_mass(self) -> float:
+        """Sum of the segment masses, not the total pinned to 1."""
+        return math.fsum(s.mass for s in self.segments)
 
 
 def uniform_density(lo: float = 0.0, hi: float = 1.0) -> RadialDensity:

@@ -309,17 +309,8 @@ def _nan_at(f, knot):
 
 
 def _tail(forward, prime=_blow_up_prime):
-    src = PolySegment(0.0, 1.0, [1.0 / 3.0])
-    return PushforwardTailSegment(
-        lo=1.0,
-        source_mass=src.mass,
-        x_hi=1.0,
-        forward=forward,
-        forward_and_prime=lambda x: (forward(x), prime(x)),
-        source_pdf=src.pdf,
-        source_mass_below=src.mass_below,
-        source_quantile=src.quantile_within,
-    )
+    src = SegmentStack([PolySegment(0.0, 1.0, [1.0 / 3.0])])
+    return PushforwardTailSegment(1.0, src, lambda x: (forward(x), prime(x)))
 
 
 def _spy_starts(monkeypatch):
@@ -403,7 +394,85 @@ class TestTailInverse:
             seg.inverse(math.nan)
 
 
+class _ScipyTable(TableSegment):
+    """The table piece as scipy's monotone PCHIP evaluates it: pdf and
+    mass_below from ``PchipInterpolator`` and its antiderivative, and
+    quantile_within by the segment's own root finder over those two."""
+
+    def __init__(self, x, density):
+        from scipy.interpolate import PchipInterpolator
+
+        self.interp = PchipInterpolator(x, density, extrapolate=False)
+        self.integral = self.interp.antiderivative()
+        super().__init__(x, density)
+
+    def pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        v = self.interp(x.clip(self.lo, self.hi))
+        return np.where((x < self.lo) | (x > self.hi) | (v < 0.0), 0.0, v)
+
+    def mass_below(self, x):
+        x = np.asarray(x, dtype=float).clip(self.lo, self.hi)
+        return self.integral(x).clip(0.0, self.mass)
+
+
+def _random_tables(rng, count):
+    """Seeded tables of 2 to 8 knots, unevenly spaced, with values drawn
+    log-uniform in [1e-10, 1e10], uniform with zeros, or from {0, 1, 2}
+    (flat runs); an all-zero table gets one value of 1."""
+    for i in range(count):
+        n = int(rng.integers(2, 9))
+        x = rng.uniform(0.0, 10.0) + np.cumsum(10.0 ** rng.uniform(-2.0, 2.0, n))
+        if i % 3 == 0:
+            y = 10.0 ** rng.uniform(-10.0, 10.0, n)
+        elif i % 3 == 1:
+            y = np.where(rng.uniform(size=n) < 0.3, 0.0, rng.uniform(0.0, 3.0, n))
+        else:
+            y = rng.integers(0, 3, n).astype(float)
+        if not y.any():
+            y[0] = 1.0
+        yield x, y
+
+
 class TestTableSegment:
+    # the density_io and stack tests' tables
+    FIXED_TABLES = [
+        (np.linspace(0.0, 2.0, 31), np.full(31, 0.5)),
+        (np.linspace(2.0, 3.0, 5), np.full(5, 0.5)),
+        (np.linspace(2.0, 3.0, 11), np.full(11, 0.5)),
+        ([2.0, 2.5, 3.0], [0.25, 0.5, 0.75]),
+        ([0.0, 1.0, 2.0], [10.0, 11.0, 1.0]),  # left end slope clipped to 3 m0
+    ]
+
+    def test_bitwise_equal_to_scipy_pchip(self, rng):
+        """mass, pdf, mass_below and quantile_within equal scipy's PCHIP
+        bit for bit, inside and outside [lo, hi], on 1,200 seeded tables
+        that cover each branch of the knot slopes."""
+        seen = dict.fromkeys(["two knots", "flat run", "sign change", "zero", "clipped end"], 0)
+        tables = [*self.FIXED_TABLES, *_random_tables(rng, 1200)]
+        for x, y in tables:
+            x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+            seg, ref = TableSegment(x, y), _ScipyTable(x, y)
+            assert seg.mass == float(ref.integral(ref.hi))
+            inside = np.concatenate([x, (x[1:] + x[:-1]) / 2.0, rng.uniform(x[0], x[-1], 8)])
+            width = x[-1] - x[0]
+            outside = [x[0] - width, np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf), x[-1] + 1.0]
+            probes = np.concatenate([inside, outside])
+            assert seg.pdf(probes).tolist() == ref.pdf(probes).tolist()
+            assert seg.mass_below(probes).tolist() == ref.mass_below(probes).tolist()
+            masses = seg.mass * np.concatenate([[-0.1, 0.0, 1.0, 1.1], rng.uniform(0.0, 1.0, 6)])
+            assert seg.quantile_within(masses).tolist() == ref.quantile_within(masses).tolist()
+            m = np.diff(y) / np.diff(x)
+            slopes = ref.interp.c[2]
+            seen["two knots"] += x.size == 2
+            seen["flat run"] += bool(np.any(m == 0.0))
+            seen["sign change"] += bool(np.any((m[1:] * m[:-1] < 0.0) & (slopes[1:] == 0.0)))
+            seen["zero"] += bool(np.any(y == 0.0))
+            seen["clipped end"] += bool(m[0] != 0.0 and slopes[0] == 3.0 * m[0])
+        assert min(seen.values()) > 0, seen
+        span = np.ptp(np.log10([v for _, y in tables for v in np.asarray(y) if v > 0.0]))
+        assert span > 19.0
+
     def test_pchip_matches_linear_data(self):
         xs = np.linspace(0.0, 1.0, 21)
         seg = TableSegment(xs, 2.0 * xs)  # density 2x, mass 1
@@ -422,9 +491,23 @@ class TestTableSegment:
             with pytest.raises(DensityError, match="slope"):
                 TableSegment([0.0, 0.5, 1.0], [1.0, 1e308, 1.0])
 
+    def test_huge_span_raises_a_typed_error(self):
+        # the powers of the width 2^400 overflow in the mass; no
+        # RuntimeWarning may escape
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DensityError, match="mass"):
+                TableSegment([0.0, 2.0**400], [1.0, 2.0])
+
     def test_negative_values_rejected(self):
         with pytest.raises(DensityError):
             TableSegment([0.0, 1.0], [1.0, -0.1])
+
+
+def _mixed_density():
+    """A constant piece and a table piece, each of mass 1/2."""
+    xs = np.linspace(2.0, 3.0, 11)
+    return RadialDensity([PolySegment(0.0, 1.0, [0.5]), TableSegment(xs, np.full(11, 0.5))])
 
 
 class TestRadialDensity:
@@ -475,19 +558,26 @@ class TestRadialDensity:
             RadialDensity([PolySegment(-0.5, 0.5, [1.0])])
 
     def test_mixed_segments(self):
-        xs = np.linspace(2.0, 3.0, 11)
-        rho = RadialDensity(
-            [
-                PolySegment(0.0, 1.0, [0.5]),
-                TableSegment(xs, np.full(11, 0.5)),
-            ]
-        )
+        rho = _mixed_density()
         assert rho.total_mass() == pytest.approx(1.0, abs=1e-12)
         assert rho.cdf(2.5) == pytest.approx(0.75, abs=1e-9)
 
+    def test_total_mass_sums_the_segments(self):
+        # the cumulative stack pins its last entry to 1; total_mass does not
+        rho = RadialDensity([PolySegment(0.0, 1.0, [1.0 - 5e-11])])
+        assert rho.total == 1.0
+        assert rho.total_mass() == 1.0 - 5e-11
+
     def test_quadrature_cross_check(self, uniform, blocks):
-        assert uniform.total_mass(quadrature=True) == pytest.approx(1.0, abs=1e-9)
-        assert blocks.total_mass(quadrature=True) == pytest.approx(1.0, abs=1e-9)
+        """Adaptive quadrature of each segment's pdf gives its mass."""
+        from scipy.integrate import quad
+
+        for rho in (uniform, blocks, _mixed_density()):
+            for seg in rho.segments:
+                assert quad(seg.pdf, seg.lo, seg.hi, limit=200)[0] == pytest.approx(
+                    seg.mass, abs=1e-12
+                )
+            assert rho.total_mass() == pytest.approx(1.0, abs=1e-12)
 
     def test_support_endpoints(self, blocks):
         assert blocks.support_lo == 0.0

@@ -4,12 +4,17 @@ import copy
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import radialmot
 from radialmot import (
     DensityFormatError,
     PolySegment,
@@ -90,6 +95,31 @@ class TestRoundTrip:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load(tmp_path / "nope.json")
+
+    def test_table_load_and_map_check_leave_scipy_unloaded(self, tmp_path):
+        """Loading a table density, its tertiles and the map check of every
+        pattern run on numpy alone."""
+        blocks = [(0.0, 1.0), (2.0, 3.0), (15.0, 16.0)]
+        path = tmp_path / "t.json"
+        save(
+            RadialDensity([TableSegment(np.linspace(a, b, 3), [1.0 / 3.0] * 3) for a, b in blocks]),
+            path,
+        )
+        code = (
+            "import sys, radialmot as r; rho = r.load(sys.argv[1]); rho.tertiles(); "
+            "assert all(r.check_map(r.build_map(rho, p), 300).ok for p in r.PATTERNS); "
+            "print([m for m in ('scipy.interpolate', 'scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules])"
+        )
+        src = str(Path(radialmot.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(path)],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestValidation:
@@ -280,6 +310,6 @@ def test_mutated_documents_load_or_raise_typed(data):
         rho = from_dict(json.loads(json.dumps(doc)))
     except RadialMotError:
         return
-    assert math.isfinite(rho.total)
+    assert math.isfinite(rho.total_mass())
     for x in (0.0, 0.5, 1.0, 1.5, 2.5, 15.5, 100.0):
         assert math.isfinite(rho.pdf(x))
