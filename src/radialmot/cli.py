@@ -252,6 +252,7 @@ def cmd_solve(args) -> int:
             "max_dual_violation": exact.certificate.max_dual_violation,
             "duality_gap": exact.certificate.duality_gap,
             "columns": exact.certificate.columns,
+            "exact_columns": exact.certificate.exact_columns,
             "rounds": exact.certificate.rounds,
         }
     if args.json:

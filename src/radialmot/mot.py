@@ -4,10 +4,12 @@ reference costs.
 A density is discretized into n equal-mass atoms at quantile midpoints.
 The cost is symmetric under permuting the three radii, so a problem holds
 one value per sorted atom triple i <= j <= k: an (m, 3) index array and an
-(m,) cost vector, m = C(n + 2, 3).  A symmetric coupling is held the same
-way, as the total weight of each sorted triple it charges.  The dense
-n x n x n cost and weight tensors are views built on demand; no solver
-path for n > 8 builds them.
+(m,) cost vector, m = C(n + 2, 3).  The angular kernel fills that vector
+in on demand; below it lies the chord bound sum 1/(r_i + r_j), known for
+every triple at once, since no chord is longer than r_i + r_j.  A
+symmetric coupling is held the same way, as the total weight of each
+sorted triple it charges.  The dense n x n x n cost and weight tensors are
+views built on demand; no solver path for n > 8 builds them.
 
 The symmetric problem over those atoms is solved two ways:
 
@@ -16,7 +18,10 @@ The symmetric problem over those atoms is solved two ways:
   feasibility tolerances on the costs divided by the power of two of the
   largest one, solves it on a subset of the columns: first the diagonal
   and the index neighbourhoods of the four branch-map supports, then each
-  round the neighbourhoods of the columns its duals price below zero.
+  round the neighbourhoods of the columns its duals price below zero.  A
+  column's cost is evaluated only when it enters the subset or its chord
+  bound prices below zero; every other column keeps a reduced cost of at
+  least zero.
   Symmetrizing an optimal coupling keeps it optimal, so this has the
   optimum of the full program over n^3 coupling tensors (Friesecke &
   Voegler, SIAM J. Math. Anal. 2018).  The returned coupling and duals
@@ -45,7 +50,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import _P_ROUNDING, Radii, _alignment_margin, _unit_scale, c_pi
+from .costs import (
+    _P_ROUNDING,
+    Radii,
+    _alignment_margin,
+    _unit_scale,
+    _unit_scales,
+    c_pi,
+)
 from .density import RadialDensity
 from .errors import (
     CertificationError,
@@ -147,18 +159,65 @@ class Coupling:
         return float(np.sum(self.mass * c))
 
 
-@dataclass(frozen=True)
+# relative amount by which the chord bound is lowered.  Each computed pair
+# term of the kernel is at least 1/(r_i + r_j) less a few roundings, since
+# its computed squared distance is at most (r_i + r_j)^2 plus a few
+# roundings at any cosine in [-1, 1]; the bound's own sum adds a few more
+_BOUND_MARGIN = 16.0 * np.finfo(float).eps
+
+
+@np.errstate(divide="ignore")
+def _chord_bound(radii: np.ndarray) -> np.ndarray:
+    """Lower bound sum 1/(r_i + r_j) on the cost of each row of an (m, 3)
+    radius array, since no chord is longer than r_i + r_j.  Computed like
+    the kernel on the row divided by the power of two of its largest
+    radius, and lowered by _BOUND_MARGIN relative, so that it lies below
+    the kernel's computed value as well; infinite where two radii vanish."""
+    s = _unit_scales(radii.max(axis=1))
+    a, b, c = (radii / s[:, None]).T
+    bound = 1.0 / (a + b) + 1.0 / (a + c) + 1.0 / (b + c)
+    return bound * (1.0 - _BOUND_MARGIN) / s
+
+
 class DiscreteProblem:
     """Atoms at quantile midpoints and the cost of every sorted atom
-    triple (inf where every angular configuration has a coincidence)."""
+    triple (inf where every angular configuration has a coincidence).
 
-    atoms: np.ndarray
-    triples: np.ndarray
-    values: np.ndarray
+    Costs not passed in are the kernel's, filled in on demand: one array
+    holds them, NaN until evaluated.  Reading values or cost evaluates
+    every row still missing; the LP evaluates only the rows it needs and
+    prices the rest by their chord bound.  The kernel's rows are
+    independent, so a cost does not depend on when it was filled in.
+    Costs passed in are their own bound."""
+
+    def __init__(self, atoms: np.ndarray, triples: np.ndarray, values=None):
+        self.atoms = atoms
+        self.triples = triples
+        if values is None:
+            self._values = np.full(len(triples), np.nan)
+            self._bound = _chord_bound(atoms[triples])
+        else:
+            self._values = self._bound = np.array(values, dtype=float)
 
     @property
     def n(self) -> int:
         return int(self.atoms.size)
+
+    def _costs(self, rows: np.ndarray) -> np.ndarray:
+        """Costs of the distinct rows given, those still missing evaluated
+        in one kernel batch."""
+        todo = rows[np.isnan(self._values[rows])]
+        if todo.size:
+            self._values[todo] = _radial_cost_batch(self.atoms[self.triples[todo]])[0]
+        return self._values[rows]
+
+    @property
+    def values(self) -> np.ndarray:
+        """The cost of every sorted triple, read-only."""
+        self._costs(np.arange(self._values.size))
+        out = self._values.view()
+        out.flags.writeable = False
+        return out
 
     @property
     def cost(self) -> np.ndarray:
@@ -171,7 +230,9 @@ class LpCertificate:
     """Duals of the full program and its residuals; the dual violation and
     the duality gap are relative to the power of two of the largest cost.
     columns is the size of the final column subset, rounds the number of
-    restricted programs solved."""
+    restricted programs solved, and exact_columns the number of finite
+    columns priced at their exact cost; the others were priced by their
+    chord bound."""
 
     duals: tuple[np.ndarray, np.ndarray, np.ndarray]
     marginal_residual: float
@@ -179,6 +240,7 @@ class LpCertificate:
     duality_gap: float
     columns: int
     rounds: int
+    exact_columns: int
 
     @property
     def certified(self) -> bool:
@@ -204,15 +266,13 @@ class SolveResult:
 
 
 def discretize(rho: RadialDensity, n: int) -> DiscreteProblem:
-    """Equal-mass atoms at masses (k - 1/2)/n and the cost of every sorted
-    atom triple, the angular minima of one kernel batch."""
+    """Equal-mass atoms at masses (k - 1/2)/n and every sorted atom triple,
+    with their chord bounds; the kernel evaluates a triple's cost only when
+    it is needed."""
     if n < 1:
         raise ValueError("need at least one atom")
     atoms = rho.mass_quantile((np.arange(n) + 0.5) / n)
-    triples = _sorted_triples(n)
-    # infinite where two radii vanish
-    values = _radial_cost_batch(atoms[triples])[0]
-    return DiscreteProblem(atoms=atoms, triples=triples, values=values)
+    return DiscreteProblem(atoms=atoms, triples=_sorted_triples(n))
 
 
 def _neighbourhood(triples: np.ndarray, n: int) -> np.ndarray:
@@ -262,17 +322,28 @@ def _solve_lp(problem: DiscreteProblem) -> SolveResult:
     worst the subset ends as every column.  The last duals are then
     feasible for every finite column, which the certificate checks.
 
+    The kernel runs only on the columns in the subset and, each round, on
+    those whose chord bound B_t <= c_t prices below 0.  Every other column
+    has B_t - (u_i + u_j + u_k) / 3 >= 0, so its exact price is at least 0
+    too: it would not be added, and it cannot lower the certificate's least
+    slack.  The bound is infinite where two radii vanish, which is where
+    the kernel is, so the finite columns are known before any cost; a
+    column whose squared distances underflow in the kernel, infinite
+    although its bound is not, leaves the subset once evaluated.  The
+    subsets, the solution and the certificate are those of exact pricing,
+    bit for bit.
+
     HiGHS solves on the costs divided by the power of two s of the largest
     one, which is exact, so its absolute tolerances and the certificate's
     mean the same at every scale; the value and duals are multiplied back.
+    The largest cost is on the diagonal, c(r) <= c(r1, r1, r1) for sorted
+    radii, and the first subset holds the diagonal.
     """
     n = problem.n
-    finite = np.isfinite(problem.values)
-    if not np.any(finite):
+    finite = np.flatnonzero(np.isfinite(problem._bound))
+    if finite.size == 0:
         raise InfeasibleCost("every coupling entry has infinite cost")
-    triples, c = problem.triples[finite], problem.values[finite]
-    s = _unit_scale(float(c.max()))
-    c = c / s
+    triples = problem.triples[finite]
     ii, jj, kk = triples.T
 
     from scipy.optimize import linprog
@@ -286,13 +357,26 @@ def _solve_lp(problem: DiscreteProblem) -> SolveResult:
         primal_feasibility_tolerance=_LP_TOL,
         presolve=False,
     )
-    subset = np.zeros(c.size, dtype=bool)
+    subset = np.zeros(finite.size, dtype=bool)
     subset[_lookup(triples, _lp_seed(n), n)] = True
     # a restricted program holding every diagonal column (i, i, i) is
     # feasible; when one of them is infinite, the subset is every column
     if np.count_nonzero(subset & (ii == kk)) < n:
         subset[:] = True
+    # each column's price: its exact cost once evaluated, else its bound
+    c = problem._bound[finite]
+    exact = np.zeros(finite.size, dtype=bool)
+
+    def evaluate(mask):
+        new = np.flatnonzero(mask & ~exact)
+        c[new] = problem._costs(finite[new])
+        exact[new] = True
+
+    evaluate(subset)
+    s = _unit_scale(float(c[np.isfinite(c)].max()))
     for rounds in itertools.count(1):
+        # an underflowing kernel row can be infinite where its bound is not
+        subset &= np.isfinite(c)
         cols = np.flatnonzero(subset)
         rows = triples[cols].T.ravel()
         # duplicate (row, column) entries add up to count_i(t)
@@ -300,17 +384,23 @@ def _solve_lp(problem: DiscreteProblem) -> SolveResult:
             (np.ones(rows.size), (rows, np.tile(np.arange(cols.size), 3))),
             shape=(n, cols.size),
         ) / 3.0
-        res = linprog(c[cols], A_eq=a_eq, b_eq=b_eq, method="highs", options=options)
+        res = linprog(
+            c[cols] / s, A_eq=a_eq, b_eq=b_eq, method="highs", options=options
+        )
         if res.status != 0:
             raise InfeasibleCost(f"linear program failed: {res.message}")
         u = np.asarray(res.eqlin.marginals)
         third = u / 3.0
+        dual = third[ii] + third[jj] + third[kk]
+        # a column whose bound has slack >= 0 has an exact slack >= 0 too
+        evaluate(c / s - dual < 0.0)
         # every finite column priced in one vector pass
-        slack = c - (third[ii] + third[jj] + third[kk])
+        slack = c / s - dual
         priced = np.flatnonzero((slack < -_LP_TOL) & ~subset)
         if priced.size == 0:
             break
         subset[_lookup(triples, _neighbourhood(triples[priced], n), n)] = True
+        evaluate(subset)
 
     charged = res.x != 0.0
     coupling = Coupling(n=n, triples=triples[cols][charged], mass=res.x[charged])
@@ -321,6 +411,7 @@ def _solve_lp(problem: DiscreteProblem) -> SolveResult:
         duality_gap=float(res.fun - b_eq @ u),
         columns=cols.size,
         rounds=rounds,
+        exact_columns=int(np.count_nonzero(exact & np.isfinite(c))),
     )
     if not cert.certified:
         raise CertificationError(

@@ -191,6 +191,8 @@ class TestSolve:
         # the LP's column subset and its rounds: at most all 56 sorted
         # triples of six atoms
         assert 1 <= cert["columns"] <= 56
+        # the columns priced at their exact cost hold the final subset
+        assert cert["columns"] <= cert["exact_columns"] <= 56
         assert cert["rounds"] >= 1
         # six atoms is inside the brute cross-check budget
         assert doc["brute_value"] == pytest.approx(doc["exact_value"], abs=1e-9)

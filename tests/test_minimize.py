@@ -397,6 +397,19 @@ class TestImplicitCurves:
         assert np.all((PI <= cb.alpha_pi) & (cb.alpha_pi <= cb.alpha_0))
         assert np.all(cb.alpha_0 <= 2 * PI)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=RuntimeWarning,
+        reason="at unit scale r1 and r2 are near 3e-255 and 8e-159, so their "
+        "squared distance is subnormal and D ** -1.5 overflows",
+    )
+    def test_far_apart_radii_trace_without_warning(self):
+        # curves or a typed error, with no floating-point warning on the way
+        try:
+            trace_implicit_curves((1.31e-115, 3.9e-19, 4.6e139))
+        except RadialMotError:
+            pass
+
     @pytest.mark.parametrize(
         "r, bracket",
         [((1.0, 1.0000000001, 5.0), "alpha_0: no sign change on [6.28319, 6.28319]"),
