@@ -41,9 +41,10 @@ from .costs import (
 )
 from .counterexample import (
     ViolationCertificate,
+    boundary_ratio_gate,
     check_graph_condition,
     example_counterexample_density,
-    find_eps_M,
+    limit_margin,
     ratio_gate,
     refute_class_T,
 )
@@ -301,12 +302,13 @@ def cmd_counterexample(args) -> int:
         s1=args.s1, s2=args.s2, ratio=args.ratio, k=args.k
     )
     graph = check_graph_condition(rho, n=args.graph_probes)
-    epsm = find_eps_M(args.s1, args.s2)
     certs = refute_class_T(rho)
+    # the window the DDI certificate used, from the density's own tertiles
+    window = certs["DDI"].metadata
     gates = {
         "ratio_gate": ratio_gate(args.s1, args.s2),
         "boundary_ratio": rho.boundary_ratio,
-        "boundary_gate": rho.boundary_ratio > 3.5,
+        "boundary_gate": boundary_ratio_gate(rho.boundary_ratio),
         "graph_condition_worst": graph.worst_margin,
     }
     payload = {
@@ -315,10 +317,10 @@ def cmd_counterexample(args) -> int:
         "ratio": args.ratio,
         "k": args.k,
         "gates": gates,
-        "eps": epsm.eps,
-        "M": epsm.M,
-        "window_margin": epsm.margin,
-        "limit_margin": epsm.limit,
+        "eps": window["eps"],
+        "M": window["M"],
+        "window_margin": window["window_margin"],
+        "limit_margin": limit_margin(args.s1, args.s2),
         "h_taylor": list(rho.tail_spec.h_taylor),
         "certificates": {
             pat: _certificate_doc(c, gates) for pat, c in certs.items()
@@ -345,7 +347,7 @@ def cmd_counterexample(args) -> int:
         print(f"s1={_fmt(args.s1)} s2={_fmt(args.s2)} ratio={_fmt(args.ratio)} k={args.k}")
         print(f"gates: ratio ok, boundary ratio {_fmt(rho.boundary_ratio)} > 7/2 ok")
         print(f"graph condition worst margin = {_fmt(graph.worst_margin)}")
-        print(f"eps = {_fmt(epsm.eps)}  M = {_fmt(epsm.M)}")
+        print(f"eps = {_fmt(window['eps'])}  M = {_fmt(window['M'])}")
         for pat, cert in certs.items():
             extra = " (template extrapolated)" if cert.template_extrapolated else ""
             print(

@@ -396,18 +396,19 @@ class _HProfile:
 
 def _choose_delta(derivs: Sequence[float], s1: float) -> float:
     """Largest delta = s1/2^j whose Taylor polynomial stays positive on
-    (0, delta]; the jet has h(0) = 0 and h'(0) > 0 so this terminates."""
+    (0, delta]; the jet has h(0) = 0 and h'(0) > 0 so this terminates.
+    The roots do not depend on delta, so one solve and one array pass over
+    the widths decide them all: a width passes below the least real root
+    above 1e-300, with p positive at the width and at its half."""
     poly = np.polynomial.Polynomial([d / math.factorial(j) for j, d in enumerate(derivs)])
-    delta = s1 / 2.0
-    for _ in range(_DELTA_HALVINGS):
-        roots = [
-            complex(z).real
-            for z in np.atleast_1d(poly.roots())
-            if abs(complex(z).imag) < 1e-10 and 1e-300 < complex(z).real <= delta
-        ]
-        if not roots and poly(delta) > 0.0 and poly(delta / 2.0) > 0.0:
-            return delta
-        delta /= 2.0
+    z = np.atleast_1d(poly.roots()).astype(complex)
+    first_root = z.real[(np.abs(z.imag) < 1e-10) & (z.real > 1e-300)].min(initial=np.inf)
+    deltas = np.ldexp(s1 / 2.0, -np.arange(_DELTA_HALVINGS))
+    passed = np.flatnonzero(
+        (deltas < first_root) & (poly(deltas) > 0.0) & (poly(deltas / 2.0) > 0.0)
+    )
+    if passed.size:
+        return float(deltas[passed[0]])
     raise JetNotPositive(
         f"bump jet {tuple(derivs)} admits no positive profile on (0, {s1}]"
     )
@@ -550,7 +551,6 @@ def build_counterexample_density(
 
     stack12 = SegmentStack([*rho1, *rho2])
     stack1 = SegmentStack(rho1)
-    stack2 = SegmentStack(rho2)
 
     def t_map(x):
         return stack12.mass_quantile(2.0 / 3.0 - stack12.mass_below(x))
@@ -569,7 +569,7 @@ def build_counterexample_density(
         """phi(x, T(x)) and its derivative along the branch graph."""
         b = t_map(x)
         phi, da, db = _phi_partials(x, b)
-        return phi, da + db * (-stack1.pdf(x) / stack2.pdf(b))
+        return phi, da + db * (-stack1.pdf(x) / stack12.pdf(b))
 
     # shrinking delta both restores positivity of the jet polynomial and
     # tames the blend slope, so the first of the widths delta0 2^-j that
@@ -708,11 +708,15 @@ def example_counterexample_density(
 class ViolationCertificate:
     """Two orbits plus a coordinate swap that strictly lowers the cost.
 
-    All four costs are exact angular minima; gap = (cost of the orbits)
-    - (cost after the swap) > 0 exhibits the failure of pairwise
-    monotonicity for the pattern's coupling.  collinear_gap recomputes
-    the same quantity through collinear values where the alignment
-    condition certifies they coincide with the true costs.
+    The four costs are the angular kernel's minima: c_pi in closed form
+    where the alignment margin certifies P > 0, seeded Newton (not
+    certified) elsewhere.  gap = (cost of the orbits) - (cost after the
+    swap) > 0 exhibits the failure of pairwise monotonicity for the
+    pattern's coupling.  collinear_gap recomputes the same quantity
+    through collinear values where the alignment condition certifies they
+    coincide with the true costs.  The DDI certificate's metadata carries
+    its window (eps, M, window_margin), the region certificates' their
+    threshold and levels.
     """
 
     pattern: str
@@ -731,40 +735,56 @@ class ViolationCertificate:
     metadata: dict = field(default_factory=dict)
 
 
-def _certificate(
-    pattern: str,
-    template: str,
-    ta: MongeTriple,
-    tb: MongeTriple,
-    extrapolated: bool,
-    metadata: dict,
-) -> ViolationCertificate:
-    sa, sb = _apply_swap(ta.as_tuple(), tb.as_tuple(), template)
-    quads = tuple(Radii.of(t).as_tuple() for t in (ta.as_tuple(), tb.as_tuple(), sa, sb))
-    ca, cb, cs_a, cs_b = _radial_cost_batch(quads)[0].tolist()
-    gap = (ca + cb) - (cs_a + cs_b)
+def _certify(pairs: dict[str, tuple]) -> dict[str, ViolationCertificate]:
+    """Certificates of orbit pairs, keyed and checked in the given order.
+
+    Each pair is (template, orbit_a, orbit_b, extrapolated, metadata).  The
+    four triples of every pair are priced in one kernel batch, whose rows
+    are independent, so a pair gets the bits it would get alone.  The
+    first pattern whose swap gap is not positive raises ViolationNotFound.
+    """
+    quads = {
+        p: (ta.as_tuple(), tb.as_tuple(), *_apply_swap(ta.as_tuple(), tb.as_tuple(), template))
+        for p, (template, ta, tb, _, _) in pairs.items()
+    }
+    rows = np.array([Radii.of(t).as_tuple() for quad in quads.values() for t in quad])
+    costs = _radial_cost_batch(rows)[0].reshape(-1, 4).tolist()
     # the collinear recomputation is only meaningful when every involved
     # triple is certified collinear by the alignment condition
-    if np.all(_alignment_margin(quads) > _P_ROUNDING):
-        col = (c_pi(ta.as_tuple()) + c_pi(tb.as_tuple())) - (c_pi(sa) + c_pi(sb))
-    else:
-        col = None
-    return ViolationCertificate(
-        pattern=pattern,
-        template=template,
-        triple_a=ta,
-        triple_b=tb,
-        swapped_a=sa,
-        swapped_b=sb,
-        cost_a=ca,
-        cost_b=cb,
-        cost_swapped_a=cs_a,
-        cost_swapped_b=cs_b,
-        gap=gap,
-        collinear_gap=col,
-        template_extrapolated=extrapolated,
-        metadata=metadata,
-    )
+    collinear = np.all((_alignment_margin(rows) > _P_ROUNDING).reshape(-1, 4), axis=1)
+    out = {}
+    for (p, pair), (ca, cb, cs_a, cs_b), col in zip(pairs.items(), costs, collinear):
+        template, ta, tb, extrapolated, metadata = pair
+        a, b, sa, sb = quads[p]
+        gap = (ca + cb) - (cs_a + cs_b)
+        if gap <= 0.0:
+            raise ViolationNotFound(
+                f"window orbits found but the swap gap is {gap!r}; "
+                "the hypothesis chain is numerically violated"
+                if p == "DDI"
+                else f"{p}: region pair found but swap gap is {gap!r}"
+            )
+        out[p] = ViolationCertificate(
+            pattern=p,
+            template=template,
+            triple_a=ta,
+            triple_b=tb,
+            swapped_a=sa,
+            swapped_b=sb,
+            cost_a=ca,
+            cost_b=cb,
+            cost_swapped_a=cs_a,
+            cost_swapped_b=cs_b,
+            gap=gap,
+            collinear_gap=(c_pi(a) + c_pi(b)) - (c_pi(sa) + c_pi(sb)) if col else None,
+            template_extrapolated=extrapolated,
+            metadata={
+                **metadata,
+                "alignment_a": alignment_condition(a),
+                "alignment_b": alignment_condition(b),
+            },
+        )
+    return out
 
 
 def find_violation(rho: RadialDensity, epsm: EpsM | None = None) -> ViolationCertificate:
@@ -775,8 +795,14 @@ def find_violation(rho: RadialDensity, epsm: EpsM | None = None) -> ViolationCer
     orbit enters the far window (s1-eps, s1) x (s1, s1+eps) x (M, inf),
     each ladder of halvings evaluated as one array; swapping the first
     coordinates of the two orbits then lowers the total cost strictly.
-    Raises ViolationNotFound when a ladder misses its window.
+    The window is epsm, or by default find_eps_M of the tertiles.  Raises
+    ViolationNotFound when a ladder misses its window.
     """
+    return _certify({"DDI": _window_pair(rho, epsm)})["DDI"]
+
+
+def _window_pair(rho: RadialDensity, epsm: EpsM | None = None) -> tuple:
+    """The DDI orbit pair of find_violation, unpriced."""
     t = rho.tertiles()
     s1, s2 = t.s1, t.s2
     if epsm is None:
@@ -811,36 +837,16 @@ def find_violation(rho: RadialDensity, epsm: EpsM | None = None) -> ViolationCer
         )
     x_orbit = MongeTriple(*(float(v[near[0]]) for v in (x0, x1, x2)))
     y_orbit = MongeTriple(*(float(v[far[0]]) for v in (y0, y1, y2)))
-
-    cert = _certificate(
-        pattern="DDI",
-        template="first",
-        ta=x_orbit,
-        tb=y_orbit,
-        extrapolated=False,
-        metadata={
-            "eps": eps,
-            "M": m_far,
-            "window_margin": epsm.margin,
-            "alignment_a": alignment_condition(x_orbit.as_tuple()),
-            "alignment_b": alignment_condition(y_orbit.as_tuple()),
-        },
-    )
-    if cert.gap <= 0.0:
-        raise ViolationNotFound(
-            f"window orbits found but the swap gap is {cert.gap!r}; "
-            "the hypothesis chain is numerically violated"
-        )
-    return cert
+    window = {"eps": eps, "M": m_far, "window_margin": epsm.margin}
+    return "first", x_orbit, y_orbit, False, window
 
 
 _REGION_TEMPLATES = {"DID": "third", "III": "second", "IDD": "first"}
 
 
-def _region_violations(
-    rho: RadialDensity, patterns: Sequence[str]
-) -> dict[str, ViolationCertificate]:
-    """Shrinking-region construction for the non-DDI patterns, in lockstep.
+def _region_violations(rho: RadialDensity, patterns: Sequence[str]) -> dict[str, tuple]:
+    """Shrinking-region orbit pairs for the non-DDI patterns, in lockstep,
+    unpriced and in the form _certify takes.
 
     The second iterate of each pattern's map diverges at one end of the
     first tertile; shrinking the region until its second-iterate range
@@ -920,7 +926,7 @@ def _region_violations(
                     f"{p}: level masses ({ml!r}, {mr!r}) left the first tertile"
                 )
 
-    out: dict[str, ViolationCertificate] = {}
+    out = {}
     for p in patterns:
         if p in failed:
             raise failed[p]
@@ -928,25 +934,14 @@ def _region_violations(
         ta, tb = (MongeTriple(*t) for t in orbits)
         # implied collinear positions: middle coordinates reflected across 0
         line = sorted((-ta.tx, -tb.tx, ta.x, tb.x, ta.t2x, tb.t2x))
-        cert = _certificate(
-            pattern=p,
-            template=_REGION_TEMPLATES[p],
-            ta=ta,
-            tb=tb,
-            extrapolated=p in ("III", "IDD"),
-            metadata={
-                "region_mass": region[p],
-                "threshold": thresh[p],
-                "levels": (2.0 * thresh[p], 4.0 * thresh[p]),
-                "line_points": tuple(line),
-                "line_strictly_ordered": all(a < b for a, b in zip(line, line[1:])),
-                "alignment_a": alignment_condition(ta.as_tuple()),
-                "alignment_b": alignment_condition(tb.as_tuple()),
-            },
-        )
-        if cert.gap <= 0.0:
-            raise ViolationNotFound(f"{p}: region pair found but swap gap is {cert.gap!r}")
-        out[p] = cert
+        metadata = {
+            "region_mass": region[p],
+            "threshold": thresh[p],
+            "levels": (2.0 * thresh[p], 4.0 * thresh[p]),
+            "line_points": tuple(line),
+            "line_strictly_ordered": all(a < b for a, b in zip(line, line[1:])),
+        }
+        out[p] = (_REGION_TEMPLATES[p], ta, tb, p in ("III", "IDD"), metadata)
     return out
 
 
@@ -956,6 +951,8 @@ def refute_class_T(rho: RadialDensity) -> dict[str, ViolationCertificate]:
     DDI uses the window pair; the other three use the shrinking-region
     construction with the swap template dictated by the six-point line
     ordering (third coordinates for DID, second for III, first for IDD;
-    the latter two are template extrapolations and flagged as such).
+    the latter two are template extrapolations and flagged as such).  All
+    eight orbits and their swaps are priced in one kernel batch.
     """
-    return {"DDI": find_violation(rho), **_region_violations(rho, ("DID", "III", "IDD"))}
+    pairs = {"DDI": _window_pair(rho), **_region_violations(rho, ("DID", "III", "IDD"))}
+    return _certify(pairs)

@@ -305,12 +305,12 @@ class TestCounterexample:
             "s1=0.90000000000000002 s2=1 ratio=4 k=2",
             "gates: ratio ok, boundary ratio 4 > 7/2 ok",
             "graph condition worst margin = 0",
-            "eps = 0.0031249999999999993  M = 379.90092954341287",
+            "eps = 0.0031250000000000305  M = 379.90092954357311",
             "DDI: swap first coordinates, gap = 0.15221738140065755",
             "DID: swap third coordinates, gap = 0.0016651326895487095",
-            "III: swap second coordinates, gap = 1.2879333715298813e-05 "
+            "III: swap second coordinates, gap = 1.2879333715076768e-05 "
             "(template extrapolated)",
-            "IDD: swap first coordinates, gap = 0.0015244351597036854 "
+            "IDD: swap first coordinates, gap = 0.0015244351597032413 "
             "(template extrapolated)",
             f"density written to {rho_file}",
             f"certificates written to {certs_file}",
@@ -325,6 +325,17 @@ class TestCounterexample:
         assert load(rho_file).tail_spec.order == 2
         certs = json.loads(certs_file.read_text())["certificates"]
         assert set(certs) == {"III", "DDI", "DID", "IDD"}
+
+    @pytest.mark.parametrize("s1, ratio", [("0.9", "4"), ("0.95", "4.5")])
+    def test_window_is_the_ddi_certificates(self, capsys, s1, ratio):
+        # one window per document: the top-level eps and M are those the
+        # DDI certificate located its orbits with (the density's tertiles)
+        argv = ["counterexample", "--s1", s1, "--ratio", ratio, "--json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        doc = json.loads(out)
+        ddi = doc["certificates"]["DDI"]
+        assert (doc["eps"], doc["M"]) == (ddi["eps"], ddi["M"])
 
     def test_failed_gate_exits_one(self, capsys):
         code, _, err = run(capsys, ["counterexample", "--s1", "0.8"])

@@ -38,7 +38,7 @@ from radialmot import (
 )
 import radialmot
 from radialmot import counterexample
-from radialmot.counterexample import _certificate, _choose_delta, _region_violations
+from radialmot.counterexample import _certify, _choose_delta, _region_violations
 from radialmot.density import PushforwardTailSegment
 
 
@@ -249,6 +249,39 @@ class TestConstruction:
         with pytest.raises(JetNotPositive):
             _choose_delta((0.0, -1.0, 0.0), s1=0.9)
 
+    def test_plateau_onset_matches_the_halving_loop(self):
+        # one root solve and one pass over the widths against the loop
+        # that solved for the roots at every width
+        def loop(derivs, s1):
+            poly = np.polynomial.Polynomial(
+                [d / math.factorial(j) for j, d in enumerate(derivs)]
+            )
+            delta = s1 / 2.0
+            for _ in range(counterexample._DELTA_HALVINGS):
+                roots = [
+                    complex(z).real
+                    for z in np.atleast_1d(poly.roots())
+                    if abs(complex(z).imag) < 1e-10 and 1e-300 < complex(z).real <= delta
+                ]
+                if not roots and poly(delta) > 0.0 and poly(delta / 2.0) > 0.0:
+                    return delta
+                delta /= 2.0
+            return None
+
+        rng = np.random.default_rng(7)
+        jets = [_H_TAYLOR_K4[: k + 2] for k in range(5)]
+        for _ in range(300):
+            tail = rng.normal(size=rng.integers(1, 5)) * 10.0 ** rng.uniform(-2, 6)
+            jets.append((0.0, rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 2), *tail))
+        for derivs in jets:
+            s1 = float(rng.uniform(0.5, 1.0))
+            want = loop(derivs, s1)
+            if want is None:
+                with pytest.raises(JetNotPositive):
+                    _choose_delta(derivs, s1)
+            else:
+                assert _choose_delta(derivs, s1) == want
+
 
 # h_taylor of example_counterexample_density(0.9, 1.0, 4.0, k) is the first
 # k + 2 entries of this jet; the values were frozen from the symbolic
@@ -423,6 +456,18 @@ def test_refutation_inverts_the_tail_at_most_three_times(monkeypatch, k):
 
 
 @pytest.mark.parametrize("k", [1, 2])
+def test_refutation_prices_in_one_kernel_call(monkeypatch, k):
+    """refute_class_T prices the four certificates' sixteen triples in one
+    batch (one call per certificate made 4), and find_violation its four."""
+    rho = example_counterexample_density(k=k)
+    calls = _count_calls(monkeypatch, counterexample, "_radial_cost_batch")
+    refute_class_T(rho)
+    assert [len(rows) for rows, in calls] == [16]
+    find_violation(rho)
+    assert [len(rows) for rows, in calls] == [16, 4]
+
+
+@pytest.mark.parametrize("k", [1, 2])
 def test_tail_inverse_within_forward_error_floor(k):
     """inverse(psi(x)) lands on x to the resolution the float psi allows:
     within 4 spacings of y over psi'(x), plus 4 spacings of x, at 25
@@ -591,9 +636,15 @@ class TestRefutation:
                 assert radial_cost(t).value == pytest.approx(c_pi(t), rel=1e-12)
 
     def test_underflowing_unaligned_triple_has_no_collinear_gap(self):
-        # P(1, 2, 14) = -80; at scale 1e-100 the raw P underflows to -0.0
-        t = MongeTriple(1e-100, 2e-100, 1.4e-99)
-        cert = _certificate("DDI", "first", t, t, False, {})
+        # P(1, 2, 14) = -80; at scale 1e-100 the raw P underflows to -0.0.
+        # The swap makes (1, 2, 14) e-100 from two aligned orbits, and the
+        # other swapped triple is aligned too.
+        ta = MongeTriple(1e-102, 2e-100, 1.4e-99)
+        tb = MongeTriple(1e-100, 2e-99, 2e-98)
+        cert = _certify({"DDI": ("first", ta, tb, False, {})})["DDI"]
+        assert cert.swapped_a == (1e-100, 2e-100, 1.4e-99)
+        assert alignment_condition(cert.swapped_a) == 0.0
+        assert cert.gap > 0.0
         assert cert.collinear_gap is None
 
     def test_ddi_collinear_gap_suppressed(self, certs):
@@ -610,7 +661,7 @@ class TestRefutation:
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_certificate_costs_equal_the_scalar_kernel_bitwise(k):
-    # _certificate evaluates its four triples in one kernel batch
+    # _certify evaluates all the certificates' triples in one kernel batch
     for cert in refute_class_T(example_counterexample_density(k=k)).values():
         triples = (
             cert.triple_a.as_tuple(),
