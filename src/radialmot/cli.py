@@ -255,6 +255,7 @@ def cmd_solve(args) -> int:
             "columns": exact.certificate.columns,
             "exact_columns": exact.certificate.exact_columns,
             "rounds": exact.certificate.rounds,
+            "simplex_iterations": exact.certificate.simplex_iterations,
         }
     if args.json:
         _print_json("solve", payload)
@@ -281,7 +282,7 @@ def _certificate_doc(cert: ViolationCertificate, gates: dict) -> dict:
         "r": cert.triple_b.x,
         "triples": [list(cert.triple_a.as_tuple()), list(cert.triple_b.as_tuple())],
         "swap_triples": [list(cert.swapped_a), list(cert.swapped_b)],
-        "exact_costs": [
+        "costs": [
             cert.cost_a,
             cert.cost_b,
             cert.cost_swapped_a,

@@ -14,11 +14,12 @@ views built on demand; no solver path for n > 8 builds them.
 The symmetric problem over those atoms is solved two ways:
 
 * "lp": the symmetric linear program over the finite sorted triples, one
-  uniform-marginal row per atom, by column generation.  HiGHS, at 1e-10
-  feasibility tolerances on the costs divided by the power of two of the
-  largest one, solves it on a subset of the columns: first the diagonal
+  uniform-marginal row per atom, by column generation.  One HiGHS model,
+  at 1e-10 feasibility tolerances on the costs divided by the power of two
+  of the largest one, holds a subset of the columns: first the diagonal
   and the index neighbourhoods of the four branch-map supports, then each
-  round the neighbourhoods of the columns its duals price below zero.  A
+  round the neighbourhoods of the columns its duals price below zero,
+  re-solved from the last optimal basis.  A
   column's cost is evaluated only when it enters the subset or its chord
   bound prices below zero; every other column keeps a reduced cost of at
   least zero.
@@ -230,9 +231,9 @@ class LpCertificate:
     """Duals of the full program and its residuals; the dual violation and
     the duality gap are relative to the power of two of the largest cost.
     columns is the size of the final column subset, rounds the number of
-    restricted programs solved, and exact_columns the number of finite
-    columns priced at their exact cost; the others were priced by their
-    chord bound."""
+    restricted programs solved, simplex_iterations the simplex iterations
+    of all rounds, and exact_columns the number of finite columns priced at
+    their exact cost; the others were priced by their chord bound."""
 
     duals: tuple[np.ndarray, np.ndarray, np.ndarray]
     marginal_residual: float
@@ -241,6 +242,7 @@ class LpCertificate:
     columns: int
     rounds: int
     exact_columns: int
+    simplex_iterations: int
 
     @property
     def certified(self) -> bool:
@@ -315,11 +317,13 @@ def _solve_lp(problem: DiscreteProblem) -> SolveResult:
     sum_t x_t count_i(t) / 3, which gives n rows instead of 3n, and the
     dual u yields the full LP's duals (u/3, u/3, u/3).
 
-    HiGHS solves restricted programs over a growing subset of the finite
-    columns, seeded by _lp_seed.  Each round prices every finite column,
-    c_t - (u_i + u_j + u_k) / 3, and adds the width-1 neighbourhood of each
-    one outside the subset priced below -_LP_TOL, until none is left; at
-    worst the subset ends as every column.  The last duals are then
+    One HiGHS model holds the restricted program over a growing subset of
+    the finite columns, seeded by _lp_seed.  Each round solves it, prices
+    every finite column, c_t - (u_i + u_j + u_k) / 3, and appends the
+    width-1 neighbourhood of each one outside the subset priced below
+    -_LP_TOL, until none is left; at worst the subset ends as every column.
+    Appended columns enter at zero, so the next round starts from the last
+    optimal basis, still primal feasible.  The last duals are then
     feasible for every finite column, which the certificate checks.
 
     The kernel runs only on the columns in the subset and, each round, on
@@ -329,9 +333,10 @@ def _solve_lp(problem: DiscreteProblem) -> SolveResult:
     slack.  The bound is infinite where two radii vanish, which is where
     the kernel is, so the finite columns are known before any cost; a
     column whose squared distances underflow in the kernel, infinite
-    although its bound is not, leaves the subset once evaluated.  The
-    subsets, the solution and the certificate are those of exact pricing,
-    bit for bit.
+    although its bound is not, is never added.  The subsets are those of
+    exact pricing.  Past the first round, the value and duals can differ
+    in their last bits from a cold solve of the same subset, since HiGHS
+    reaches the optimum from another basis.
 
     HiGHS solves on the costs divided by the power of two s of the largest
     one, which is exact, so its absolute tolerances and the certificate's
@@ -346,17 +351,23 @@ def _solve_lp(problem: DiscreteProblem) -> SolveResult:
     triples = problem.triples[finite]
     ii, jj, kk = triples.T
 
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix
+    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+    from scipy.sparse import csc_matrix
 
     b_eq = np.full(n, 1.0 / n)
-    # each restricted program is small and solved from scratch, and there
-    # HiGHS's presolve costs more than it saves
-    options = dict(
-        dual_feasibility_tolerance=_LP_TOL,
-        primal_feasibility_tolerance=_LP_TOL,
-        presolve=False,
-    )
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    # each restricted program is small and warm-started, and there HiGHS's
+    # presolve costs more than it saves
+    highs.setOptionValue("presolve", "off")
+    # "choose": the dual simplex from no basis, the primal simplex from the
+    # primal feasible basis a round leaves, where the dual one is slower
+    highs.setOptionValue("simplex_strategy", 0)
+    highs.setOptionValue("dual_feasibility_tolerance", _LP_TOL)
+    highs.setOptionValue("primal_feasibility_tolerance", _LP_TOL)
+    none = np.zeros(0, dtype=np.int32)
+    highs.addRows(n, b_eq, b_eq, 0, none, none, np.zeros(0))
+
     subset = np.zeros(finite.size, dtype=bool)
     subset[_lookup(triples, _lp_seed(n), n)] = True
     # a restricted program holding every diagonal column (i, i, i) is
@@ -374,22 +385,32 @@ def _solve_lp(problem: DiscreteProblem) -> SolveResult:
 
     evaluate(subset)
     s = _unit_scale(float(c[np.isfinite(c)].max()))
-    for rounds in itertools.count(1):
+
+    def add(mask):
+        """Append the finite columns of mask to the model; return their indices."""
         # an underflowing kernel row can be infinite where its bound is not
-        subset &= np.isfinite(c)
-        cols = np.flatnonzero(subset)
-        rows = triples[cols].T.ravel()
-        # duplicate (row, column) entries add up to count_i(t)
-        a_eq = csr_matrix(
-            (np.ones(rows.size), (rows, np.tile(np.arange(cols.size), 3))),
-            shape=(n, cols.size),
-        ) / 3.0
-        res = linprog(
-            c[cols] / s, A_eq=a_eq, b_eq=b_eq, method="highs", options=options
-        )
-        if res.status != 0:
-            raise InfeasibleCost(f"linear program failed: {res.message}")
-        u = np.asarray(res.eqlin.marginals)
+        new = np.flatnonzero(mask & np.isfinite(c))
+        m, rows = new.size, triples[new].ravel()
+        # one entry per distinct index: duplicates add up to count_i(t)
+        a = csc_matrix((np.ones(3 * m), (rows, np.repeat(np.arange(m), 3))), (n, m))
+        a /= 3.0
+        lo, hi = np.zeros(m), np.full(m, np.inf)
+        highs.addCols(m, c[new] / s, lo, hi, a.nnz, a.indptr[:-1], a.indices, a.data)
+        return new
+
+    cols = add(subset)  # the model's columns, in the order added
+    iterations = 0
+    for rounds in itertools.count(1):
+        highs.run()
+        status = highs.getModelStatus()
+        if status != HighsModelStatus.kOptimal:
+            raise InfeasibleCost(
+                f"linear program failed: {highs.modelStatusToString(status)}"
+            )
+        info = highs.getInfo()
+        iterations += info.simplex_iteration_count
+        solution = highs.getSolution()
+        u = np.array(solution.row_dual)
         third = u / 3.0
         dual = third[ii] + third[jj] + third[kk]
         # a column whose bound has slack >= 0 has an exact slack >= 0 too
@@ -399,19 +420,26 @@ def _solve_lp(problem: DiscreteProblem) -> SolveResult:
         priced = np.flatnonzero((slack < -_LP_TOL) & ~subset)
         if priced.size == 0:
             break
-        subset[_lookup(triples, _neighbourhood(triples[priced], n), n)] = True
-        evaluate(subset)
+        grown = subset.copy()
+        grown[_lookup(triples, _neighbourhood(triples[priced], n), n)] = True
+        evaluate(grown)
+        cols = np.concatenate([cols, add(grown & ~subset)])
+        subset = grown
 
-    charged = res.x != 0.0
-    coupling = Coupling(n=n, triples=triples[cols][charged], mass=res.x[charged])
+    x = np.array(solution.col_value)
+    order = np.argsort(cols)
+    charged = order[x[order] != 0.0]
+    coupling = Coupling(n=n, triples=triples[cols[charged]], mass=x[charged])
+    value = info.objective_function_value
     cert = LpCertificate(
         duals=(third * s,) * 3,
         marginal_residual=coupling.marginal_residual(),
         max_dual_violation=float(max(0.0, -slack.min())),
-        duality_gap=float(res.fun - b_eq @ u),
+        duality_gap=float(value - b_eq @ u),
         columns=cols.size,
         rounds=rounds,
         exact_columns=int(np.count_nonzero(exact & np.isfinite(c))),
+        simplex_iterations=iterations,
     )
     if not cert.certified:
         raise CertificationError(
@@ -421,7 +449,7 @@ def _solve_lp(problem: DiscreteProblem) -> SolveResult:
             f"gap {cert.duality_gap:.3e}"
         )
     return SolveResult(
-        value=float(res.fun) * s, coupling=coupling, method="lp", certificate=cert
+        value=float(value) * s, coupling=coupling, method="lp", certificate=cert
     )
 
 

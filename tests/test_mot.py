@@ -13,6 +13,7 @@ from radialmot import mot
 from radialmot.costs import _unit_scale
 from radialmot import (
     DiscreteProblem,
+    InfeasibleCost,
     LpCertificate,
     MongeCertificate,
     MongeTriple,
@@ -184,9 +185,10 @@ class TestSymmetricLp:
         assert res.certificate.certified
 
 
-def _exhaustive_lp_value(problem) -> float:
+def _exhaustive_lp(problem):
     """Reference optimum: the symmetric LP with every finite sorted triple
-    as a column and one uniform-marginal row per atom, in one HiGHS call."""
+    as a column and one uniform-marginal row per atom, in one HiGHS call.
+    Returns its value and the sorted triples its solution charges."""
     n = problem.n
     finite = np.isfinite(problem.values)
     t = problem.triples[finite]
@@ -206,7 +208,7 @@ def _exhaustive_lp_value(problem) -> float:
         },
     )
     assert res.status == 0
-    return float(res.fun)
+    return float(res.fun), t[res.x != 0.0]
 
 
 class TestColumnGeneration:
@@ -219,12 +221,29 @@ class TestColumnGeneration:
         # below 3 atoms the pattern seed is empty, below 9 it is partial
         prob = discretize(request.getfixturevalue(density), n)
         res = solve_exact(prob)
-        assert res.value == pytest.approx(_exhaustive_lp_value(prob), rel=1e-12)
+        value, charged = _exhaustive_lp(prob)
+        assert res.value == pytest.approx(value, rel=1e-12)
+        assert np.array_equal(res.coupling.triples, charged)
         cert = res.certificate
         assert cert.certified
         assert res.coupling.mass.size <= n
         assert 1 <= cert.columns <= np.count_nonzero(np.isfinite(prob.values))
         assert cert.rounds >= 1
+        assert cert.simplex_iterations >= 1
+        # the k = 1 example at 27 and 54 atoms takes several rounds, each
+        # re-solved from the last optimal basis
+        if density == "tail_k1" and n >= 27:
+            assert cert.rounds >= 2
+
+    def test_infeasible_program_raises(self):
+        # at two atoms only (0, 0, 1) is finite: it puts 2/3 of its mass on
+        # atom 0 and 1/3 on atom 1, so no mass meets the uniform marginals
+        atoms = np.array([1.0, 2.0])
+        triples = mot._sorted_triples(2)
+        values = np.where((triples == [0, 0, 1]).all(axis=1), 1.0, math.inf)
+        prob = DiscreteProblem(atoms=atoms, triples=triples, values=values)
+        with pytest.raises(InfeasibleCost, match="linear program failed: Infeasible"):
+            solve_exact(prob)
 
     def test_lookup_finds_only_equal_keys(self):
         # (0, 1, 1) falls between two keys, (2, 2, 2) past the last one
@@ -238,7 +257,7 @@ class TestColumnGeneration:
             mot, "_lp_seed", lambda n: np.repeat(np.arange(n)[:, None], 3, axis=1)
         )
         res = solve_exact(prob)
-        assert res.value == pytest.approx(_exhaustive_lp_value(prob), rel=1e-12)
+        assert res.value == pytest.approx(_exhaustive_lp(prob)[0], rel=1e-12)
         assert res.certificate.certified
         # the diagonal alone is not optimal, so pricing added columns
         assert res.certificate.rounds > 1
@@ -263,7 +282,7 @@ class TestColumnGeneration:
         assert res.certificate.columns == 3
         assert res.certificate.exact_columns == 3
         assert res.certificate.rounds == 1
-        assert res.value == pytest.approx(_exhaustive_lp_value(prob), rel=1e-12)
+        assert res.value == pytest.approx(_exhaustive_lp(prob)[0], rel=1e-12)
 
 
 # a radius as a fraction of the largest: zero, a tie with it, or a ratio
@@ -285,6 +304,7 @@ def _assert_same_solution(a, b):
         "columns",
         "rounds",
         "exact_columns",
+        "simplex_iterations",
     )
     assert [getattr(ca, f) for f in fields] == [getattr(cb, f) for f in fields]
 
@@ -345,7 +365,7 @@ class TestLazyCosts:
         bound = mot._chord_bound(prob.atoms[prob.triples])
         assert np.count_nonzero(np.isinf(prob.values) & np.isfinite(bound)) == 12
         assert res.certificate.certified
-        assert res.value == pytest.approx(_exhaustive_lp_value(prob), rel=1e-12)
+        assert res.value == pytest.approx(_exhaustive_lp(prob)[0], rel=1e-12)
 
     def test_blocks_kernel_rows(self, monkeypatch, blocks):
         rows = []
