@@ -45,7 +45,6 @@ from .costs import (
     _phi_partials,
     _unit_scale,
     alignment_condition,
-    c_pi,
 )
 from .density import (
     PolySegment,
@@ -712,9 +711,9 @@ class ViolationCertificate:
     where the alignment margin certifies P > 0, seeded Newton (not
     certified) elsewhere.  gap = (cost of the orbits) - (cost after the
     swap) > 0 exhibits the failure of pairwise monotonicity for the
-    pattern's coupling.  collinear_gap recomputes the same quantity
-    through collinear values where the alignment condition certifies they
-    coincide with the true costs.  The DDI certificate's metadata carries
+    pattern's coupling.  collinear_gap is gap where the kernel closed all
+    four costs in form, so that it is a difference of collinear values,
+    and None where it did not.  The DDI certificate's metadata carries
     its window (eps, M, window_margin), the region certificates' their
     threshold and levels.
     """
@@ -748,10 +747,10 @@ def _certify(pairs: dict[str, tuple]) -> dict[str, ViolationCertificate]:
         for p, (template, ta, tb, _, _) in pairs.items()
     }
     rows = np.array([Radii.of(t).as_tuple() for quad in quads.values() for t in quad])
-    costs = _radial_cost_batch(rows)[0].reshape(-1, 4).tolist()
-    # the collinear recomputation is only meaningful when every involved
-    # triple is certified collinear by the alignment condition
-    collinear = np.all((_alignment_margin(rows) > _P_ROUNDING).reshape(-1, 4), axis=1)
+    value, _, _, _, candidates, _ = _radial_cost_batch(rows)
+    costs = value.reshape(-1, 4).tolist()
+    # a pair is collinear where the kernel closed its four rows in form
+    collinear = ((candidates == 0) & np.isfinite(value)).reshape(-1, 4).all(axis=1)
     out = {}
     for (p, pair), (ca, cb, cs_a, cs_b), col in zip(pairs.items(), costs, collinear):
         template, ta, tb, extrapolated, metadata = pair
@@ -776,7 +775,7 @@ def _certify(pairs: dict[str, tuple]) -> dict[str, ViolationCertificate]:
             cost_swapped_a=cs_a,
             cost_swapped_b=cs_b,
             gap=gap,
-            collinear_gap=(c_pi(a) + c_pi(b)) - (c_pi(sa) + c_pi(sb)) if col else None,
+            collinear_gap=gap if col else None,
             template_extrapolated=extrapolated,
             metadata={
                 **metadata,

@@ -3,13 +3,14 @@ reference costs.
 
 A density is discretized into n equal-mass atoms at quantile midpoints.
 The cost is symmetric under permuting the three radii, so a problem holds
-one value per sorted atom triple i <= j <= k: an (m, 3) index array and an
-(m,) cost vector, m = C(n + 2, 3).  The angular kernel fills that vector
-in on demand; below it lies the chord bound sum 1/(r_i + r_j), known for
-every triple at once, since no chord is longer than r_i + r_j.  A
-symmetric coupling is held the same way, as the total weight of each
-sorted triple it charges.  The dense n x n x n cost and weight tensors are
-views built on demand; no solver path for n > 8 builds them.
+one value per sorted atom triple i <= j <= k: an (m, 3) lexicographic index
+array with each triple's row in closed form, and an (m,) cost vector,
+m = C(n + 2, 3).  The kernel fills that vector in on demand; below it lies
+the chord bound sum 1/(r_i + r_j), known for every triple at once, since
+no chord is longer than r_i + r_j.  A symmetric coupling is held as the
+total weight of each sorted triple it charges.  The dense n x n x n cost
+and weight tensors are views built on demand; no solver path for n > 8
+builds them.
 
 The symmetric problem over those atoms is solved two ways:
 
@@ -45,20 +46,15 @@ configuration along rotations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import (
-    _P_ROUNDING,
-    Radii,
-    _alignment_margin,
-    _unit_scale,
-    _unit_scales,
-    c_pi,
-)
+from .costs import Radii, _unit_scale, _unit_scales, c_pi
 from .density import RadialDensity
 from .errors import (
     CertificationError,
@@ -114,6 +110,25 @@ def _sorted_triples(n: int) -> np.ndarray:
         itertools.combinations_with_replacement(range(n), 3)
     )
     return np.fromiter(flat, dtype=np.intp, count=3 * m).reshape(m, 3)
+
+
+def _rank(t: np.ndarray, n: int) -> np.ndarray:
+    """Row of each sorted triple (i, j, k) of t in _sorted_triples(n): of the
+    C(n + 2, 3) rows, C(n - i + 1, 3) have a first index above i and
+    C(n - j + 1, 2) are (i, b, c) with b >= j; (i, j, k) is the (k - j)-th
+    of those.  Evaluated with one temporary of t's length at a time."""
+    s = n + 1 - t[:, 0]
+    r = s * (s - 1) * (s - 2) // 6
+    s = n + 1 - t[:, 1]
+    r += s * (s - 1) // 2
+    return math.comb(n + 2, 3) - r + t[:, 2] - t[:, 1]
+
+
+def _size(n, what: str) -> int:
+    """n as an int; ValueError for a fractional or empty size."""
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"{what} must be an integer of at least 1, got {n!r}")
+    return int(n)
 
 
 def _symmetric_tensor(n: int, triples: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -184,21 +199,24 @@ class DiscreteProblem:
     """Atoms at quantile midpoints and the cost of every sorted atom
     triple (inf where every angular configuration has a coincidence).
 
+    The triples follow from the atoms, row _rank(t, n) holding triple t.
     Costs not passed in are the kernel's, filled in on demand: one array
     holds them, NaN until evaluated.  Reading values or cost evaluates
     every row still missing; the LP evaluates only the rows it needs and
     prices the rest by their chord bound.  The kernel's rows are
     independent, so a cost does not depend on when it was filled in.
-    Costs passed in are their own bound."""
+    Costs passed in, one per triple, are their own bound."""
 
-    def __init__(self, atoms: np.ndarray, triples: np.ndarray, values=None):
+    def __init__(self, atoms: np.ndarray, values=None):
         self.atoms = atoms
-        self.triples = triples
+        self.triples = _sorted_triples(atoms.size)
         if values is None:
-            self._values = np.full(len(triples), np.nan)
-            self._bound = _chord_bound(atoms[triples])
+            self._values = np.full(len(self.triples), np.nan)
+            self._bound = _chord_bound(atoms[self.triples])
         else:
             self._values = self._bound = np.array(values, dtype=float)
+            if self._values.shape != (len(self.triples),):
+                raise ValueError(f"need {len(self.triples)} costs, one per triple")
 
     @property
     def n(self) -> int:
@@ -271,10 +289,8 @@ def discretize(rho: RadialDensity, n: int) -> DiscreteProblem:
     """Equal-mass atoms at masses (k - 1/2)/n and every sorted atom triple,
     with their chord bounds; the kernel evaluates a triple's cost only when
     it is needed."""
-    if n < 1:
-        raise ValueError("need at least one atom")
-    atoms = rho.mass_quantile((np.arange(n) + 0.5) / n)
-    return DiscreteProblem(atoms=atoms, triples=_sorted_triples(n))
+    n = _size(n, "n")
+    return DiscreteProblem(rho.mass_quantile((np.arange(n) + 0.5) / n))
 
 
 def _neighbourhood(triples: np.ndarray, n: int) -> np.ndarray:
@@ -282,14 +298,6 @@ def _neighbourhood(triples: np.ndarray, n: int) -> np.ndarray:
     sorted: 27 rows per row, with repeats."""
     steps = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
     return np.sort(np.clip(triples[:, None, :] + steps, 0, n - 1).reshape(-1, 3))
-
-
-def _lookup(columns: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
-    """Row numbers in columns, sorted triples in lexicographic order, of the
-    sorted triples t found there, by their keys (i n + j) n + k."""
-    keys, q = ((x[:, 0] * n + x[:, 1]) * n + x[:, 2] for x in (columns, t))
-    at = np.minimum(np.searchsorted(keys, q), keys.size - 1)
-    return at[keys[at] == q]
 
 
 def _lp_seed(n: int) -> np.ndarray:
@@ -319,9 +327,10 @@ def _solve_lp(problem: DiscreteProblem) -> SolveResult:
 
     One HiGHS model holds the restricted program over a growing subset of
     the finite columns, seeded by _lp_seed.  Each round solves it, prices
-    every finite column, c_t - (u_i + u_j + u_k) / 3, and appends the
-    width-1 neighbourhood of each one outside the subset priced below
-    -_LP_TOL, until none is left; at worst the subset ends as every column.
+    every column (the problem's rows), c_t - (u_i + u_j + u_k) / 3, and
+    appends the width-1 neighbourhood of each one outside the subset priced
+    below -_LP_TOL, until none is left; at worst the subset ends as every
+    column.
     Appended columns enter at zero, so the next round starts from the last
     optimal basis, still primal feasible.  The last duals are then
     feasible for every finite column, which the certificate checks.
@@ -331,12 +340,12 @@ def _solve_lp(problem: DiscreteProblem) -> SolveResult:
     has B_t - (u_i + u_j + u_k) / 3 >= 0, so its exact price is at least 0
     too: it would not be added, and it cannot lower the certificate's least
     slack.  The bound is infinite where two radii vanish, which is where
-    the kernel is, so the finite columns are known before any cost; a
-    column whose squared distances underflow in the kernel, infinite
-    although its bound is not, is never added.  The subsets are those of
-    exact pricing.  Past the first round, the value and duals can differ
-    in their last bits from a cold solve of the same subset, since HiGHS
-    reaches the optimum from another basis.
+    the kernel is, so the finite columns are known before any cost and no
+    other row is evaluated or added; nor is a column whose squared
+    distances underflow in the kernel, infinite although its bound is not.
+    The subsets are those of exact pricing.  Past the first round, the
+    value and duals can differ in their last bits from a cold solve of the
+    same subset, since HiGHS reaches the optimum from another basis.
 
     HiGHS solves on the costs divided by the power of two s of the largest
     one, which is exact, so its absolute tolerances and the certificate's
@@ -344,11 +353,10 @@ def _solve_lp(problem: DiscreteProblem) -> SolveResult:
     The largest cost is on the diagonal, c(r) <= c(r1, r1, r1) for sorted
     radii, and the first subset holds the diagonal.
     """
-    n = problem.n
-    finite = np.flatnonzero(np.isfinite(problem._bound))
-    if finite.size == 0:
+    n, triples = problem.n, problem.triples
+    finite = np.isfinite(problem._bound)
+    if not finite.any():
         raise InfeasibleCost("every coupling entry has infinite cost")
-    triples = problem.triples[finite]
     ii, jj, kk = triples.T
 
     from scipy.optimize._highspy._core import HighsModelStatus, _Highs
@@ -368,19 +376,19 @@ def _solve_lp(problem: DiscreteProblem) -> SolveResult:
     none = np.zeros(0, dtype=np.int32)
     highs.addRows(n, b_eq, b_eq, 0, none, none, np.zeros(0))
 
-    subset = np.zeros(finite.size, dtype=bool)
-    subset[_lookup(triples, _lp_seed(n), n)] = True
+    subset = np.zeros_like(finite)
+    subset[_rank(_lp_seed(n), n)] = True
     # a restricted program holding every diagonal column (i, i, i) is
     # feasible; when one of them is infinite, the subset is every column
-    if np.count_nonzero(subset & (ii == kk)) < n:
+    if np.count_nonzero(subset & finite & (ii == kk)) < n:
         subset[:] = True
     # each column's price: its exact cost once evaluated, else its bound
-    c = problem._bound[finite]
-    exact = np.zeros(finite.size, dtype=bool)
+    c = problem._bound.copy()
+    exact = ~finite  # an infinite bound is the kernel's cost
 
     def evaluate(mask):
         new = np.flatnonzero(mask & ~exact)
-        c[new] = problem._costs(finite[new])
+        c[new] = problem._costs(new)
         exact[new] = True
 
     evaluate(subset)
@@ -415,13 +423,13 @@ def _solve_lp(problem: DiscreteProblem) -> SolveResult:
         dual = third[ii] + third[jj] + third[kk]
         # a column whose bound has slack >= 0 has an exact slack >= 0 too
         evaluate(c / s - dual < 0.0)
-        # every finite column priced in one vector pass
+        # every column priced in one vector pass
         slack = c / s - dual
         priced = np.flatnonzero((slack < -_LP_TOL) & ~subset)
         if priced.size == 0:
             break
         grown = subset.copy()
-        grown[_lookup(triples, _neighbourhood(triples[priced], n), n)] = True
+        grown[_rank(_neighbourhood(triples[priced], n), n)] = True
         evaluate(grown)
         cols = np.concatenate([cols, add(grown & ~subset)])
         subset = grown
@@ -538,9 +546,10 @@ def monge_cost(seidl_map: SeidlMap, n: int = 64) -> MongeCostResult:
 
     The coupling (Id, T, T^2)_# rho has equal cost on each tertile because
     the integrand is symmetric under cycling the orbit, so n quantile
-    midpoints of the first tertile with weight 1/n give the full value.
+    midpoints of the first tertile (an integer n >= 1, else ValueError)
+    with weight 1/n give the full value.
     """
-    triples = graph_triples(seidl_map, n)
+    triples = graph_triples(seidl_map, _size(n, "n"))
     costs = tuple(_radial_cost_batch([t.as_tuple() for t in triples])[0].tolist())
     return MongeCostResult(
         value=float(np.mean(costs)), triples=triples, costs=costs
@@ -563,6 +572,7 @@ class Violation:
 
 
 _SWAP_TEMPLATES = ("first", "second", "third")
+_PROBE_TOL = 1e-10  # least cost drop that counts as a violation
 
 
 def _apply_swap(a, b, template: str):
@@ -575,39 +585,26 @@ def _apply_swap(a, b, template: str):
     raise ValueError(f"unknown swap template {template!r}")
 
 
-def probe_cyclical_monotonicity(
-    cost_fn,
-    triples,
-    templates: tuple[str, ...] = _SWAP_TEMPLATES,
-    tol: float = 1e-10,
-) -> tuple[Violation, ...]:
+def probe_cyclical_monotonicity(cost_fn, triples) -> tuple[Violation, ...]:
     """Search all support pairs for coordinate swaps that lower the cost.
 
     cost_fn takes a radius triple (three floats) and returns a scalar cost;
     results are memoized per distinct triple.  A violation is recorded when
-    the swapped pair is cheaper by more than tol; an empty result means the
-    sampled support passes the pairwise monotonicity probe at that
-    tolerance.
+    the swapped pair is cheaper by more than _PROBE_TOL = 1e-10; an empty
+    result means the sampled support passes the pairwise monotonicity probe
+    at that tolerance.
     """
     tr = [t.as_tuple() if isinstance(t, MongeTriple) else tuple(t) for t in triples]
-    memo: dict[tuple[float, float, float], float] = {}
-
-    def c(t):
-        v = memo.get(t)
-        if v is None:
-            v = float(cost_fn(*t))
-            memo[t] = v
-        return v
-
+    c = functools.cache(lambda t: float(cost_fn(*t)))
     out: list[Violation] = []
     for i, j in itertools.combinations(range(len(tr)), 2):
         base = c(tr[i]) + c(tr[j])
         if not math.isfinite(base):
             continue
-        for template in templates:
+        for template in _SWAP_TEMPLATES:
             na, nb = _apply_swap(tr[i], tr[j], template)
             swapped = c(na) + c(nb)
-            if swapped < base - tol:
+            if swapped < base - _PROBE_TOL:
                 out.append(
                     Violation(
                         i=i, j=j, template=template, original=base, swapped=swapped
@@ -660,7 +657,7 @@ class ReflectedLineDensity:
 @dataclass(frozen=True)
 class OneDCheckResult:
     """Agreement between the angular minimum and the collinear line cost
-    along a DDI graph, with alignment-violating samples excluded."""
+    along a DDI graph, less the samples the kernel did not close in form."""
 
     max_discrepancy: float
     max_identity_discrepancy: float
@@ -673,19 +670,20 @@ def one_d_increasing_map_check(seidl_map: SeidlMap, n: int = 32) -> OneDCheckRes
 
     For each sampled orbit (x, Tx, T^2 x), the reflected configuration
     (-Tx, x, T^2 x) on the line has cost c_1d equal to the collinear
-    angular value; where the alignment margin certifies P > 0 this also
-    equals the full angular minimum.  The other orbits are excluded and
-    reported, since there the angular minimum can drop below the
-    collinear value.
+    angular value; where the kernel returns that in closed form (the
+    alignment margin certifies P > 0) it is the angular minimum.  The other
+    orbits are excluded and reported, since there the angular minimum can
+    drop below the collinear value.
     """
     triples = graph_triples(seidl_map, n)
     radii = np.array([t.as_tuple() for t in triples]).reshape(-1, 3)
     lines = np.array([c_1d(-t.tx, t.x, t.t2x) for t in triples])
     ident = np.array([c_pi(r) for r in radii.tolist()]) - lines
-    aligned = _alignment_margin(radii) > _P_ROUNDING
-    values = _radial_cost_batch(radii[aligned])[0]
+    values, _, _, _, candidates, _ = _radial_cost_batch(radii)
+    aligned = (candidates == 0) & np.isfinite(values)
+    err = np.abs(values[aligned] - lines[aligned])
     return OneDCheckResult(
-        max_discrepancy=float(np.max(np.abs(values - lines[aligned]), initial=0.0)),
+        max_discrepancy=float(np.max(err, initial=0.0)),
         max_identity_discrepancy=float(np.max(np.abs(ident), initial=0.0)),
         n_checked=int(np.count_nonzero(aligned)),
         excluded=tuple(t for t, ok in zip(triples, aligned) if not ok),
@@ -709,7 +707,8 @@ def lift_radial_triple(r: Radii | tuple, n_rotations: int = 16) -> LiftResult:
     """Embed the optimal angular configuration in the plane along a uniform
     rotation grid; every rotation has the same planar cost as the angular
     minimum, which is the rotation invariance making the radial reduction
-    exact."""
+    exact.  n_rotations is an integer of at least 1, else ValueError."""
+    n_rotations = _size(n_rotations, "n_rotations")
     r = Radii.of(r)
     res = radial_cost(r)
     a, b = res.argmin.alpha, res.argmin.beta

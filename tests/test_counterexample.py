@@ -625,12 +625,11 @@ class TestRefutation:
         assert certs["IDD"].template_extrapolated
 
     def test_collinear_gap_agreement(self, certs):
-        # on the shrinking-region certificates every triple satisfies the
-        # alignment condition, so collinear costs reproduce the exact gap
+        # on the shrinking-region certificates the kernel closes every
+        # triple in form, so the gap is a difference of collinear values
         for pattern in ("DID", "III", "IDD"):
             cert = certs[pattern]
-            assert cert.collinear_gap is not None
-            assert cert.collinear_gap == pytest.approx(cert.gap, abs=1e-9)
+            assert cert.collinear_gap == cert.gap
             for t in (cert.triple_a.as_tuple(), cert.triple_b.as_tuple()):
                 assert alignment_condition(t) >= 0.0
                 assert radial_cost(t).value == pytest.approx(c_pi(t), rel=1e-12)

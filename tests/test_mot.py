@@ -71,6 +71,16 @@ class TestDiscretize:
         with pytest.raises(ValueError):
             discretize(blocks, 0)
 
+    def test_rejects_fractional_size(self, blocks):
+        # int(2.5) atoms would end at mass 1.0, the support's end
+        with pytest.raises(ValueError, match="n must be an integer"):
+            discretize(blocks, 2.5)
+
+    def test_rejects_values_of_wrong_length(self):
+        # two atoms have C(4, 3) = 4 sorted triples
+        with pytest.raises(ValueError, match="need 4 costs"):
+            DiscreteProblem(np.array([1.0, 2.0]), values=np.ones(3))
+
 
 class TestSolveExact:
     def test_lp_certificate_blocks(self, blocks):
@@ -241,15 +251,14 @@ class TestColumnGeneration:
         atoms = np.array([1.0, 2.0])
         triples = mot._sorted_triples(2)
         values = np.where((triples == [0, 0, 1]).all(axis=1), 1.0, math.inf)
-        prob = DiscreteProblem(atoms=atoms, triples=triples, values=values)
+        prob = DiscreteProblem(atoms=atoms, values=values)
         with pytest.raises(InfeasibleCost, match="linear program failed: Infeasible"):
             solve_exact(prob)
 
-    def test_lookup_finds_only_equal_keys(self):
-        # (0, 1, 1) falls between two keys, (2, 2, 2) past the last one
-        columns = np.array([[0, 0, 0], [0, 0, 1], [1, 1, 1]])
-        t = np.array([[0, 1, 1], [1, 1, 1], [0, 0, 0], [2, 2, 2]])
-        assert mot._lookup(columns, t, 3).tolist() == [2, 0]
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 27, 54])
+    def test_rank_is_the_row_number(self, n):
+        triples = mot._sorted_triples(n)
+        assert np.array_equal(mot._rank(triples, n), np.arange(len(triples)))
 
     def test_pricing_alone_reaches_the_optimum(self, monkeypatch, tail_k1):
         prob = discretize(tail_k1, 27)
@@ -276,7 +285,7 @@ class TestColumnGeneration:
         base = discretize(blocks, 2)
         values = base.values.copy()
         values[0] = math.inf
-        prob = DiscreteProblem(atoms=base.atoms, triples=base.triples, values=values)
+        prob = DiscreteProblem(atoms=base.atoms, values=values)
         res = solve_exact(prob)
         assert res.certificate.certified
         assert res.certificate.columns == 3
@@ -488,9 +497,7 @@ class TestScaleFree:
 
     @pytest.mark.parametrize("lam", [1e-100, 1e-20, 1e-9, 1e9, 1e12, 1e100])
     def test_lp_value(self, base, lam):
-        scaled = DiscreteProblem(
-            atoms=base.atoms * lam, triples=base.triples, values=base.values / lam
-        )
+        scaled = DiscreteProblem(atoms=base.atoms * lam, values=base.values / lam)
         res = solve_exact(scaled)
         assert res.certificate.certified
         assert res.value * lam == pytest.approx(solve_exact(base).value, rel=1e-12)
@@ -518,6 +525,11 @@ class TestMongeCost:
             lp = solve_exact(discretize(blocks, 3 * n), method="lp")
             mc = monge_cost(ddi, n=n)
             assert abs(lp.value - mc.value) < 1e-6
+
+    def test_rejects_empty_sample(self, blocks):
+        # n = 0 would average no orbit, nan with a warning
+        with pytest.raises(ValueError, match="n must be an integer of at least 1"):
+            monge_cost(build_map(blocks, "DDI"), n=0)
 
     def test_triples_start_in_first_tertile(self, blocks):
         ddi = build_map(blocks, "DDI")
@@ -591,6 +603,10 @@ class TestLift:
         assert lift.points.shape == (16, 3, 2)
         # every rotation realizes the angular minimum exactly
         assert np.max(np.abs(lift.costs - lift.value)) < 1e-9
+
+    def test_rejects_empty_rotation_grid(self):
+        with pytest.raises(ValueError, match="n_rotations must be an integer"):
+            lift_radial_triple((1.0, 2.0, 15.0), n_rotations=0)
 
     def test_points_on_their_circles(self):
         lift = lift_radial_triple((1.0, 2.0, 15.0), n_rotations=8)
