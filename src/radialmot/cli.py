@@ -37,7 +37,6 @@ from .costs import (
     c_pi,
     full_cost,
     phi_threshold,
-    torus_distance,
 )
 from .counterexample import (
     ViolationCertificate,
@@ -57,8 +56,6 @@ from .minimize import (
     trace_implicit_curves,
 )
 from .mot import LpCertificate, discretize, graph_triples, monge_cost, solve_exact
-
-_COLLINEAR_TOL = 1e-6
 
 
 class _UsageError(Exception):
@@ -122,19 +119,21 @@ def cmd_cost(args) -> int:
     r = Radii(args.r1, args.r2, args.r3)
     res = radial_cost(r)
     argmin = res.argmin.as_tuple()
-    p = alignment_condition(r)
+    # the sorted triple's diagnostics; the kernel closes it where P > 0 is certain
+    v = Radii(*sorted(r.as_tuple()))
+    p = alignment_condition(v)
     try:
-        phi = phi_threshold(args.r1, args.r2)
+        phi = phi_threshold(v.r1, v.r2)
     except DegenerateRadii:
         phi = None
-    collinear = torus_distance(argmin, (math.pi, 0.0)) <= _COLLINEAR_TOL
+    collinear = res.candidates == 0
     payload = {
         "radii": [args.r1, args.r2, args.r3],
         "value": res.value,
         "argmin": list(argmin),
         "grid_value": res.grid_value,
-        "c_pi": c_pi(r),
-        "c_delta": c_delta(r),
+        "c_pi": c_pi(v),
+        "c_delta": c_delta(v),
         "alignment": p,
         "phi_threshold": phi,
         "argmin_collinear": collinear,

@@ -259,11 +259,10 @@ def _alignment_terms(r1, r2, r3):
 _P_ROUNDING = 8.0 * sys.float_info.epsilon
 
 
-def _alignment_margin(r):
-    """Scale-free alignment margin of each row of r, an (m, 3) array of
-    radius triples, sorted here: P over the sum of its terms' magnitudes,
-    both computed on the row scaled by the power of two that puts its
-    largest radius in [1/2, 1).
+def _alignment_margin(u):
+    """Scale-free alignment margin of each row of u, an (m, 3) array of
+    radius triples sorted ascending and divided by :func:`_unit_scales` of
+    their largest radius: P over the sum of its terms' magnitudes.
 
     The margin lies in [-1, 1] and has the sign of P at every scale.  The
     computed margin is within _P_ROUNDING of the exact one, so P > 0 is
@@ -271,9 +270,7 @@ def _alignment_margin(r):
     -_P_ROUNDING.  0/0 where two radii vanish: callers choose how that
     floating-point warning is handled.
     """
-    v = np.sort(np.asarray(r, dtype=float), axis=1)
-    v = np.ldexp(v, -np.frexp(v[:, 2:])[1])
-    t1, t2, t3 = _alignment_terms(v[:, 0], v[:, 1], v[:, 2])
+    t1, t2, t3 = _alignment_terms(u[:, 0], u[:, 1], u[:, 2])
     return (t1 - t2 - t3) / (t1 + t2 + t3)
 
 
@@ -388,8 +385,7 @@ def phi_threshold(r1: float, r2: float) -> float:
 def c_pi(r: Radii | tuple) -> float:
     """Energy of the collinear configuration: charges 2 and 3 opposite charge 1.
 
-    Equals full_cost(r, (pi, 0)).total; written through the chord formula so
-    unordered triples are handled without sign slips.  Infinite when r1 == r3.
+    Evaluates full_cost(r, (pi, 0)).total in the order given; inf when r1 == r3.
     """
     r = Radii.of(r)
     a = AngularConfig(math.pi, 0.0)

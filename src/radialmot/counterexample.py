@@ -44,7 +44,7 @@ from .costs import (
     _alignment_terms,
     _phi_partials,
     _unit_scale,
-    alignment_condition,
+    _unit_scales,
 )
 from .density import (
     PolySegment,
@@ -234,11 +234,12 @@ def check_graph_condition(rho: RadialDensity, n: int = 64) -> GraphConditionRepo
     t1, t2, t3 = _alignment_terms(*(v / s).T)
     p = t1 - t2 - t3
     worst = int(np.argmin(p))
+    u = v / _unit_scales(v[:, 2])[:, None]  # ascending: x <= s1 <= Tx <= s2 <= T^2 x
     return GraphConditionReport(
         worst_margin=float(p[worst]) * s * s * s * s,
         worst_x=float(v[worst, 0]),
         n_samples=len(v),
-        holds=bool(np.all(_alignment_margin(v) >= -_P_ROUNDING)),
+        holds=bool(np.all(_alignment_margin(u) >= -_P_ROUNDING)),
     )
 
 
@@ -754,7 +755,7 @@ def _certify(pairs: dict[str, tuple]) -> dict[str, ViolationCertificate]:
     out = {}
     for (p, pair), (ca, cb, cs_a, cs_b), col in zip(pairs.items(), costs, collinear):
         template, ta, tb, extrapolated, metadata = pair
-        a, b, sa, sb = quads[p]
+        _, _, sa, sb = quads[p]
         gap = (ca + cb) - (cs_a + cs_b)
         if gap <= 0.0:
             raise ViolationNotFound(
@@ -777,11 +778,7 @@ def _certify(pairs: dict[str, tuple]) -> dict[str, ViolationCertificate]:
             gap=gap,
             collinear_gap=gap if col else None,
             template_extrapolated=extrapolated,
-            metadata={
-                **metadata,
-                "alignment_a": alignment_condition(a),
-                "alignment_b": alignment_condition(b),
-            },
+            metadata=metadata,
         )
     return out
 

@@ -53,7 +53,6 @@ from .costs import (
     _unit_scale,
     _unit_scales,
     canonical_angle,
-    grad_hess,
     torus_distance,
 )
 from .density import _solve_increasing
@@ -170,8 +169,8 @@ def _saddle_free_step(g1, g2, h11, h12, h22, tol):
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _newton_lanes(r1, r2, r3, a, b):
-    """Damped saddle-free Newton descent from many seeds in lockstep.
+def _newton_lanes(r1, r2, r3, a, b, fval):
+    """Damped saddle-free Newton descent in lockstep from seeds (a, b) of energy fval.
 
     Each lane takes a Newton step where the Hessian is positive definite,
     else the step of :func:`_saddle_free_step`, capped at length _MAX_STEP
@@ -182,8 +181,7 @@ def _newton_lanes(r1, r2, r3, a, b):
     angles, the energy at the raw iterate.  Returns final values, angles
     and iteration counts.
     """
-    fval = sum(_energy_terms(r1, r2, r3, a, b))
-    a, b = a.copy(), b.copy()
+    a, b, fval = a.copy(), b.copy(), fval.copy()
     iters = np.zeros(a.size, dtype=int)
     run = np.arange(a.size)
     for _ in range(_MAX_ITER):
@@ -231,30 +229,31 @@ def _radial_cost_batch(radii):
     """Minimal energy over the torus for each row of an (m, 3) radius array.
 
     Returns arrays value, alpha, beta, grid_value, candidates, iterations;
-    rows with two zero radii get infinite values.  Rows are computed on
-    r / s, s the power of two that puts the largest radius in [1/2, 1),
-    and rescaled.  Where the alignment margin of the row certifies P > 0,
-    the value is c_pi in closed form at the collinear argmin with the
-    middle radius opposite the other two (0 candidates, 0 iterations).
+    rows with two zero radii get infinite values.  Each row is computed on
+    r / s, s the power of two that puts its largest radius in [1/2, 1),
+    sorted once there, and rescaled.  Where the sorted row's margin certifies
+    P > 0, the value is its c_pi in closed form at the collinear argmin with
+    the middle radius opposite the other two (0 candidates, 0 iterations).
     Every other row is seeded at the lowest node of the 16 x 16 seed grid
     (grid_value, 1 candidate), added from per-pair tables in the order of
-    the builtin sum, the first node winning ties, and descends from there
-    by :func:`_newton_lanes`, all rows in lockstep.
+    the builtin sum, the first node winning ties, and descends from that
+    node and its energy by :func:`_newton_lanes`, all rows in lockstep.
     """
     r = np.array(radii, dtype=float).reshape(-1, 3)
     m = len(r)
     s = _unit_scales(r.max(axis=1))
     u = r / s[:, None]
+    order = np.argsort(u, axis=1)
+    v = u[np.arange(m)[:, None], order]
     value, grid_value = np.full((2, m), np.inf)
     alpha, beta = np.zeros((2, m))
     candidates, iterations = np.zeros((2, m), dtype=int)
     live = np.count_nonzero(u == 0.0, axis=1) < 2
 
-    closed = live & (_alignment_margin(u) > _P_ROUNDING)
+    closed = live & (_alignment_margin(v) > _P_ROUNDING)
     k = np.flatnonzero(closed)
-    v = np.sort(u[k], axis=1)
-    value[k] = grid_value[k] = sum(_energy_terms(v[:, 0], v[:, 1], v[:, 2], -_PI, 0.0))
-    middle = np.argsort(u[k], axis=1)[:, 1]
+    value[k] = grid_value[k] = sum(_energy_terms(*v[k].T, -_PI, 0.0))
+    middle = order[k, 1]
     alpha[k] = np.where(middle == 2, 0.0, -_PI)
     beta[k] = np.where(middle == 1, 0.0, -_PI)
 
@@ -270,7 +269,7 @@ def _radial_cost_batch(radii):
         node = np.argmin(f, axis=1)
         grid_value[i] = f[np.arange(i.size), node]
         value[i], a, b, iterations[i] = _newton_lanes(
-            q1[:, 0], q2[:, 0], q3[:, 0], _SEED_A[node], _SEED_B[node]
+            q1[:, 0], q2[:, 0], q3[:, 0], _SEED_A[node], _SEED_B[node], grid_value[i]
         )
         alpha[i], beta[i] = canonical_angle(a), canonical_angle(b)
     return value / s, alpha, beta, grid_value / s, candidates, iterations
@@ -304,8 +303,8 @@ def radial_cost(r: Radii | tuple) -> RadialCostResult:
     )
 
 
-def _classify(h: np.ndarray) -> str:
-    w = np.linalg.eigvalsh(h)
+def _classify(h11: float, h12: float, h22: float) -> str:
+    w = np.linalg.eigvalsh(np.array([[h11, h12], [h12, h22]]))
     scale = max(1.0, float(np.max(np.abs(w))))
     if np.min(np.abs(w)) <= 1e-8 * scale:
         return "degenerate"
@@ -388,13 +387,13 @@ def find_stationary_points(r: Radii | tuple) -> StationaryReport:
         if run.size == 0:
             break
 
-    g1, g2, *_ = _grad_hess_arrays(r1, r2, r3, a, b)
+    g1, g2, h11, h12, h22 = _grad_hess_arrays(r1, r2, r3, a, b)
     gn = np.hypot(g1, g2)
     keep = np.flatnonzero(gn <= 1e-12)
     points = tuple(
         StationaryPoint(
             config=AngularConfig(a[i], b[i]),
-            classification=_classify(grad_hess((r1, r2, r3), (a[i], b[i]))[1]),
+            classification=_classify(h11[i], h12[i], h22[i]),
             grad_norm=float(gn[i] / s),
         )
         for i in keep[_representatives(a[keep], b[keep])]

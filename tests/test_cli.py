@@ -18,6 +18,7 @@ from radialmot import (
     block_density,
     example_counterexample_density,
     load,
+    phi_threshold,
     save,
     to_dict,
 )
@@ -76,6 +77,19 @@ class TestCost:
         doc = json.loads(out)
         assert doc["argmin_collinear"] is False
         assert doc["value"] < doc["c_pi"]
+
+    @pytest.mark.parametrize("radii", [["1", "15", "2"], ["2", "1", "15"]])
+    def test_unsorted_triple_reports_the_sorted_verdict(self, capsys, radii):
+        # the diagnostics are those of the sorted triple (1, 2, 15), whose
+        # collinear minimum the kernel closes in form; radii echo as typed
+        code, out, _ = run(capsys, ["cost", *radii, "--json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["radii"] == [float(v) for v in radii]
+        assert doc["argmin_collinear"] is True
+        assert doc["value"] == doc["c_pi"]
+        assert doc["alignment"] == 170.0
+        assert doc["phi_threshold"] == phi_threshold(1.0, 2.0)
 
     def test_explicit_angles(self, capsys):
         code, out, _ = run(

@@ -170,9 +170,9 @@ def test_seed_grid_matches_the_direct_sum_bitwise(rng, monkeypatch):
     r = rng.permuted(r, axis=1)
     seeds = []
 
-    def spy(r1, r2, r3, a, b):
-        seeds.append((a, b))
-        return _newton_lanes(r1, r2, r3, a, b)
+    def spy(r1, r2, r3, a, b, fval):
+        seeds.append((a, b, fval))
+        return _newton_lanes(r1, r2, r3, a, b, fval)
 
     monkeypatch.setattr(minimize, "_newton_lanes", spy)
     value, _, _, grid_value, candidates, _ = minimize._radial_cost_batch(r)
@@ -186,11 +186,13 @@ def test_seed_grid_matches_the_direct_sum_bitwise(rng, monkeypatch):
         )
     f = sum(terms)
     node = np.argmin(f, axis=1)
-    want = f[np.arange(seeded.size), node] / s[seeded]
-    assert grid_value[seeded].tobytes() == want.tobytes()
-    a, b = (np.concatenate(v) for v in zip(*seeds))
+    start = f[np.arange(seeded.size), node]
+    assert grid_value[seeded].tobytes() == (start / s[seeded]).tobytes()
+    # Newton starts from the grid's energy at the chosen node, unscaled
+    a, b, fval = (np.concatenate(v) for v in zip(*seeds))
     assert a.tobytes() == minimize._SEED_A[node].tobytes()
     assert b.tobytes() == minimize._SEED_B[node].tobytes()
+    assert fval.tobytes() == start.tobytes()
     closed = np.flatnonzero(candidates == 0)
     assert np.array_equal(grid_value[closed], value[closed])
 
@@ -224,9 +226,10 @@ def test_descent_leaves_the_saddle_corner():
     # curvature into a basin
     r = (1.0, 2.0, 14.0)
     assert alignment_condition(r) == -80.0
-    value, alpha, beta, iters = _newton_lanes(
-        *(np.array([v]) for v in r), np.array([-PI]), np.array([0.0])
-    )
+    q1, q2, q3 = (np.array([v]) for v in r)
+    a, b = np.array([-PI]), np.array([0.0])
+    fval = sum(_energy_terms(q1, q2, q3, a, b))
+    value, alpha, beta, iters = _newton_lanes(q1, q2, q3, a, b, fval)
     assert value[0] == pytest.approx(BRUTE_1_2_14, rel=1e-12)
     assert value[0] < c_pi(r)
     assert iters[0] > 0
