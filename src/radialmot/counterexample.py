@@ -783,7 +783,7 @@ def _certify(pairs: dict[str, tuple]) -> dict[str, ViolationCertificate]:
     return out
 
 
-def find_violation(rho: RadialDensity, epsm: EpsM | None = None) -> ViolationCertificate:
+def find_violation(rho: RadialDensity) -> ViolationCertificate:
     """Monotonicity violation for the DDI branch map via window bisection.
 
     Halves x toward 0 until the orbit enters the near window
@@ -791,21 +791,21 @@ def find_violation(rho: RadialDensity, epsm: EpsM | None = None) -> ViolationCer
     orbit enters the far window (s1-eps, s1) x (s1, s1+eps) x (M, inf),
     each ladder of halvings evaluated as one array; swapping the first
     coordinates of the two orbits then lowers the total cost strictly.
-    The window is epsm, or by default find_eps_M of the tertiles.  Raises
-    ViolationNotFound when a ladder misses its window.
+    The window is find_eps_M of the tertiles, and the certificate's
+    metadata reports it.  Raises ViolationNotFound when no window exists or
+    a ladder misses its window.
     """
-    return _certify({"DDI": _window_pair(rho, epsm)})["DDI"]
+    return _certify({"DDI": _window_pair(rho)})["DDI"]
 
 
-def _window_pair(rho: RadialDensity, epsm: EpsM | None = None) -> tuple:
+def _window_pair(rho: RadialDensity) -> tuple:
     """The DDI orbit pair of find_violation, unpriced."""
     t = rho.tertiles()
     s1, s2 = t.s1, t.s2
-    if epsm is None:
-        try:
-            epsm = find_eps_M(s1, s2)
-        except EpsMInfeasible as e:
-            raise ViolationNotFound(f"no admissible window exists: {e}") from e
+    try:
+        epsm = find_eps_M(s1, s2)
+    except EpsMInfeasible as e:
+        raise ViolationNotFound(f"no admissible window exists: {e}") from e
     ddi = build_map(rho, "DDI")
     eps, m_far = epsm.eps, epsm.M
 

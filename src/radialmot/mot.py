@@ -5,12 +5,12 @@ A density is discretized into n equal-mass atoms at quantile midpoints.
 The cost is symmetric under permuting the three radii, so a problem holds
 one value per sorted atom triple i <= j <= k: an (m, 3) lexicographic index
 array with each triple's row in closed form, and an (m,) cost vector,
-m = C(n + 2, 3).  The kernel fills that vector in on demand; below it lies
-the chord bound sum 1/(r_i + r_j), known for every triple at once, since
-no chord is longer than r_i + r_j.  A symmetric coupling is held as the
-total weight of each sorted triple it charges.  The dense n x n x n cost
-and weight tensors are views built on demand; no solver path for n > 8
-builds them.
+m = C(n + 2, 3).  That vector starts as the chord bound sum 1/(r_i + r_j),
+known for every triple at once, since no chord is longer than r_i + r_j,
+and the kernel overwrites a bound with the cost on demand.  A symmetric
+coupling is held as the total weight of each sorted triple it charges.
+The dense n x n x n cost and weight tensors are views built on demand; no
+solver path for n > 8 builds them.
 
 The symmetric problem over those atoms is solved two ways:
 
@@ -19,11 +19,10 @@ The symmetric problem over those atoms is solved two ways:
   at 1e-10 feasibility tolerances on the costs divided by the power of two
   of the largest one, holds a subset of the columns: first the diagonal
   and the index neighbourhoods of the four branch-map supports, then each
-  round the neighbourhoods of the columns its duals price below zero,
-  re-solved from the last optimal basis.  A
-  column's cost is evaluated only when it enters the subset or its chord
-  bound prices below zero; every other column keeps a reduced cost of at
-  least zero.
+  round the columns its duals price below zero, re-solved from the last
+  optimal basis.  Each round makes at most one kernel call, on the
+  columns whose chord bound prices below zero; every other column keeps a
+  reduced cost of at least zero.
   Symmetrizing an optimal coupling keeps it optimal, so this has the
   optimum of the full program over n^3 coupling tensors (Friesecke &
   Voegler, SIAM J. Math. Anal. 2018).  The returned coupling and duals
@@ -200,41 +199,43 @@ class DiscreteProblem:
     triple (inf where every angular configuration has a coincidence).
 
     The triples follow from the atoms, row _rank(t, n) holding triple t.
-    Costs not passed in are the kernel's, filled in on demand: one array
-    holds them, NaN until evaluated.  Reading values or cost evaluates
-    every row still missing; the LP evaluates only the rows it needs and
-    prices the rest by their chord bound.  The kernel's rows are
-    independent, so a cost does not depend on when it was filled in.
-    Costs passed in, one per triple, are their own bound."""
+    One price vector holds each row's cost where _exact marks it, and its
+    chord bound elsewhere: the kernel overwrites the bound on demand.
+    Reading values or cost evaluates every row still at its bound; the LP
+    prices in this vector and evaluates only the rows it needs.  The
+    kernel's rows are independent, so a cost does not depend on when it
+    was filled in.  An infinite bound is exact, since the kernel is
+    infinite there too, and costs passed in, one per triple, are exact."""
 
     def __init__(self, atoms: np.ndarray, values=None):
         self.atoms = atoms
         self.triples = _sorted_triples(atoms.size)
         if values is None:
-            self._values = np.full(len(self.triples), np.nan)
-            self._bound = _chord_bound(atoms[self.triples])
+            self._price = _chord_bound(atoms[self.triples])
+            self._exact = np.isinf(self._price)
         else:
-            self._values = self._bound = np.array(values, dtype=float)
-            if self._values.shape != (len(self.triples),):
+            self._price = np.array(values, dtype=float)
+            if self._price.shape != (len(self.triples),):
                 raise ValueError(f"need {len(self.triples)} costs, one per triple")
+            self._exact = np.ones(len(self.triples), dtype=bool)
 
     @property
     def n(self) -> int:
         return int(self.atoms.size)
 
-    def _costs(self, rows: np.ndarray) -> np.ndarray:
-        """Costs of the distinct rows given, those still missing evaluated
-        in one kernel batch."""
-        todo = rows[np.isnan(self._values[rows])]
+    def _evaluate(self, mask: np.ndarray) -> None:
+        """Price the rows of mask not yet exact at their cost, in one kernel
+        batch."""
+        todo = np.flatnonzero(mask & ~self._exact)
         if todo.size:
-            self._values[todo] = _radial_cost_batch(self.atoms[self.triples[todo]])[0]
-        return self._values[rows]
+            self._price[todo] = _radial_cost_batch(self.atoms[self.triples[todo]])[0]
+            self._exact[todo] = True
 
     @property
     def values(self) -> np.ndarray:
         """The cost of every sorted triple, read-only."""
-        self._costs(np.arange(self._values.size))
-        out = self._values.view()
+        self._evaluate(~self._exact)
+        out = self._price.view()
         out.flags.writeable = False
         return out
 
@@ -250,8 +251,10 @@ class LpCertificate:
     the duality gap are relative to the power of two of the largest cost.
     columns is the size of the final column subset, rounds the number of
     restricted programs solved, simplex_iterations the simplex iterations
-    of all rounds, and exact_columns the number of finite columns priced at
-    their exact cost; the others were priced by their chord bound."""
+    of all rounds, and exact_columns the number of finite columns the
+    problem holds at their exact cost when the solve ends: the LP priced
+    those exactly and the others by their chord bound.  For a problem no
+    earlier read evaluated, they are the rows this solve evaluated."""
 
     duals: tuple[np.ndarray, np.ndarray, np.ndarray]
     marginal_residual: float
@@ -326,26 +329,28 @@ def _solve_lp(problem: DiscreteProblem) -> SolveResult:
     dual u yields the full LP's duals (u/3, u/3, u/3).
 
     One HiGHS model holds the restricted program over a growing subset of
-    the finite columns, seeded by _lp_seed.  Each round solves it, prices
-    every column (the problem's rows), c_t - (u_i + u_j + u_k) / 3, and
-    appends the width-1 neighbourhood of each one outside the subset priced
-    below -_LP_TOL, until none is left; at worst the subset ends as every
+    the finite columns, seeded by _lp_seed.  Each round solves it and
+    prices every column (the problem's rows) in the problem's price vector
+    c, c_t - (u_i + u_j + u_k) / 3, after one kernel call on the columns
+    whose price is still their chord bound B_t <= c_t and prices below 0.
+    Every other column has B_t - (u_i + u_j + u_k) / 3 >= 0, so its exact
+    price is at least 0 too: it would not be added, and it cannot lower the
+    certificate's least slack.  The round then appends exactly the columns
+    outside the subset priced below -_LP_TOL, all of them evaluated by
+    that call, until none is left; at worst the subset ends as every
     column.
     Appended columns enter at zero, so the next round starts from the last
     optimal basis, still primal feasible.  The last duals are then
     feasible for every finite column, which the certificate checks.
 
-    The kernel runs only on the columns in the subset and, each round, on
-    those whose chord bound B_t <= c_t prices below 0.  Every other column
-    has B_t - (u_i + u_j + u_k) / 3 >= 0, so its exact price is at least 0
-    too: it would not be added, and it cannot lower the certificate's least
-    slack.  The bound is infinite where two radii vanish, which is where
-    the kernel is, so the finite columns are known before any cost and no
-    other row is evaluated or added; nor is a column whose squared
-    distances underflow in the kernel, infinite although its bound is not.
-    The subsets are those of exact pricing.  Past the first round, the
-    value and duals can differ in their last bits from a cold solve of the
-    same subset, since HiGHS reaches the optimum from another basis.
+    The bound is infinite where two radii vanish, which is where the kernel
+    is, so the finite columns are known before any cost and no other row is
+    evaluated or added; nor is a column whose squared distances underflow
+    in the kernel, infinite although its bound is not.  The subsets are
+    those of exact pricing, so a problem whose values were read solves the
+    same.  Past the first round, the value and duals can differ in their
+    last bits from a cold solve of the same subset, since HiGHS reaches
+    the optimum from another basis.
 
     HiGHS solves on the costs divided by the power of two s of the largest
     one, which is exact, so its absolute tolerances and the certificate's
@@ -353,9 +358,8 @@ def _solve_lp(problem: DiscreteProblem) -> SolveResult:
     The largest cost is on the diagonal, c(r) <= c(r1, r1, r1) for sorted
     radii, and the first subset holds the diagonal.
     """
-    n, triples = problem.n, problem.triples
-    finite = np.isfinite(problem._bound)
-    if not finite.any():
+    n, triples, c = problem.n, problem.triples, problem._price
+    if not np.isfinite(c).any():
         raise InfeasibleCost("every coupling entry has infinite cost")
     ii, jj, kk = triples.T
 
@@ -376,37 +380,28 @@ def _solve_lp(problem: DiscreteProblem) -> SolveResult:
     none = np.zeros(0, dtype=np.int32)
     highs.addRows(n, b_eq, b_eq, 0, none, none, np.zeros(0))
 
-    subset = np.zeros_like(finite)
+    subset = np.zeros(c.shape, dtype=bool)
     subset[_rank(_lp_seed(n), n)] = True
     # a restricted program holding every diagonal column (i, i, i) is
     # feasible; when one of them is infinite, the subset is every column
-    if np.count_nonzero(subset & finite & (ii == kk)) < n:
+    if np.count_nonzero(np.isfinite(c[subset & (ii == kk)])) < n:
         subset[:] = True
-    # each column's price: its exact cost once evaluated, else its bound
-    c = problem._bound.copy()
-    exact = ~finite  # an infinite bound is the kernel's cost
+    problem._evaluate(subset)
+    # an underflowing kernel row can be infinite where its bound is not
+    seed = np.flatnonzero(subset & np.isfinite(c))
+    s = _unit_scale(float(c[seed].max()))
 
-    def evaluate(mask):
-        new = np.flatnonzero(mask & ~exact)
-        c[new] = problem._costs(new)
-        exact[new] = True
-
-    evaluate(subset)
-    s = _unit_scale(float(c[np.isfinite(c)].max()))
-
-    def add(mask):
-        """Append the finite columns of mask to the model; return their indices."""
-        # an underflowing kernel row can be infinite where its bound is not
-        new = np.flatnonzero(mask & np.isfinite(c))
+    def add(new):
+        """Append the finite columns new to the model."""
         m, rows = new.size, triples[new].ravel()
         # one entry per distinct index: duplicates add up to count_i(t)
         a = csc_matrix((np.ones(3 * m), (rows, np.repeat(np.arange(m), 3))), (n, m))
         a /= 3.0
         lo, hi = np.zeros(m), np.full(m, np.inf)
         highs.addCols(m, c[new] / s, lo, hi, a.nnz, a.indptr[:-1], a.indices, a.data)
-        return new
 
-    cols = add(subset)  # the model's columns, in the order added
+    add(seed)
+    cols = seed  # the model's columns, in the order added
     iterations = 0
     for rounds in itertools.count(1):
         highs.run()
@@ -422,17 +417,15 @@ def _solve_lp(problem: DiscreteProblem) -> SolveResult:
         third = u / 3.0
         dual = third[ii] + third[jj] + third[kk]
         # a column whose bound has slack >= 0 has an exact slack >= 0 too
-        evaluate(c / s - dual < 0.0)
+        problem._evaluate(c / s - dual < 0.0)
         # every column priced in one vector pass
         slack = c / s - dual
         priced = np.flatnonzero((slack < -_LP_TOL) & ~subset)
         if priced.size == 0:
             break
-        grown = subset.copy()
-        grown[_rank(_neighbourhood(triples[priced], n), n)] = True
-        evaluate(grown)
-        cols = np.concatenate([cols, add(grown & ~subset)])
-        subset = grown
+        add(priced)
+        subset[priced] = True
+        cols = np.concatenate([cols, priced])
 
     x = np.array(solution.col_value)
     order = np.argsort(cols)
@@ -446,7 +439,7 @@ def _solve_lp(problem: DiscreteProblem) -> SolveResult:
         duality_gap=float(value - b_eq @ u),
         columns=cols.size,
         rounds=rounds,
-        exact_columns=int(np.count_nonzero(exact & np.isfinite(c))),
+        exact_columns=int(np.count_nonzero(problem._exact & np.isfinite(c))),
         simplex_iterations=iterations,
     )
     if not cert.certified:

@@ -550,10 +550,9 @@ def _tail_quantile_oracle(rho, p):
 
 class TestViolation:
     def test_certificate_windows(self, cex):
-        em = find_eps_M(0.9, 1.0)
-        cert = find_violation(cex, epsm=em)
+        cert = find_violation(cex)
         a, b = cert.triple_a, cert.triple_b
-        eps, M = em.eps, em.M
+        eps, M = cert.metadata["eps"], cert.metadata["M"]
         assert 0.0 < a.x < eps
         assert 1.0 - eps < a.tx < 1.0
         assert 1.0 < a.t2x < 1.0 + eps

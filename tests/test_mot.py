@@ -312,10 +312,23 @@ def _assert_same_solution(a, b):
         "duality_gap",
         "columns",
         "rounds",
-        "exact_columns",
         "simplex_iterations",
     )
     assert [getattr(ca, f) for f in fields] == [getattr(cb, f) for f in fields]
+
+
+@pytest.fixture()
+def kernel_rows(monkeypatch):
+    """The row count of each kernel call mot makes while the test runs."""
+    rows = []
+    kernel = mot._radial_cost_batch
+
+    def counting(radii):
+        rows.append(len(radii))
+        return kernel(radii)
+
+    monkeypatch.setattr(mot, "_radial_cost_batch", counting)
+    return rows
 
 
 class TestLazyCosts:
@@ -353,17 +366,38 @@ class TestLazyCosts:
         rho = request.getfixturevalue(density)
         fresh, read = discretize(rho, n), discretize(rho, n)
         read.values
-        res = solve_exact(fresh)
-        _assert_same_solution(res, solve_exact(read))
+        res, again = solve_exact(fresh), solve_exact(read)
+        _assert_same_solution(res, again)
+        # the read problem holds every finite column at its exact cost
+        fin = np.isfinite(read.values)
+        assert again.certificate.exact_columns == np.count_nonzero(fin)
         assert np.array_equal(fresh.values, read.values)
         # the dual violation is the one of exact pricing on every finite
         # column, at the scale of the largest cost
-        fin = np.isfinite(read.values)
         s = _unit_scale(float(read.values[fin].max()))
         third = res.certificate.duals[0] / s
         i, j, k = read.triples[fin].T
         slack = read.values[fin] / s - (third[i] + third[j] + third[k])
         assert res.certificate.max_dual_violation == max(0.0, -slack.min())
+
+    @pytest.mark.parametrize("n", [27, 54])
+    def test_one_kernel_call_per_round(self, kernel_rows, tail_k1, n):
+        # one call for the seed, then at most one per round, on the columns
+        # whose bound prices below zero (none are left in the last round at
+        # 54 atoms); the columns a round appends are among those, so adding
+        # them evaluates nothing more
+        res = solve_exact(discretize(tail_k1, n))
+        assert res.certificate.rounds >= 2
+        assert len(kernel_rows) <= res.certificate.rounds + 1
+        assert res.certificate.exact_columns == sum(kernel_rows)
+
+    def test_multi_round_value_pinned(self, tail_k1):
+        # the k = 1 example at 54 atoms takes several rounds; each round
+        # appends the columns priced below zero and re-solves warm
+        res = solve_exact(discretize(tail_k1, 54))
+        assert res.certificate.certified
+        assert res.certificate.rounds >= 2
+        assert res.value == float.fromhex("0x1.dd8d42c277dd5p+0")
 
     def test_underflowing_kernel_rows_leave_the_subset(self):
         # two atoms near 1e-200 beside one near 1 underflow to a coincidence
@@ -376,24 +410,16 @@ class TestLazyCosts:
         assert res.certificate.certified
         assert res.value == pytest.approx(_exhaustive_lp(prob)[0], rel=1e-12)
 
-    def test_blocks_kernel_rows(self, monkeypatch, blocks):
-        rows = []
-        kernel = mot._radial_cost_batch
-
-        def counting(radii):
-            rows.append(len(radii))
-            return kernel(radii)
-
-        monkeypatch.setattr(mot, "_radial_cost_batch", counting)
+    def test_blocks_kernel_rows(self, kernel_rows, blocks):
         prob = discretize(blocks, 27)
-        assert rows == []
+        assert kernel_rows == []
         res = solve_exact(prob)
         # every row evaluated before this change: 3,654
-        assert sum(rows) <= 1100
-        assert res.certificate.exact_columns == sum(rows)
+        assert sum(kernel_rows) <= 1100
+        assert res.certificate.exact_columns == sum(kernel_rows)
         # reading the costs evaluates the remaining rows, once
         assert np.isfinite(prob.values).all()
-        assert sum(rows) == 3654
+        assert sum(kernel_rows) == 3654
         with pytest.raises(ValueError):
             prob.values[0] = 0.0
 
