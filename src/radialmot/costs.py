@@ -35,6 +35,7 @@ scale from subnormal to near-overflow loses digits or raises.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -100,7 +101,10 @@ class Radii:
 
     def __post_init__(self) -> None:
         vals = (self.r1, self.r2, self.r3)
-        if not all(isinstance(v, (int, float)) for v in vals):
+        # floats first, the common case; numpy numbers are Real, a bool no radius
+        if not all(isinstance(v, float) for v in vals) and not all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in vals
+        ):
             raise InvalidRadii(f"radii must be numbers, got {vals!r}")
         if not all(math.isfinite(v) and v >= 0.0 for v in vals):
             raise InvalidRadii(f"radii must be finite and >= 0, got {vals!r}")
@@ -298,22 +302,24 @@ def grad_hess(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of f at a configuration, both in closed form.
 
-    Returns (grad, hess) with shapes (2,) and (2, 2).  Raises
-    :class:`SingularConfiguration` when any pair distance vanishes, since
-    the derivatives are unbounded there.
+    Returns (grad, hess) with shapes (2,) and (2, 2), evaluated at unit
+    scale as :func:`full_cost` is.  Raises :class:`SingularConfiguration`
+    where a term is not finite there: where a pair distance vanishes (or
+    underflows), since the derivatives are unbounded.
     """
     r = Radii.of(r)
     if not isinstance(config, AngularConfig):
         config = AngularConfig(*config)
-    a, b = config.alpha, config.beta
-    for ri, rj, t in ((r.r1, r.r2, a), (r.r1, r.r3, b), (r.r2, r.r3, a - b)):
-        if pair_distance_sq(ri, rj, t) == 0.0:
-            raise SingularConfiguration(
-                f"coincident pair at radii ({ri}, {rj}), relative angle {t}"
-            )
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = _grad_hess_arrays(r.r1, r.r2, r.r3, np.array([a]), np.array([b]))
-    g1, g2, h11, h12, h22 = (float(v[0]) for v in terms)
+    s = _unit_scale(max(r.as_tuple()))
+    a, b = np.array([config.alpha]), np.array([config.beta])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        terms = _grad_hess_arrays(r.r1 / s, r.r2 / s, r.r3 / s, a, b)
+    unit = [float(v[0]) for v in terms]
+    if not all(map(math.isfinite, unit)):
+        raise SingularConfiguration(
+            f"a pair distance vanishes at radii {r.as_tuple()}, angles {config}"
+        )
+    g1, g2, h11, h12, h22 = (v / s for v in unit)
     return np.array([g1, g2]), np.array([[h11, h12], [h12, h22]])
 
 
@@ -410,13 +416,12 @@ def corner_values(r: Radii | tuple) -> CornerValues:
     collinear corner is always the cheapest of the four.
     """
     r = Radii.of(r)
-    pi = math.pi
-    return CornerValues(
-        f00=full_cost(r, (0.0, 0.0)).total,
-        f0pi=full_cost(r, (0.0, pi)).total,
-        fpi0=full_cost(r, (pi, 0.0)).total,
-        fpipi=full_cost(r, (pi, pi)).total,
-    )
+    s = _unit_scale(max(r.as_tuple()))
+    # the four corners at their canonical angles, pi being -pi in [-pi, pi)
+    a, b = np.array([[0.0, 0.0, -math.pi, -math.pi], [0.0, -math.pi, 0.0, -math.pi]])
+    with np.errstate(divide="ignore"):
+        f12, f13, f23 = _energy_terms(r.r1 / s, r.r2 / s, r.r3 / s, a, b)
+    return CornerValues(*(v / s for v in (f12 + f13 + f23).tolist()))
 
 
 def _critical_angle(ri: float, rj: float) -> float:

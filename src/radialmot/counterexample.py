@@ -53,6 +53,7 @@ from .density import (
     SegmentStack,
     _horner,
     _result,
+    _size,
 )
 from .errors import (
     CertificationError,
@@ -119,19 +120,14 @@ def boundary_ratio_gate(ratio: float) -> bool:
 
 
 def limit_margin(s1: float, s2: float) -> float:
-    """Margin of the window inequality in the limit eps -> 0, M -> inf:
+    """Margin of the window inequality in the limit eps -> 0, M -> inf,
+    the finite-window margin at eps = 0:
 
         2/s2 + 1/(2 s2) + 1/(2 s1) - sqrt(3)/s1 - 1/s1
 
     Positive exactly when the tertile ratio gate passes.
     """
-    return (
-        2.0 / s2
-        + 1.0 / (2.0 * s2)
-        + 1.0 / (2.0 * s1)
-        - math.sqrt(3.0) / s1
-        - 1.0 / s1
-    )
+    return _window_margin(s1, s2, 0.0)
 
 
 def _window_margin(s1: float, s2: float, eps: float) -> float:
@@ -209,8 +205,8 @@ class GraphConditionReport:
 
 
 def check_graph_condition(rho: RadialDensity, n: int = 64) -> GraphConditionReport:
-    """Minimum of the alignment polynomial over n first-tertile orbits of
-    the decreasing-decreasing-increasing branch map.
+    """Minimum of the alignment polynomial over n >= 2 first-tertile orbits
+    of the decreasing-decreasing-increasing branch map.
 
     Samples the closed mass range [0, 1/3] including both endpoints, and
     evaluates each orbit from its first-tertile mass
@@ -223,8 +219,7 @@ def check_graph_condition(rho: RadialDensity, n: int = 64) -> GraphConditionRepo
     When the report holds, the map's support satisfies the alignment
     condition at probe resolution, so its cost is entirely collinear.
     """
-    if n < 2:
-        raise ValueError("need at least 2 probes")
+    n = _size(n, "n", 2)
     ddi = build_map(rho, "DDI")
     v = np.stack(ddi.orbit_of_mass((1.0 / 3.0) * np.arange(n) / (n - 1)), axis=1)
     v = v[np.all(np.isfinite(v), axis=1)]

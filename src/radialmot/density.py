@@ -41,6 +41,7 @@ positive, so a NaN never reaches the cumulative stack.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -84,6 +85,13 @@ def _real_roots_in(coeffs_poly: np.polynomial.Polynomial, lo: float, hi: float):
             if lo <= x <= hi:
                 out.append(x)
     return out
+
+
+def _size(n, what: str, least: int = 1) -> int:
+    """Sample count n as an int; ValueError for a bool, a fraction or n < least."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
+        raise ValueError(f"{what} must be an integer of at least {least}, got {n!r}")
+    return int(n)
 
 
 def _result(a):

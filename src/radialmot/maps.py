@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import RadialDensity, Tertiles, _result
+from .density import RadialDensity, Tertiles, _result, _size
 
 __all__ = ["PATTERNS", "SeidlMap", "MapDiagnostics", "build_map", "check_map"]
 
@@ -122,10 +122,9 @@ def check_map(seidl_map: SeidlMap, n_probe: int = 999) -> MapDiagnostics:
     start within 1e-9 * max(1, |x|); the image's CDF value matches the
     branch formula within 1e-9; and the map is monotone on each tertile in
     its letter's direction.  max_cycle_error reports the absolute error.
-    Raises ValueError for n_probe < 1, which would check nothing.
+    Raises ValueError unless n_probe is an integer of at least 1.
     """
-    if n_probe < 1:
-        raise ValueError(f"check_map needs at least 1 probe, got {n_probe}")
+    n_probe = _size(n_probe, "n_probe")
     rho = seidl_map.density
     p = (np.arange(n_probe) + 0.5) / n_probe
     x = rho.mass_quantile(p)

@@ -19,7 +19,7 @@ numpy arrays, whose elementwise results do not depend on the batch.
 Stationary points solve the closed-form gradient system; a multistart
 Newton iteration run in lockstep over all starts converges quadratically
 and the surviving points are deduplicated on the torus and classified by
-the Hessian spectrum.
+the closed-form spectrum of the Hessian, as in the saddle-free step.
 
 The two families of implicit curves traced here are the solution branches
 of the split stationarity system
@@ -55,7 +55,7 @@ from .costs import (
     canonical_angle,
     torus_distance,
 )
-from .density import _solve_increasing
+from .density import _size, _solve_increasing
 from .errors import AllInfinite, DegenerateRadii, RootNotBracketed
 
 __all__ = [
@@ -142,6 +142,13 @@ class CurveBundle:
     max_confinement_violation: float
 
 
+def _spectrum(h11, h12, h22):
+    """Eigenvalues lo <= hi of each symmetric 2 x 2 matrix [[h11, h12],
+    [h12, h22]] in closed form, mid -+ rad, and the largest magnitude."""
+    mid, rad = 0.5 * (h11 + h22), np.hypot(0.5 * (h11 - h22), h12)
+    return mid - rad, mid + rad, np.abs(mid) + rad
+
+
 def _saddle_free_step(g1, g2, h11, h12, h22, tol):
     """The saddle-free step -|H|^-1 g (Dauphin et al., NeurIPS 2014) from the
     closed-form eigendecomposition of each 2 x 2 Hessian, eigenvalues kept
@@ -151,11 +158,9 @@ def _saddle_free_step(g1, g2, h11, h12, h22, tol):
     eigenvector, of a fixed sign (Nocedal and Wright, 2006), so a lane
     leaves a saddle the same way every time.  Returns the step and whether
     H is positive semidefinite."""
-    mid, half = 0.5 * (h11 + h22), 0.5 * (h11 - h22)
-    rad = np.hypot(half, h12)
-    lo, hi, top = mid - rad, mid + rad, np.abs(mid) + rad
+    lo, hi, top = _spectrum(h11, h12, h22)
     # (c, s) spans the eigenspace of hi, (-s, c) the one of lo, with c >= 0
-    th = 0.5 * np.arctan2(h12, half)
+    th = 0.5 * np.arctan2(h12, 0.5 * (h11 - h22))
     c, s = np.cos(th), np.sin(th)
     gl, gh = c * g2 - s * g1, c * g1 + s * g2
     floor = 1e-12 * top
@@ -303,16 +308,13 @@ def radial_cost(r: Radii | tuple) -> RadialCostResult:
     )
 
 
-def _classify(h11: float, h12: float, h22: float) -> str:
-    w = np.linalg.eigvalsh(np.array([[h11, h12], [h12, h22]]))
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if np.min(np.abs(w)) <= 1e-8 * scale:
-        return "degenerate"
-    if w[0] > 0.0:
-        return "min"
-    if w[1] < 0.0:
-        return "max"
-    return "saddle"
+def _classify(h11, h12, h22):
+    """Each stationary point's class from its Hessian's :func:`_spectrum`:
+    "degenerate" where an eigenvalue is within 1e-8 max(1, top) of 0, else
+    "min", "max" or "saddle" by the eigenvalues' signs."""
+    lo, hi, top = _spectrum(h11, h12, h22)
+    flat = np.minimum(np.abs(lo), np.abs(hi)) <= 1e-8 * np.maximum(1.0, top)
+    return np.select([flat, lo > 0.0, hi < 0.0], ["degenerate", "min", "max"], "saddle")
 
 
 _CORNERS = ((0.0, 0.0), (0.0, _PI), (_PI, 0.0), (_PI, _PI))
@@ -354,8 +356,8 @@ def find_stationary_points(r: Radii | tuple) -> StationaryReport:
     Newton iterations run in lockstep over a 128 x 128 set of initial angle
     pairs, each start leaving after one step from a gradient norm within
     1e-13 (or NaN); non-converged starts are dropped, survivors are
-    deduplicated within 1e-6 on the torus and classified by Hessian
-    eigenvalue signs.
+    deduplicated within 1e-6 on the torus and classified by the signs of
+    the Hessian's closed-form eigenvalues (:func:`_classify`).
     The four corner configurations are stationary for
     every radius triple and always appear.
 
@@ -390,13 +392,10 @@ def find_stationary_points(r: Radii | tuple) -> StationaryReport:
     g1, g2, h11, h12, h22 = _grad_hess_arrays(r1, r2, r3, a, b)
     gn = np.hypot(g1, g2)
     keep = np.flatnonzero(gn <= 1e-12)
+    reps = keep[_representatives(a[keep], b[keep])]
     points = tuple(
-        StationaryPoint(
-            config=AngularConfig(a[i], b[i]),
-            classification=_classify(h11[i], h12[i], h22[i]),
-            grad_norm=float(gn[i] / s),
-        )
-        for i in keep[_representatives(a[keep], b[keep])]
+        StationaryPoint(AngularConfig(a[i], b[i]), kind, float(gn[i] / s))
+        for i, kind in zip(reps, _classify(h11[reps], h12[reps], h22[reps]).tolist())
     )
     only_corners = all(
         min(torus_distance(p.config.as_tuple(), c) for c in _CORNERS)
@@ -422,7 +421,7 @@ def _signed_g(ri, rj, sign, x):
 
 
 def trace_implicit_curves(r: Radii | tuple, n_beta: int = 181) -> CurveBundle:
-    """Sample the four stationarity branch curves over beta in [0, pi].
+    """Sample the four stationarity branch curves at n_beta >= 2 betas in [0, pi].
 
     Solves g12(alpha) = -g13(beta) for the two alpha branches and
     g23(alpha - beta) = g13(beta) for the two alpha_hat branches.  Each
@@ -436,8 +435,7 @@ def trace_implicit_curves(r: Radii | tuple, n_beta: int = 181) -> CurveBundle:
     two near the largest, so no output depends on the scale.
     """
     r1, r2, r3, _ = _unit_radii(r, "curve tracing")
-    if n_beta < 2:
-        raise ValueError("n_beta must be at least 2")
+    n_beta = _size(n_beta, "n_beta", 2)
     th12, th13, th23 = (
         _critical_angle(ri, rj) for ri, rj in ((r1, r2), (r1, r3), (r2, r3))
     )

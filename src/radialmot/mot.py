@@ -48,13 +48,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .costs import Radii, _unit_scale, _unit_scales, c_pi
-from .density import RadialDensity
+from .density import RadialDensity, _size
 from .errors import (
     CertificationError,
     InfeasibleCost,
@@ -121,13 +120,6 @@ def _rank(t: np.ndarray, n: int) -> np.ndarray:
     s = n + 1 - t[:, 1]
     r += s * (s - 1) // 2
     return math.comb(n + 2, 3) - r + t[:, 2] - t[:, 1]
-
-
-def _size(n, what: str) -> int:
-    """n as an int; ValueError for a fractional or empty size."""
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise ValueError(f"{what} must be an integer of at least 1, got {n!r}")
-    return int(n)
 
 
 def _symmetric_tensor(n: int, triples: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -529,7 +521,8 @@ class MongeCostResult:
 
 
 def graph_triples(seidl_map: SeidlMap, n: int) -> tuple[MongeTriple, ...]:
-    """Orbits started from n quantile midpoints of the first tertile."""
+    """Orbits from n >= 1 quantile midpoints of the first tertile."""
+    n = _size(n, "n")
     orbits = seidl_map.orbit_of_mass((np.arange(n) + 0.5) / (3.0 * n))
     return tuple(MongeTriple(*t) for t in np.stack(orbits, axis=1).tolist())
 
@@ -542,7 +535,7 @@ def monge_cost(seidl_map: SeidlMap, n: int = 64) -> MongeCostResult:
     midpoints of the first tertile (an integer n >= 1, else ValueError)
     with weight 1/n give the full value.
     """
-    triples = graph_triples(seidl_map, _size(n, "n"))
+    triples = graph_triples(seidl_map, n)
     costs = tuple(_radial_cost_batch([t.as_tuple() for t in triples])[0].tolist())
     return MongeCostResult(
         value=float(np.mean(costs)), triples=triples, costs=costs

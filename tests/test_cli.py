@@ -481,6 +481,8 @@ class TestTopLevel:
             ["counterexample", "--k", "7"],
             ["map", "DENSITY", "--check", "--probes", "0"],
             ["map", "DENSITY", "--check", "--probes", "-3"],
+            ["map", "DENSITY", "--samples", "0"],
+            ["map", "DENSITY", "--samples", "-2"],
             ["solve", "DENSITY", "--tol", "nan"],
             ["solve", "DENSITY", "--tol", "-0.5"],
             ["solve", "DENSITY", "--tol", "inf"],
@@ -490,6 +492,8 @@ class TestTopLevel:
             "counterexample-k",
             "map-probes-0",
             "map-probes-negative",
+            "map-samples-0",
+            "map-samples-negative",
             "solve-tol-nan",
             "solve-tol-negative",
             "solve-tol-inf",

@@ -68,6 +68,19 @@ class TestRadii:
         r = Radii(1.0, 2.0, 3.0).scaled(2.0)
         assert r.as_tuple() == (2.0, 4.0, 6.0)
 
+    @pytest.mark.parametrize(
+        "v", [np.int64(1), np.int32(1), np.float32(1.0), np.float64(1.0), 1]
+    )
+    def test_numpy_and_python_numbers_accepted(self, v):
+        assert Radii(v, 2, 3).as_tuple() == (1.0, 2.0, 3.0)
+        assert all(type(x) is float for x in Radii(v, v, v).as_tuple())
+
+    @pytest.mark.parametrize("v", [True, np.bool_(True), "1", None])
+    def test_non_numbers_rejected(self, v):
+        # bool is an int, but True is no radius
+        with pytest.raises(InvalidRadii, match="radii must be numbers"):
+            Radii(v, 2.0, 3.0)
+
     def test_ordering_predicate(self):
         assert Radii(1.0, 2.0, 3.0).strictly_ordered
         assert not Radii(1.0, 1.0, 3.0).strictly_ordered
@@ -183,16 +196,22 @@ SCALES = [1e-160, 1e-100, 1e-60, 1.0, 1e60, 1e100, 1e155]
 
 @pytest.mark.parametrize("scale", SCALES)
 def test_closed_forms_are_scale_free(scale):
-    # energies are homogeneous of degree -1 and P of degree 4; both are
-    # evaluated at unit scale, so no scale overflows or goes subnormal
+    # energies and their derivatives are homogeneous of degree -1 and P of
+    # degree 4; all are evaluated at unit scale, so no scale overflows or
+    # goes subnormal (and pytest's filterwarnings fails any RuntimeWarning);
+    # abs=0 keeps approx's absolute 1e-12 from passing tiny values
     for r in ((1.0, 2.0, 30.0), (1.0, 2.0, 14.0), (3.0, 0.5, 2.0)):
         rs = tuple(scale * v for v in r)
-        assert c_pi(rs) == pytest.approx(c_pi(r) / scale, rel=1e-14)
-        assert c_delta(rs) == pytest.approx(c_delta(r) / scale, rel=1e-14)
+        gs, hs = grad_hess(rs, (0.7, -1.3))
+        g, h = grad_hess(r, (0.7, -1.3))
+        assert gs * scale == pytest.approx(g, rel=1e-14, abs=0.0)
+        assert hs * scale == pytest.approx(h, rel=1e-14, abs=0.0)
+        assert c_pi(rs) == pytest.approx(c_pi(r) / scale, rel=1e-14, abs=0.0)
+        assert c_delta(rs) == pytest.approx(c_delta(r) / scale, rel=1e-14, abs=0.0)
         for got, want in zip(
             corner_values(rs).as_tuple(), corner_values(r).as_tuple()
         ):
-            assert got == pytest.approx(want / scale, rel=1e-14)
+            assert got == pytest.approx(want / scale, rel=1e-14, abs=0.0)
         p, ps = alignment_condition(r), alignment_condition(rs)
         # rescaled by multiplication: +-inf on overflow, a signed zero on
         # underflow, never an OverflowError
@@ -229,6 +248,16 @@ class TestGradHess:
             assert math.copysign(1.0, det) == math.copysign(
                 1.0, alignment_condition(r)
             )
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+    def test_extreme_scales_are_finite_and_quiet(self, scale):
+        # evaluated at the raw scale, these radii gave NaN, a spurious
+        # SingularConfiguration or an overflow RuntimeWarning
+        r = (1.0, 2.0, 30.0)
+        gs, hs = grad_hess(tuple(scale * v for v in r), (PI, 0.0))
+        g, h = grad_hess(r, (PI, 0.0))
+        assert np.all(np.isfinite(gs)) and np.all(np.isfinite(hs))
+        assert hs * scale == pytest.approx(h, rel=1e-14, abs=0.0)
 
     def test_singular_configuration_raises(self):
         with pytest.raises(SingularConfiguration):

@@ -143,6 +143,12 @@ class TestGraphCondition:
         with pytest.raises(ValueError):
             check_graph_condition(uniform, n=1)
 
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_probe_count_is_an_integer(self, uniform, n):
+        # 2.5 samples would reach mass 0.44, past the first tertile
+        with pytest.raises(ValueError, match="n must be an integer of at least 2"):
+            check_graph_condition(uniform, n=n)
+
 
 class TestConstruction:
     def test_example_piece_masses(self):

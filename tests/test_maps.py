@@ -115,6 +115,13 @@ class TestDiagnostics:
         diag = check_map(build_map(uniform, "DDI"), n_probe=55)
         assert diag.n_probes == 55
 
+    @pytest.mark.parametrize("n_probe", [2.5, True, 0, -3])
+    def test_probe_count_is_a_positive_integer(self, blocks, n_probe):
+        # 2.5 probes would sit at mass 1.0, where the cycle of this correct
+        # map misses by 15; True would be read as one probe
+        with pytest.raises(ValueError, match="n_probe must be an integer of at least 1"):
+            check_map(build_map(blocks, "DDI"), n_probe=n_probe)
+
 
 class TestCycleToleranceRelative:
     """The cycle check scales with max(1, |x|).  With 4000 probes the

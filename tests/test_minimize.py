@@ -384,6 +384,12 @@ class TestStationaryPoints:
 
 
 class TestImplicitCurves:
+    @pytest.mark.parametrize("n_beta", [2.5, True, 1])
+    def test_sample_count_is_an_integer_of_at_least_two(self, n_beta):
+        # 2.5 used to end in an untyped TypeError from linspace
+        with pytest.raises(ValueError, match="n_beta must be an integer of at least 2"):
+            trace_implicit_curves((1.0, 2.0, 15.0), n_beta=n_beta)
+
     def test_near_equal_radii_trace_without_warning(self):
         # curves or a typed error, with no floating-point warning on the way
         try:

@@ -255,6 +255,34 @@ class TestColumnGeneration:
         with pytest.raises(InfeasibleCost, match="linear program failed: Infeasible"):
             solve_exact(prob)
 
+    @pytest.mark.parametrize("method", ["lp", "brute-monge"])
+    def test_coincident_atoms_have_no_finite_coupling(self, method):
+        # every triple of two atoms at the origin has two vanishing radii,
+        # so every cost is infinite
+        prob = DiscreteProblem(np.array([0.0, 0.0]))
+        message = {
+            "lp": "every coupling entry has infinite cost",
+            "brute-monge": "every permutation coupling has infinite cost",
+        }[method]
+        with pytest.raises(InfeasibleCost, match=message):
+            solve_exact(prob, method=method)
+
+    def test_atoms_alone_can_make_the_program_infeasible(self):
+        # (0, 1, 1) is the one finite column holding atom 0: giving atom 0
+        # its mass 1/2 gives atom 1 twice that, more than its 1/2
+        prob = DiscreteProblem(np.array([0.0, 1.0]))
+        with pytest.raises(InfeasibleCost, match="linear program failed: Infeasible"):
+            solve_exact(prob)
+
+    def test_an_infinite_diagonal_column_prices_every_column(self):
+        # (0, 0, 0) is infinite, so the seed is every finite column: the
+        # seven triples with at most one index 0, certified in one round;
+        # (0, 1, 2) alone meets the marginals, at 1 + 1/2 + 1/3 = 11/6
+        res = solve_exact(DiscreteProblem(np.array([0.0, 1.0, 2.0])))
+        assert res.value == pytest.approx(11.0 / 6.0, rel=1e-12)
+        assert res.certificate.certified
+        assert (res.certificate.columns, res.certificate.rounds) == (7, 1)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 9, 27, 54])
     def test_rank_is_the_row_number(self, n):
         triples = mot._sorted_triples(n)
@@ -556,6 +584,15 @@ class TestMongeCost:
         # n = 0 would average no orbit, nan with a warning
         with pytest.raises(ValueError, match="n must be an integer of at least 1"):
             monge_cost(build_map(blocks, "DDI"), n=0)
+
+    @pytest.mark.parametrize("n", [0, 2.5, True])
+    def test_sample_count_is_a_positive_integer(self, blocks, n):
+        # 2.5 would sample the tertile boundary, and 0 return no triple,
+        # which the 1-D check would pass with nothing checked
+        ddi = build_map(blocks, "DDI")
+        for sample in (graph_triples, one_d_increasing_map_check):
+            with pytest.raises(ValueError, match="n must be an integer of at least 1"):
+                sample(ddi, n)
 
     def test_triples_start_in_first_tertile(self, blocks):
         ddi = build_map(blocks, "DDI")

@@ -14,6 +14,7 @@ from radialmot import (
     c_pi,
     canonical_angle,
     full_cost,
+    grad_hess,
     lift_radial_triple,
     radial_cost,
     torus_distance,
@@ -88,6 +89,29 @@ class TestScalingLaws:
         p = alignment_condition((r1, r2, r3))
         ps = alignment_condition((lam * r1, lam * r2, lam * r3))
         assert ps == pytest.approx(lam**4 * p, rel=1e-9, abs=1e-9)
+
+    @given(
+        st.floats(min_value=0.1, max_value=10.0),
+        st.floats(min_value=1.25, max_value=4.0),
+        st.floats(min_value=1.25, max_value=4.0),
+        st.floats(min_value=-PI, max_value=PI),
+        st.floats(min_value=-PI, max_value=PI),
+        st.integers(min_value=-997, max_value=996),
+    )
+    @settings(max_examples=80)
+    def test_grad_hess_degree_minus_one(self, r1, q2, q3, a, b, k):
+        # lam = 2^k spans 1e-300..1e300 and scales the radii exactly: a
+        # decimal lam moves them by an ulp, which the Hessian's closed form
+        # magnifies near the inflection angle of a pair term.  Gradient and
+        # Hessian share a unit, so both are measured against the largest
+        # entry of either: a gradient at a corner is rounding noise
+        lam = 2.0**k
+        r = (r1, q2 * r1, q3 * q2 * r1)
+        g, h = grad_hess(r, (a, b))
+        gs, hs = grad_hess(tuple(lam * v for v in r), (a, b))
+        top = max(np.max(np.abs(g)), np.max(np.abs(h)))
+        assert np.max(np.abs(gs * lam - g)) <= 1e-13 * top
+        assert np.max(np.abs(hs * lam - h)) <= 1e-13 * top
 
 
 class TestPermutationSymmetry:
