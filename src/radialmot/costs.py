@@ -106,8 +106,11 @@ class Radii:
             isinstance(v, numbers.Real) and not isinstance(v, bool) for v in vals
         ):
             raise InvalidRadii(f"radii must be numbers, got {vals!r}")
-        if not all(math.isfinite(v) and v >= 0.0 for v in vals):
-            raise InvalidRadii(f"radii must be finite and >= 0, got {vals!r}")
+        try:
+            if not all(math.isfinite(v) and v >= 0.0 for v in vals):
+                raise InvalidRadii(f"radii must be finite and >= 0, got {vals!r}")
+        except OverflowError:  # an int beyond the float range
+            raise InvalidRadii("radii must be finite, got one beyond floats") from None
         object.__setattr__(self, "r1", float(self.r1))
         object.__setattr__(self, "r2", float(self.r2))
         object.__setattr__(self, "r3", float(self.r3))
@@ -231,13 +234,18 @@ def _energy_terms(r1, r2, r3, a, b):
     return _inv_dist(r1, r2, a), _inv_dist(r1, r3, b), _inv_dist(r2, r3, a - b)
 
 
+def _pairs(r1, r2, r3, a, b):
+    """(ri, rj, theta) of the pairs 12, 13, 23 stacked on a first axis, for
+    radii floats or 1-D arrays and angles 1-D arrays: one pass of a pair term."""
+    ri, rj = np.array([r1, r1, r2, r2, r3, r3]).reshape(2, 3, -1)
+    return ri, rj, np.array([a, b, a - b])
+
+
 def _grad_hess_arrays(r1, r2, r3, a, b):
-    """Gradient (g1, g2) and Hessian entries (h11, h12, h22) of f at arrays
-    of angles; infinite or NaN where a pair distance vanishes."""
-    p12, s12 = _inv_dist_derivs(r1, r2, a)
-    p13, s13 = _inv_dist_derivs(r1, r3, b)
-    p23, s23 = _inv_dist_derivs(r2, r3, a - b)
-    return p12 + p23, p13 - p23, s12 + s23, -s23, s13 + s23
+    """Gradient (g1, g2) and Hessian entries (h11, h12, h22) of f at 1-D arrays
+    of angles, in one :func:`_pairs` pass; infinite or NaN where a pair coincides."""
+    p, s = _inv_dist_derivs(*_pairs(r1, r2, r3, a, b))
+    return p[0] + p[2], p[1] - p[2], s[0] + s[2], -s[2], s[1] + s[2]
 
 
 def _unit_scale(top: float) -> float:
@@ -393,9 +401,7 @@ def c_pi(r: Radii | tuple) -> float:
 
     Evaluates full_cost(r, (pi, 0)).total in the order given; inf when r1 == r3.
     """
-    r = Radii.of(r)
-    a = AngularConfig(math.pi, 0.0)
-    return full_cost(r, a).total
+    return full_cost(r, (math.pi, 0.0)).total
 
 
 def c_delta(r: Radii | tuple) -> float:
@@ -404,7 +410,6 @@ def c_delta(r: Radii | tuple) -> float:
     Upper bound for the minimal energy; equals sqrt(3)/l for equal radii l.
     Infinite only when all radii vanish.
     """
-    r = Radii.of(r)
     return full_cost(r, (_DELTA_ALPHA, _DELTA_BETA)).total
 
 

@@ -9,7 +9,7 @@ alignment theorem gives the value c_pi in closed form.  Elsewhere the
 collinear corner is a saddle between two mirrored minima, every local
 minimum is global, and f(a, b) is smooth on the torus away from
 coincidences.  So each such triple is seeded once, at the lowest node of a
-fixed 16 x 16 grid built from per-pair tables, and descends by damped
+fixed 6 x 6 grid built from per-pair tables, and descends by damped
 saddle-free Newton steps: the Newton step where the Hessian is positive
 definite, -|H|^-1 g elsewhere, and a step along the negative-curvature
 direction off an exact saddle; a lane converges only where the Hessian is
@@ -50,6 +50,7 @@ from .costs import (
     _grad_hess_arrays,
     _inv_dist,
     _inv_dist_derivs,
+    _pairs,
     _unit_scale,
     _unit_scales,
     canonical_angle,
@@ -78,14 +79,14 @@ _DEDUP_TOL = 1e-6
 _MAX_ITER = 80
 # longest step a descent lane takes
 _MAX_STEP = 0.7
-# seed grid nodes per angle, -pi + 2 pi k / 16, so that the collinear
-# corner (-pi, 0) is a node; _SEED_A, _SEED_B list the grid in flat order
-_SEED_NODES = -_PI + _TWO_PI * np.arange(16) / 16
-_SEED_A, _SEED_B = np.repeat(_SEED_NODES, 16), np.tile(_SEED_NODES, 16)
-# the 79 distinct node differences a - b, and each flat node's index into them
+# seed grid nodes per angle, -pi + 2 pi k / 6: the collinear corner (-pi, 0)
+# and the angles +-2 pi / 3 are nodes; _SEED_A, _SEED_B list it in flat order
+_SEED_NODES = -_PI + _TWO_PI * np.arange(6) / 6
+_SEED_A, _SEED_B = np.repeat(_SEED_NODES, 6), np.tile(_SEED_NODES, 6)
+# the 21 distinct node differences a - b, and each flat node's index into them
 _SEED_DIFFS, _SEED_DIFF_OF = np.unique(_SEED_A - _SEED_B, return_inverse=True)
-# seeded rows evaluated together at most, which bounds the grid's memory
-_ROW_CHUNK = 1024
+# rows seeded and descended together at most: 2^18 node energies
+_ROW_CHUNK = 2**18 // _SEED_A.size
 
 
 @dataclass(frozen=True)
@@ -183,8 +184,8 @@ def _newton_lanes(r1, r2, r3, a, b, fval):
     when no step decreases the value, or after one try of its full step
     where the Hessian is positive semidefinite and the model decrease -g.s
     is at most 1e-15 of the value.  Derivatives are taken at the canonical
-    angles, the energy at the raw iterate.  Returns final values, angles
-    and iteration counts.
+    angles, the energy at the raw iterate, each in one stacked pair pass.
+    Returns final values, angles and iteration counts.
     """
     a, b, fval = a.copy(), b.copy(), fval.copy()
     iters = np.zeros(a.size, dtype=int)
@@ -215,7 +216,7 @@ def _newton_lanes(r1, r2, r3, a, b, fval):
             if todo.size == 0:
                 break
             ta, tb = qa[todo] + t * sa[todo], qb[todo] + t * sb[todo]
-            tf = sum(_energy_terms(q1[todo], q2[todo], q3[todo], ta, tb))
+            tf = sum(_inv_dist(*_pairs(q1[todo], q2[todo], q3[todo], ta, tb)))
             ok = tf < qf[todo]
             accepted[todo[ok]] = True
             lane = run[todo[ok]]
@@ -239,10 +240,10 @@ def _radial_cost_batch(radii):
     sorted once there, and rescaled.  Where the sorted row's margin certifies
     P > 0, the value is its c_pi in closed form at the collinear argmin with
     the middle radius opposite the other two (0 candidates, 0 iterations).
-    Every other row is seeded at the lowest node of the 16 x 16 seed grid
+    Every other row is seeded at the lowest node of the 6 x 6 seed grid
     (grid_value, 1 candidate), added from per-pair tables in the order of
     the builtin sum, the first node winning ties, and descends from that
-    node and its energy by :func:`_newton_lanes`, all rows in lockstep.
+    node and its energy by :func:`_newton_lanes`, all rows of a chunk in lockstep.
     """
     r = np.array(radii, dtype=float).reshape(-1, 3)
     m = len(r)
@@ -264,7 +265,7 @@ def _radial_cost_batch(radii):
 
     seeded = np.flatnonzero(live & ~closed)
     candidates[seeded] = 1
-    # rows are independent, so chunks only bound the seed grid's memory
+    # rows are independent, so chunks only bound the memory
     for lo in range(0, seeded.size, _ROW_CHUNK):
         i = seeded[lo : lo + _ROW_CHUNK]
         q1, q2, q3 = u[i, :1], u[i, 1:2], u[i, 2:]
@@ -273,9 +274,8 @@ def _radial_cost_batch(radii):
         f += _inv_dist(q2, q3, _SEED_DIFFS).take(_SEED_DIFF_OF, axis=1)
         node = np.argmin(f, axis=1)
         grid_value[i] = f[np.arange(i.size), node]
-        value[i], a, b, iterations[i] = _newton_lanes(
-            q1[:, 0], q2[:, 0], q3[:, 0], _SEED_A[node], _SEED_B[node], grid_value[i]
-        )
+        seed = _SEED_A[node], _SEED_B[node], grid_value[i]
+        value[i], a, b, iterations[i] = _newton_lanes(*u[i].T, *seed)
         alpha[i], beta[i] = canonical_angle(a), canonical_angle(b)
     return value / s, alpha, beta, grid_value / s, candidates, iterations
 
@@ -285,26 +285,22 @@ def radial_cost(r: Radii | tuple) -> RadialCostResult:
 
     One row of :func:`_radial_cost_batch`: closed form where the alignment
     theorem applies, else saddle-free Newton descent from the lowest node
-    of a 16 x 16 seed grid.
+    of a 6 x 6 seed grid.
 
     Raises :class:`AllInfinite` when two radii vanish, since then every
     configuration contains a coincident pair.
     """
     r = Radii.of(r)
-    value, alpha, beta, grid_value, candidates, iterations = _radial_cost_batch(
-        [r.as_tuple()]
+    value, alpha, beta, grid_value, candidates, iterations = (
+        v.item() for v in _radial_cost_batch([r.as_tuple()])
     )
-    if not math.isfinite(grid_value[0]):
+    if not math.isfinite(grid_value):
         raise AllInfinite(
             f"no finite configuration for radii {r.as_tuple()}: every one has "
             "a coincident pair"
         )
     return RadialCostResult(
-        value=float(value[0]),
-        argmin=AngularConfig(float(alpha[0]), float(beta[0])),
-        grid_value=float(grid_value[0]),
-        candidates=int(candidates[0]),
-        iterations=int(iterations[0]),
+        value, AngularConfig(alpha, beta), grid_value, candidates, iterations
     )
 
 
@@ -369,8 +365,7 @@ def find_stationary_points(r: Radii | tuple) -> StationaryReport:
     r1, r2, r3, s = _unit_radii(r, "stationary sweep")
     n0 = _START_GRID
     g = -_PI + _TWO_PI * np.arange(n0) / n0
-    a = np.repeat(g, n0).astype(float)
-    b = np.tile(g, n0).astype(float)
+    a, b = np.repeat(g, n0), np.tile(g, n0)
 
     run = np.arange(a.size)
     for _ in range(_MAX_ITER):

@@ -81,6 +81,13 @@ class TestRadii:
         with pytest.raises(InvalidRadii, match="radii must be numbers"):
             Radii(v, 2.0, 3.0)
 
+    @pytest.mark.parametrize("v", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+    def test_ints_beyond_the_float_range_rejected(self, v):
+        with pytest.raises(InvalidRadii, match="beyond floats"):
+            Radii(v, 2, 3)
+        with pytest.raises(InvalidRadii):
+            Radii(1.0, 2.0, v)
+
     def test_ordering_predicate(self):
         assert Radii(1.0, 2.0, 3.0).strictly_ordered
         assert not Radii(1.0, 1.0, 3.0).strictly_ordered

@@ -27,7 +27,15 @@ from radialmot import (
     trace_implicit_curves,
 )
 from radialmot import minimize
-from radialmot.costs import _energy_terms, _inv_dist_derivs, _unit_scale, _unit_scales
+from radialmot.costs import (
+    _energy_terms,
+    _grad_hess_arrays,
+    _inv_dist,
+    _inv_dist_derivs,
+    _pairs,
+    _unit_scale,
+    _unit_scales,
+)
 from radialmot.minimize import _newton_lanes
 
 PI = math.pi
@@ -153,8 +161,9 @@ def test_radial_cost_bitwise_pin(case):
 
 def test_seed_grid_matches_the_direct_sum_bitwise(rng, monkeypatch):
     # the kernel builds the grid from per-pair tables; the reference is the
-    # direct sum over all 256 nodes, in the order of the builtin sum
-    base = np.sort(rng.uniform(0.3, 4.0, size=(1100, 3)), axis=1)
+    # direct sum over all 36 nodes, in the order of the builtin sum; the
+    # seeded rows span two chunks
+    base = np.sort(rng.uniform(0.3, 4.0, size=(8000, 3)), axis=1)
     special = [
         (1.0, 2.0, 15.0),  # aligned
         (0.0, 1.0, 2.0),  # r1 = 0, aligned
@@ -199,6 +208,64 @@ def test_seed_grid_matches_the_direct_sum_bitwise(rng, monkeypatch):
     tops = np.array([0.0, 5e-324, 1.0, sys.float_info.max])
     want = np.array([_unit_scale(t) for t in tops])
     assert _unit_scales(tops).tobytes() == want.tobytes()
+
+
+def test_stacked_pair_pass_matches_per_pair_calls(rng):
+    # the descent evaluates the three pairs in one stacked pass; each pair's
+    # terms are bitwise those of its own call, inf and NaN included
+    m = 400
+    r1, r2, r3 = np.sort(rng.uniform(0.01, 1.0, size=(3, m)), axis=0)
+    a, b = rng.uniform(-PI, PI, size=(2, m))
+    r2[:40], a[:20] = r1[:40], 0.0  # pair 12 coincident at 0 on 20 lanes
+    r3[40:80], b[40:60] = r2[40:80] * (1.0 + 1e-15), a[40:60]  # pair 23
+    b[60:80] = a[60:80] + 1e-9
+    r3[80:100], b[80:100] = r1[80:100], 1e-300  # pair 13 within rounding of 0
+    pairs = tuple(zip((0, 0, 1), (1, 2, 2), (a, b, a - b)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for radii in ((r1, r2, r3), (0.3, 0.3, 0.9)):
+            single = [(radii[i], radii[j], t) for i, j, t in pairs]
+            p, h = _inv_dist_derivs(*_pairs(*radii, a, b))
+            f = _inv_dist(*_pairs(*radii, a, b))
+            for k, args in enumerate(single):
+                want_p, want_h = _inv_dist_derivs(*args)
+                assert p[k].tobytes() == want_p.tobytes()
+                assert h[k].tobytes() == want_h.tobytes()
+                assert f[k].tobytes() == _inv_dist(*args).tobytes()
+            (p12, s12), (p13, s13), (p23, s23) = (_inv_dist_derivs(*x) for x in single)
+            want = (p12 + p23, p13 - p23, s12 + s23, -s23, s13 + s23)
+            got = _grad_hess_arrays(*radii, a, b)
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+            energy = sum(_energy_terms(*radii, a, b))
+            assert sum(f).tobytes() == energy.tobytes()
+            assert np.isinf(energy).any() and np.isnan(got[0]).any()
+
+
+def test_chunked_batch_matches_any_split(rng, monkeypatch):
+    # a batch over two chunks equals, bitwise, the same rows split at a
+    # boundary that is no chunk's, and sampled rows run as batches of one;
+    # a chunk makes one descent, and a batch with no seeded row none
+    n = 2 * minimize._ROW_CHUNK
+    q = 10.0 ** rng.uniform(0.0, 1.4, size=(n, 2))
+    r = np.column_stack([np.ones(n), q]) * 10.0 ** rng.uniform(-150, 150, (n, 1))
+    r = rng.permuted(r, axis=1)
+    descents = []
+
+    def spy(*args):
+        descents.append(args[0].size)
+        return _newton_lanes(*args)
+
+    monkeypatch.setattr(minimize, "_newton_lanes", spy)
+    whole = minimize._radial_cost_batch(r)
+    seeded, chunk = np.count_nonzero(whole[4]), minimize._ROW_CHUNK
+    assert descents == [chunk, seeded - chunk] and seeded < n - 100
+    minimize._radial_cost_batch(r[whole[4] == 0])
+    assert len(descents) == 2
+    head, tail = (minimize._radial_cost_batch(part) for part in (r[:5000], r[5000:]))
+    for got, x, y in zip(whole, head, tail):
+        assert got.tobytes() == np.concatenate([x, y]).tobytes()
+    for i in rng.choice(n, 20, replace=False):
+        for got, one in zip(whole, minimize._radial_cost_batch(r[i : i + 1])):
+            assert got[i : i + 1].tobytes() == one.tobytes()
 
 
 @pytest.mark.parametrize(
