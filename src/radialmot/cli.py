@@ -396,30 +396,14 @@ def cmd_sweep(args) -> int:
             raise _UsageError("stationary sweep needs --r3-min and --r3-max")
         steps = 7 if args.steps is None else args.steps
         config.update(r1=args.r1, r2=args.r2, steps=steps)
-        columns = [
-            "r3",
-            "n_points",
-            "n_min",
-            "n_max",
-            "n_saddle",
-            "n_degenerate",
-            "only_corners",
-        ]
+        kinds = ("min", "max", "saddle", "degenerate")
+        columns = ["r3", "n_points", *(f"n_{k}" for k in kinds), "only_corners"]
         rows = []
         for r3 in _sweep_grid(args.r3_min, args.r3_max, steps):
             rep = find_stationary_points(Radii(args.r1, args.r2, r3))
-            kinds = [p.classification for p in rep.points]
-            rows.append(
-                (
-                    r3,
-                    len(rep.points),
-                    kinds.count("min"),
-                    kinds.count("max"),
-                    kinds.count("saddle"),
-                    kinds.count("degenerate"),
-                    rep.only_corner_points,
-                )
-            )
+            found = [p.classification for p in rep.points]
+            counts = (found.count(k) for k in kinds)
+            rows.append((r3, len(found), *counts, rep.only_corner_points))
     elif args.what == "curves":
         if args.r3 is None:
             raise _UsageError("curves sweep needs --r3")
@@ -437,15 +421,7 @@ def cmd_sweep(args) -> int:
                 slope_alpha_hat_pi=bundle.slope_alpha_hat_pi,
                 confinement_ok=bundle.confinement_ok,
             )
-            rows = list(
-                zip(
-                    bundle.beta,
-                    bundle.alpha_pi,
-                    bundle.alpha_0,
-                    bundle.alpha_hat_pi,
-                    bundle.alpha_hat_0,
-                )
-            )
+            rows = list(zip(*(getattr(bundle, c) for c in columns)))
     else:  # pragma: no cover - argparse restricts choices
         raise _UsageError(f"unknown sweep {args.what!r}")
 

@@ -84,6 +84,14 @@ def torus_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     return max(da, db)
 
 
+def _shown(vals: tuple) -> str:
+    """repr of the radii, which Python refuses for an int of too many digits."""
+    try:
+        return repr(vals)
+    except ValueError:
+        return "values with an int too long to print"
+
+
 @dataclass(frozen=True)
 class Radii:
     """An ordered triple of circle radii.
@@ -105,10 +113,10 @@ class Radii:
         if not all(isinstance(v, float) for v in vals) and not all(
             isinstance(v, numbers.Real) and not isinstance(v, bool) for v in vals
         ):
-            raise InvalidRadii(f"radii must be numbers, got {vals!r}")
+            raise InvalidRadii(f"radii must be numbers, got {_shown(vals)}")
         try:
             if not all(math.isfinite(v) and v >= 0.0 for v in vals):
-                raise InvalidRadii(f"radii must be finite and >= 0, got {vals!r}")
+                raise InvalidRadii(f"radii must be finite and >= 0, got {_shown(vals)}")
         except OverflowError:  # an int beyond the float range
             raise InvalidRadii("radii must be finite, got one beyond floats") from None
         object.__setattr__(self, "r1", float(self.r1))

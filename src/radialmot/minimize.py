@@ -17,9 +17,10 @@ positive semidefinite.  One descent runs in lockstep over the batch, on
 numpy arrays, whose elementwise results do not depend on the batch.
 
 Stationary points solve the closed-form gradient system; a multistart
-Newton iteration run in lockstep over all starts converges quadratically
-and the surviving points are deduplicated on the torus and classified by
-the closed-form spectrum of the Hessian, as in the saddle-free step.
+Newton iteration run in lockstep over all starts stops on the length of
+its step, which does not depend on the scale, and the surviving points are
+deduplicated on the torus and classified by the signs of the Hessian's
+determinant and h11, the positive-definite test of the descent.
 
 The two families of implicit curves traced here are the solution branches
 of the split stationarity system
@@ -49,11 +50,11 @@ from .costs import (
     _energy_terms,
     _grad_hess_arrays,
     _inv_dist,
-    _inv_dist_derivs,
     _pairs,
     _unit_scale,
     _unit_scales,
     canonical_angle,
+    g_profile,
     torus_distance,
 )
 from .density import _size, _solve_increasing
@@ -77,6 +78,8 @@ _START_GRID = 128
 _DEDUP_TOL = 1e-6
 # Newton iteration cap for both refinement and the sweep
 _MAX_ITER = 80
+# longest Newton step, in radians, of a converged stationary-sweep start
+_STEP_TOL = 1e-12
 # longest step a descent lane takes
 _MAX_STEP = 0.7
 # seed grid nodes per angle, -pi + 2 pi k / 6: the collinear corner (-pi, 0)
@@ -305,12 +308,14 @@ def radial_cost(r: Radii | tuple) -> RadialCostResult:
 
 
 def _classify(h11, h12, h22):
-    """Each stationary point's class from its Hessian's :func:`_spectrum`:
-    "degenerate" where an eigenvalue is within 1e-8 max(1, top) of 0, else
-    "min", "max" or "saddle" by the eigenvalues' signs."""
-    lo, hi, top = _spectrum(h11, h12, h22)
-    flat = np.minimum(np.abs(lo), np.abs(hi)) <= 1e-8 * np.maximum(1.0, top)
-    return np.select([flat, lo > 0.0, hi < 0.0], ["degenerate", "min", "max"], "saddle")
+    """Each stationary point's class by the signs of its Hessian's det and
+    h11, the positive-definite test of :func:`_newton_lanes`: "degenerate"
+    where |det| <= 1e-8 (|h11 h22| + h12^2), so cancellation may have lost
+    det's sign, else "min", "max" or "saddle"."""
+    det = h11 * h22 - h12 * h12
+    flat = np.abs(det) <= 1e-8 * (np.abs(h11 * h22) + h12 * h12)
+    kinds = ["degenerate", "min", "max"]
+    return np.select([flat, (det > 0.0) & (h11 > 0.0), det > 0.0], kinds, "saddle")
 
 
 _CORNERS = ((0.0, 0.0), (0.0, _PI), (_PI, 0.0), (_PI, _PI))
@@ -346,60 +351,65 @@ def _representatives(a, b) -> list[int]:
     return reps
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def find_stationary_points(r: Radii | tuple) -> StationaryReport:
     """All gradient zeros of the energy found from a dense multistart sweep.
 
-    Newton iterations run in lockstep over a 128 x 128 set of initial angle
-    pairs, each start leaving after one step from a gradient norm within
-    1e-13 (or NaN); non-converged starts are dropped, survivors are
-    deduplicated within 1e-6 on the torus and classified by the signs of
-    the Hessian's closed-form eigenvalues (:func:`_classify`).
-    The four corner configurations are stationary for
-    every radius triple and always appear.
+    Newton iterations, each step clipped at length 0.5, run in lockstep
+    over a 128 x 128 set of initial angle pairs.  A start converges once its
+    Newton step is at most _STEP_TOL radians, a rule that holds at every
+    scale and pair stiffness; a singular Hessian's NaN step drops the start.
+    Converged starts are deduplicated within 1e-6 on the torus and
+    classified by :func:`_classify`.  The four corners are stationary for
+    every triple; a missing one raises :class:`DegenerateRadii`, since a
+    pair distance is then not resolved at unit scale.
 
     Requires strictly ordered positive radii so the energy is smooth on
     the whole torus.  Runs on the radii divided by a power of two near the
     largest, so points and classifications do not depend on the scale;
     gradient norms are reported at the caller's scale.
     """
+    r = Radii.of(r)
     r1, r2, r3, s = _unit_radii(r, "stationary sweep")
     n0 = _START_GRID
     g = -_PI + _TWO_PI * np.arange(n0) / n0
     a, b = np.repeat(g, n0), np.tile(g, n0)
 
+    converged = np.zeros(a.size, dtype=bool)
     run = np.arange(a.size)
     for _ in range(_MAX_ITER):
         g1, g2, h11, h12, h22 = _grad_hess_arrays(r1, r2, r3, a[run], b[run])
         det = h11 * h22 - h12 * h12
-        scale = np.maximum(np.abs(h11) + np.abs(h22) + np.abs(h12), 1e-300)
-        safe = np.abs(det) > 1e-14 * scale * scale
-        inv_det = np.where(safe, det, 1.0)
-        sa = np.where(safe, -(h22 * g1 - h12 * g2) / inv_det, 0.0)
-        sb = np.where(safe, -(h11 * g2 - h12 * g1) / inv_det, 0.0)
+        sa, sb = -(h22 * g1 - h12 * g2) / det, -(h11 * g2 - h12 * g1) / det
         sn = np.hypot(sa, sb)
-        clip = np.where(sn > 0.5, 0.5 / np.maximum(sn, 1e-300), 1.0)
+        clip = np.minimum(1.0, 0.5 / sn)
         a[run] = canonical_angle(a[run] + clip * sa)
         b[run] = canonical_angle(b[run] + clip * sb)
-        run = run[np.hypot(g1, g2) > 1e-13]
+        converged[run[sn <= _STEP_TOL]] = True
+        run = run[sn > _STEP_TOL]
         if run.size == 0:
             break
 
-    g1, g2, h11, h12, h22 = _grad_hess_arrays(r1, r2, r3, a, b)
-    gn = np.hypot(g1, g2)
-    keep = np.flatnonzero(gn <= 1e-12)
+    keep = np.flatnonzero(converged)
     reps = keep[_representatives(a[keep], b[keep])]
+    g1, g2, h11, h12, h22 = _grad_hess_arrays(r1, r2, r3, a[reps], b[reps])
+    gn = np.hypot(g1, g2) / s
     points = tuple(
-        StationaryPoint(AngularConfig(a[i], b[i]), kind, float(gn[i] / s))
-        for i, kind in zip(reps, _classify(h11[reps], h12[reps], h22[reps]).tolist())
+        StationaryPoint(AngularConfig(a[i], b[i]), kind, float(n))
+        for i, kind, n in zip(reps, _classify(h11, h12, h22).tolist(), gn)
     )
-    only_corners = all(
-        min(torus_distance(p.config.as_tuple(), c) for c in _CORNERS)
-        <= _DEDUP_TOL
+    corners = [
+        [c for c in _CORNERS if torus_distance(p.config.as_tuple(), c) <= _DEDUP_TOL]
         for p in points
-    )
+    ]
+    if not set(_CORNERS) <= {c for near in corners for c in near}:
+        raise DegenerateRadii(
+            f"stationary sweep lost a corner for radii {r.as_tuple()}: a pair "
+            "distance is not resolved at unit scale"
+        )
     return StationaryReport(
         points=points,
-        only_corner_points=only_corners,
+        only_corner_points=all(corners),
         n_starts=n0 * n0,
         n_converged=keep.size,
         max_grad_norm=max((p.grad_norm for p in points), default=0.0),
@@ -407,12 +417,13 @@ def find_stationary_points(r: Radii | tuple) -> StationaryReport:
 
 
 def _signed_g(ri, rj, sign, x):
-    """sign g and its slope sign g' at the angles x, for the pair's profile
-    g = -F', with g exactly 0 at multiples of pi, where sin vanishes:
-    sin(2 pi) rounds to -2.4e-16, which D^(-3/2) magnifies where the radii
-    nearly coincide."""
-    d1, d2 = _inv_dist_derivs(ri, rj, x)
-    return np.where(x % _PI == 0.0, 0.0, -sign * d1), -sign * d2
+    """sign g and its slope sign g' at the angles x, from :func:`g_profile`,
+    which evaluates the pair at its own unit scale, so a subnormal squared
+    distance at the triple's scale does not overflow D^(-3/2).  g is exactly
+    0 at multiples of pi, where sin vanishes: sin(2 pi) rounds to -2.4e-16,
+    which D^(-3/2) magnifies where the radii nearly coincide."""
+    g, gp, _ = g_profile(ri, rj, x)
+    return np.where(x % _PI == 0.0, 0.0, sign * g), sign * gp
 
 
 def trace_implicit_curves(r: Radii | tuple, n_beta: int = 181) -> CurveBundle:
@@ -427,7 +438,8 @@ def trace_implicit_curves(r: Radii | tuple, n_beta: int = 181) -> CurveBundle:
     what the alignment condition guarantees; a missing sign change, or a
     bracket left empty by a critical angle that rounds to 0, raises
     :class:`RootNotBracketed`.  Runs on the radii divided by a power of
-    two near the largest, so no output depends on the scale.
+    two near the largest, so no output depends on the scale, and evaluates
+    each pair's g by :func:`costs.g_profile` at that pair's own unit scale.
     """
     r1, r2, r3, _ = _unit_radii(r, "curve tracing")
     n_beta = _size(n_beta, "n_beta", 2)
@@ -452,7 +464,7 @@ def trace_implicit_curves(r: Radii | tuple, n_beta: int = 181) -> CurveBundle:
     roots = {}
     for what, ri, rj, lo, hi, sign, side, known in branches:
         # lanes with a tiny target keep the known root; with no other lane
-        # no g is evaluated, as far-apart radii can overflow it
+        # no bracket end is evaluated, where near-equal radii can round D to 0
         roots[what] = x = np.full(n_beta, known)
         if solved.size == 0:
             continue

@@ -436,6 +436,14 @@ class TestSweep:
         assert rows[-1][i_pts] == 4
         assert rows[-1][i_corners] is True
 
+    def test_stationary_sweep_with_a_lost_corner_exits_1(self, capsys):
+        # at unit scale r1 and r2 near 1e-160 are not resolved apart
+        argv = ["sweep", "--what", "stationary", "--r1", "1e-160", "--r2", "3e-160"]
+        code, out, err = run(capsys, [*argv, "--r3-min", "1", "--r3-max", "2"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: stationary sweep lost a corner for radii")
+
     def test_empty_range_gives_header_only(self, capsys):
         code, out, _ = run(
             capsys,

@@ -21,6 +21,7 @@ from radialmot import (
     full_cost,
     g_profile,
     grad_hess,
+    pair_distance_sq,
     phi_threshold,
     torus_distance,
 )
@@ -88,11 +89,40 @@ class TestRadii:
         with pytest.raises(InvalidRadii):
             Radii(1.0, 2.0, v)
 
+    @pytest.mark.parametrize(
+        "vals, match",
+        [((10**5000, None, 3), "numbers"), ((1.0, -1, 10**5000), "finite and >= 0")],
+        ids=["non-number", "negative"],
+    )
+    def test_ints_too_long_to_print_rejected(self, vals, match):
+        # Python refuses to convert an int of more than 4,300 digits to a
+        # string, so the message used to end in an untyped ValueError
+        with pytest.raises(InvalidRadii, match=match):
+            Radii(*vals)
+
     def test_ordering_predicate(self):
         assert Radii(1.0, 2.0, 3.0).strictly_ordered
         assert not Radii(1.0, 1.0, 3.0).strictly_ordered
         with pytest.raises(DegenerateRadii):
             Radii(1.0, 1.0, 3.0).require_strictly_ordered()
+
+
+class TestPairDistance:
+    def test_law_of_cosines(self):
+        assert pair_distance_sq(1.0, 2.0, PI / 3) == pytest.approx(3.0, rel=1e-15)
+        assert pair_distance_sq(1.0, 2.0, PI) == 9.0
+
+    def test_zero_at_coincidence(self):
+        assert pair_distance_sq(2.0, 2.0, 0.0) == 0.0
+        assert pair_distance_sq(2.0, 2.0, 2 * PI) == 0.0
+
+    def test_array_angles(self):
+        t = np.array([0.0, PI / 2, PI])
+        assert pair_distance_sq(1.0, 3.0, t).tolist() == pytest.approx([4.0, 10.0, 16.0])
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(InvalidRadii):
+            pair_distance_sq(-1.0, 2.0, 0.0)
 
 
 class TestFullCost:

@@ -206,6 +206,75 @@ class TestValidation:
             from_dict({"schema_version": 1, "segments": segs})
 
 
+def _tail_doc():
+    return to_dict(example_counterexample_density(s1=0.9, s2=1.0, ratio=4.0, k=1))
+
+
+def _table(interval, x, density):
+    data = {"x": x, "density": density}
+    return {"kind": "table", "interval": interval, "data": data}
+
+
+class TestTypedErrors:
+    """Each malformed document raises DensityFormatError, naming the
+    segment where the problem is a segment's own."""
+
+    def test_load_invalid_json(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text("{")
+        with pytest.raises(DensityFormatError, match="not valid JSON"):
+            load(p)
+
+    @pytest.mark.parametrize(
+        "segment, match",
+        [
+            (5, "segment 0: segment must be an object"),
+            (_table([0.0, 1.0], [0.0, 0.5, 1.0], [1.0, 1.0]), "segment 0: x and density"),
+            (_table([0.0, 1.0], [0.0, 0.5, 0.9], [1.0] * 3), "segment 0: table x range"),
+            (
+                {"kind": "poly", "interval": [0.0, 1.0], "data": {"coeffs": [10**400]}},
+                "segment 0: coeffs contains a non-number",
+            ),
+        ],
+        ids=["not-an-object", "unequal-lengths", "x-range", "int-beyond-floats"],
+    )
+    def test_bad_segment(self, segment, match):
+        with pytest.raises(DensityFormatError, match=match):
+            from_dict({"schema_version": 1, "segments": [segment]})
+
+    def test_bounded_tail(self):
+        doc = _tail_doc()
+        i = len(doc["segments"]) - 1
+        doc["segments"][i]["interval"][1] = 2.0
+        with pytest.raises(DensityFormatError, match=f"segment {i}: .* must be unbounded"):
+            from_dict(doc)
+
+    def test_tail_after_a_table_piece(self):
+        tail = {"kind": "pushforward-tail", "interval": [1.0, None], "data": {"k": 1}}
+        doc = {"schema_version": 1, "segments": [_table([0.0, 1.0], [0.0, 1.0], [1.0] * 2), tail]}
+        with pytest.raises(DensityFormatError, match="segment 1: .* poly segments only"):
+            from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda t: t.update(interval=[1.5, None]), "tail must start at the end"),
+            (lambda t: t["data"].update(delta=t["data"]["delta"] + 1e-6), "stored delta"),
+        ],
+        ids=["tail-lo", "delta"],
+    )
+    def test_tail_disagrees_with_rebuild(self, edit, match):
+        doc = _tail_doc()
+        i = len(doc["segments"]) - 1
+        edit(doc["segments"][i])
+        with pytest.raises(DensityFormatError, match=f"segment {i}: {match}"):
+            from_dict(doc)
+
+    def test_bare_tail_has_no_document(self, cex):
+        with pytest.raises(DensityFormatError, match="no serializable construction record"):
+            to_dict(RadialDensity(cex.segments))
+
+
 class TestNonFiniteNumbers:
     """Python's json reads NaN and Infinity; neither may reach a density."""
 

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import radialmot
 from radialmot import (
@@ -22,6 +24,7 @@ from radialmot import (
     c_delta,
     c_pi,
     find_stationary_points,
+    phi_threshold,
     radial_cost,
     torus_distance,
     trace_implicit_curves,
@@ -393,7 +396,7 @@ class TestStationaryPoints:
         assert class_at_corner((1.0, 2.0, 14.0)) == "saddle"
 
     def test_scale_free(self):
-        # the sweep runs at unit scale, where its absolute tolerances hold
+        # the sweep runs at unit scale, so points and classes do not move
         base = find_stationary_points((1.0, 2.0, 14.0))
         for s in (2.0**-600, 2.0**600):
             rep = find_stationary_points((s * 1.0, s * 2.0, s * 14.0))
@@ -426,8 +429,10 @@ class TestStationaryPoints:
         "r", [(1.0, 2.0, 15.0), (1.0, 2.0, 14.0), (1.0, 1.5, 20.0), (0.3, 1.0, 9.0)]
     )
     def test_census_matches_greedy_deduplication(self, monkeypatch, r):
-        # reference: a greedy loop that compares each sorted converged point
-        # with every representative so far through torus_distance
+        # reference: each sweep step is recomputed from the recorded
+        # derivatives, a lane whose Newton step is at most 1e-12 converges at
+        # its stepped point, and a greedy loop compares each sorted converged
+        # point with every representative so far through torus_distance
         calls = []
         grad_hess_arrays = minimize._grad_hess_arrays
 
@@ -437,17 +442,67 @@ class TestStationaryPoints:
 
         monkeypatch.setattr(minimize, "_grad_hess_arrays", record)
         rep = find_stationary_points(r)
-        (a, b), (g1, g2, *_) = calls[-1]
-        gn = np.hypot(g1, g2)
-        keep = gn <= 1e-12
+        converged = []
+        # the last call evaluates the representatives after the sweep
+        for (a, b), (g1, g2, h11, h12, h22) in calls[:-1]:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                det = h11 * h22 - h12 * h12
+                sa, sb = -(h22 * g1 - h12 * g2) / det, -(h11 * g2 - h12 * g1) / det
+                k = np.hypot(sa, sb) <= 1e-12
+            stepped = (a[k] + sa[k], b[k] + sb[k])
+            converged += zip(*(minimize.canonical_angle(v) for v in stepped))
         reps = []
-        for p in sorted(zip(a[keep], b[keep], gn[keep])):
-            if all(torus_distance(p[:2], q[:2]) > 1e-6 for q in reps):
+        for p in sorted(converged):
+            if all(torus_distance(p, q) > 1e-6 for q in reps):
                 reps.append(p)
-        assert rep.n_converged == np.count_nonzero(keep)
-        assert rep.configs() == tuple(AngularConfig(pa, pb) for pa, pb, _ in reps)
+        assert rep.n_converged == len(converged)
+        assert rep.configs() == tuple(AngularConfig(*p) for p in reps)
         s = _unit_scale(r[2])
-        assert [p.grad_norm for p in rep.points] == [pg / s for _, _, pg in reps]
+        g1, g2, *_ = grad_hess_arrays(*(v / s for v in r), *np.array(reps).T)
+        assert [p.grad_norm for p in rep.points] == (np.hypot(g1, g2) / s).tolist()
+
+    @pytest.mark.parametrize(
+        "r", [(1e-160, 3e-160, 1.0), (1.31e-115, 3.9e-19, 4.6e139), (1.0, 1 + 1e-13, 3.0)]
+    )
+    def test_lost_corner_is_typed(self, r):
+        # a pair distance the unit scale cannot resolve hides a corner from
+        # the sweep; this used to warn and return a census without corners
+        # (a leaked RuntimeWarning fails the test)
+        with pytest.raises(DegenerateRadii, match="stationary sweep lost a corner"):
+            find_stationary_points(r)
+
+    @pytest.mark.parametrize("d", [0.0, 1e-12, -1e-12, 1e-8, -1e-8])
+    def test_census_near_the_threshold_is_small(self, d):
+        # at r3 = phi(1, 2) the collinear corner is a pitchfork; absolute
+        # gradient tolerances used to leave a cloud of 68-78 points here
+        rep = find_stationary_points((1.0, 2.0, phi_threshold(1.0, 2.0) + d))
+        assert len(rep.points) <= 6
+
+
+def _census_triples():
+    """Three families of strictly ordered triples: ratio at most 20.8, r3/r2
+    up to 1e8 with r2 up to 1e3, and a pair with relative gap 1e-6..1e-1."""
+    u = st.floats(0.05, 1.0)
+    small = st.tuples(u, u, u).map(lambda t: tuple(sorted((t[0], t[1], 20.8 * t[2]))))
+    wide = st.tuples(st.floats(0.01, 3.0), st.floats(0.5, 8.0)).map(
+        lambda e: (1.0, 10.0 ** e[0], 10.0 ** (e[0] + e[1]))
+    )
+    tied = st.tuples(st.floats(-6.0, -1.0), st.floats(0.5, 2.0)).map(
+        lambda e: (1.0, 1.0 + 10.0 ** e[0], 10.0 ** e[1])
+    )
+    return small.filter(lambda r: 0.0 < r[0] < r[1] < r[2]) | wide | tied
+
+
+@given(r=_census_triples())
+@settings(max_examples=40, deadline=None)
+def test_census_obeys_the_morse_relation(r):
+    """On the torus #min - #saddle + #max = 0; every census has the four
+    corners and at most one mirrored pair more, none of them degenerate.
+    Scale-dependent tolerances used to break this where a pair is stiff."""
+    kinds = [p.classification for p in find_stationary_points(r).points]
+    assert "degenerate" not in kinds
+    assert len(kinds) in (4, 6)
+    assert kinds.count("min") - kinds.count("saddle") + kinds.count("max") == 0
 
 
 class TestImplicitCurves:
@@ -473,14 +528,11 @@ class TestImplicitCurves:
         assert np.all((PI <= cb.alpha_pi) & (cb.alpha_pi <= cb.alpha_0))
         assert np.all(cb.alpha_0 <= 2 * PI)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=RuntimeWarning,
-        reason="at unit scale r1 and r2 are near 3e-255 and 8e-159, so their "
-        "squared distance is subnormal and D ** -1.5 overflows",
-    )
     def test_far_apart_radii_trace_without_warning(self):
-        # curves or a typed error, with no floating-point warning on the way
+        # curves or a typed error, with no floating-point warning on the way:
+        # at the triple's unit scale r1 and r2 are near 3e-255 and 8e-159,
+        # so their squared distance is subnormal, and D ** -1.5 overflowed
+        # before g was evaluated at the pair's own scale
         try:
             trace_implicit_curves((1.31e-115, 3.9e-19, 4.6e139))
         except RadialMotError:
