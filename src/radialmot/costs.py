@@ -21,8 +21,8 @@ scalar quantities that organize its stationary structure:
   P(r) >= 0 exactly when r3 >= phi(r1, r2);
 * the four corner energies f(0,0), f(0,pi), f(pi,0), f(pi,pi), of which
   f(pi,0) is always the smallest for strictly ordered radii;
-* the pairwise derivative profile g(t) = -F'(t) together with its critical
-  angle, used when bracketing implicit stationary curves.
+* the pairwise derivative profile g(t) = -F'(t), its critical angle and
+  its inverse on either side of it, behind the census and implicit curves.
 
 Angles are canonicalized to [-pi, pi).  The public functions take plain
 floats; they and the minimizer evaluate through one set of private array
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .density import _table_root
 from .errors import DegenerateRadii, EqualRadii, InvalidRadii, SingularConfiguration
 
 __all__ = [
@@ -447,6 +448,59 @@ def _critical_angle(ri: float, rj: float) -> float:
     return math.acos(min(6.0 * p / (q + math.sqrt(q * q + 12.0 * p * p)), 1.0))
 
 
+def _pair_torque(ri, rj, theta):
+    """g = -F' and g' = -F'' of the pair ri < rj at the angles theta, on the
+    radii divided by the pair's unit scale s (the power of two of rj), and s:
+    the pair's g is g / s, so a target mu is compared with g as mu s."""
+    s = _unit_scale(rj)
+    d1, d2 = _inv_dist_derivs(ri / s, rj / s, theta)
+    return -d1, -d2, s
+
+
+def _torque_peak(ri: float, rj: float) -> tuple[float, float, float]:
+    """theta_c of the pair, its g there at the pair's unit scale (0, not
+    evaluated, where theta_c rounds to 0), and that scale."""
+    tc, s = _critical_angle(ri, rj), _unit_scale(rj)
+    # an array of one, as _torque_angle evaluates its knots
+    g = _pair_torque(ri, rj, np.array([tc]))[0][0] if tc > 0.0 else 0.0
+    return tc, float(g), s
+
+
+@np.errstate(divide="ignore", over="ignore")
+def _torque_angle(ri: float, rj: float, mu, convex):
+    """The theta where the pair's g equals mu, and dtheta/dmu = 1 / g'(theta),
+    for arrays mu in [0, peak] at the caller's scale and convex: theta in
+    [0, theta_c] (the concave side of F) where convex is 0, in [theta_c, pi]
+    where it is 1.  Solved as g = mu s at the pair's unit scale s, so a pair
+    far below the caller's scale does not overflow, and per side as one
+    :func:`density._table_root` solve on 17 knots of g(|z|), which rises in
+    z = theta (concave) or -theta (convex): Newton from a side's end can
+    cycle across an inflection of g, and from theta_c jump anywhere.  A mu
+    not above g at the side's end gives the end, 0 or pi, and no g is
+    evaluated on a side without a positive mu, as D can round to 0 at 0;
+    there dtheta/dmu is the closed form (rj - ri)^3 / (ri rj)."""
+    tc, s = _critical_angle(ri, rj), _unit_scale(rj)
+
+    def f(z):
+        g, gp, _ = _pair_torque(ri, rj, np.abs(z))
+        return g, np.where(z < 0.0, -gp, gp)
+
+    w = mu * s
+    theta = np.where(convex, math.pi, np.zeros_like(w))
+    for side, end in enumerate((0.0, -math.pi)):
+        lane = (convex == side) & (w > 0.0)
+        if lane.any():
+            z = np.linspace(end, -tc if side else tc, 17)
+            fs = f(z)[0]
+            lane &= w > fs[0]
+            theta[lane] = np.abs(_table_root(f, w[lane], z, fs))
+    u, v = ri / s, rj / s
+    slope = np.full_like(theta, s * (v - u) ** 3 / (u * v))
+    off = theta > 0.0
+    slope[off] = s / _pair_torque(ri, rj, theta[off])[1]
+    return theta, slope
+
+
 def g_profile(ri: float, rj: float, theta):
     """Pairwise attraction profile g = -F' and its derivative, plus the
     critical angle where g peaks.
@@ -470,11 +524,8 @@ def g_profile(ri: float, rj: float, theta):
         raise EqualRadii(f"g profile needs distinct radii, got ri == rj == {ri}")
     if ri > rj:
         raise DegenerateRadii(f"g profile expects ri < rj, got ({ri}, {rj})")
-    s = _unit_scale(rj)
-    ri, rj = ri / s, rj / s
-    d1, d2 = _inv_dist_derivs(ri, rj, theta)
-    g, gp = -d1 / s, -d2 / s
-    theta_crit = _critical_angle(ri, rj)
+    g, gp, s = _pair_torque(ri, rj, theta)
+    g, gp, theta_crit = g / s, gp / s, _critical_angle(ri, rj)
     if np.isscalar(theta):
         return float(g), float(gp), theta_crit
     return g, gp, theta_crit

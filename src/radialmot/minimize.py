@@ -16,28 +16,24 @@ direction off an exact saddle; a lane converges only where the Hessian is
 positive semidefinite.  One descent runs in lockstep over the batch, on
 numpy arrays, whose elementwise results do not depend on the batch.
 
-Stationary points solve the closed-form gradient system; a multistart
-Newton iteration run in lockstep over all starts stops on the length of
-its step, which does not depend on the scale, and the surviving points are
-deduplicated on the torus and classified by the signs of the Hessian's
-determinant and h11, the positive-definite test of the descent.
-
-The two families of implicit curves traced here are the solution branches
-of the split stationarity system
+Away from the four corners a stationary point carries equal torque
+g12(theta12) = g13(theta13) = g23(theta23) = mu on gaps summing to 2 pi
+(the separable dual structure of Aubin and Ekeland, Math. Oper. Res.
+1976), so once each pair's side of its critical angle is fixed only mu is
+unknown.  The census finds those roots on all eight side patterns from one
+private inverse of g, ``costs._torque_angle``.  The implicit curves
 
     g12(alpha) = -g13(beta)        (curves alpha_pi, alpha_0)
     g23(alpha - beta) = g13(beta)  (curves alpha_hat_pi, alpha_hat_0)
 
-whose intersections are exactly the stationary points.  Each branch is one
-lockstep solve over every beta by ``density._solve_increasing``, bracketed
-by a multiple of pi and a peak of the unimodal g profile.
+whose intersections are exactly the stationary points, come from the same
+inverse at mu = g13(beta).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -46,16 +42,16 @@ from .costs import (
     Radii,
     _P_ROUNDING,
     _alignment_margin,
-    _critical_angle,
     _energy_terms,
     _grad_hess_arrays,
     _inv_dist,
     _pairs,
+    _torque_angle,
+    _torque_peak,
     _unit_scale,
     _unit_scales,
     canonical_angle,
     g_profile,
-    torus_distance,
 )
 from .density import _size, _solve_increasing
 from .errors import AllInfinite, DegenerateRadii, RootNotBracketed
@@ -72,14 +68,8 @@ __all__ = [
 
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
-# nodes per angle for the stationary multistart sweep
-_START_GRID = 128
-# torus radius merging coincident stationary points
-_DEDUP_TOL = 1e-6
-# Newton iteration cap for both refinement and the sweep
+# Newton iteration cap of a descent
 _MAX_ITER = 80
-# longest Newton step, in radians, of a converged stationary-sweep start
-_STEP_TOL = 1e-12
 # longest step a descent lane takes
 _MAX_STEP = 0.7
 # seed grid nodes per angle, -pi + 2 pi k / 6: the collinear corner (-pi, 0)
@@ -116,8 +106,6 @@ class StationaryPoint:
 class StationaryReport:
     points: tuple[StationaryPoint, ...]
     only_corner_points: bool
-    n_starts: int
-    n_converged: int
     max_grad_norm: float
 
     def configs(self) -> tuple[AngularConfig, ...]:
@@ -318,7 +306,10 @@ def _classify(h11, h12, h22):
     return np.select([flat, (det > 0.0) & (h11 > 0.0), det > 0.0], kinds, "saddle")
 
 
-_CORNERS = ((0.0, 0.0), (0.0, _PI), (_PI, 0.0), (_PI, _PI))
+# the four corners at their canonical angles, pi being -pi in [-pi, pi)
+_CORNERS = np.array([[0.0, 0.0, -_PI, -_PI], [0.0, -_PI, 0.0, -_PI]])
+# the eight side patterns: 1 where pair 12, 13 or 23 is on the convex side
+_SIDES = (np.arange(8)[:, None] >> np.arange(3)) & 1
 
 
 def _unit_radii(r: Radii | tuple, what: str) -> tuple[float, float, float, float]:
@@ -336,157 +327,118 @@ def _unit_radii(r: Radii | tuple, what: str) -> tuple[float, float, float, float
     return r1, r2, r3, s
 
 
-def _representatives(a, b) -> list[int]:
-    """Indices of the points (a, b) in [-pi, pi)^2 that represent the rest:
-    in sorted order, the first point left represents every point left
-    within _DEDUP_TOL of it on the torus.  For such angles min(d, 2 pi - d)
-    of d = |p - q| is |remainder(p - q, 2 pi)| exactly, as torus_distance."""
-    todo, reps = np.lexsort((b, a)), []
-    while todo.size:
-        i = todo[0]
-        reps.append(i)
-        da, db = np.abs(a[todo] - a[i]), np.abs(b[todo] - b[i])
-        dist = np.maximum(np.minimum(da, _TWO_PI - da), np.minimum(db, _TWO_PI - db))
-        todo = todo[dist > _DEDUP_TOL]
-    return reps
-
-
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def find_stationary_points(r: Radii | tuple) -> StationaryReport:
-    """All gradient zeros of the energy found from a dense multistart sweep.
+    """The four corners and the equal-torque roots, classified by :func:`_classify`.
 
-    Newton iterations, each step clipped at length 0.5, run in lockstep
-    over a 128 x 128 set of initial angle pairs.  A start converges once its
-    Newton step is at most _STEP_TOL radians, a rule that holds at every
-    scale and pair stiffness; a singular Hessian's NaN step drops the start.
-    Converged starts are deduplicated within 1e-6 on the torus and
-    classified by :func:`_classify`.  The four corners are stationary for
-    every triple; a missing one raises :class:`DegenerateRadii`, since a
-    pair distance is then not resolved at unit scale.
-
-    Requires strictly ordered positive radii so the energy is smooth on
-    the whole torus.  Runs on the radii divided by a power of two near the
-    largest, so points and classifications do not depend on the scale;
-    gradient norms are reported at the caller's scale.
+    Elsewhere the gaps theta carry equal torque g(theta) = mu in (0, mu_max],
+    mu_max the least pair peak, and with each pair's side of its critical
+    angle fixed S(mu) = sum theta(mu) - 2 pi vanishes.  Sign changes of S on
+    a grid of mu, for the eight side patterns from six
+    :func:`costs._torque_angle` inverses, bracket its roots, refined in
+    lockstep with S' = sum dtheta/dmu.  Where one pair is concave, S(0) = 0
+    at a corner and S has the sign of S'(0) (of P at the collinear corner).
+    Each root is (theta12, -theta13) and its mirror.  Runs at unit scale, so
+    points and classes do not depend on the scale (gradient norms are at
+    the caller's); raises :class:`DegenerateRadii` where that scale cannot
+    resolve a corner.
     """
     r = Radii.of(r)
     r1, r2, r3, s = _unit_radii(r, "stationary sweep")
-    n0 = _START_GRID
-    g = -_PI + _TWO_PI * np.arange(n0) / n0
-    a, b = np.repeat(g, n0), np.tile(g, n0)
-
-    converged = np.zeros(a.size, dtype=bool)
-    run = np.arange(a.size)
-    for _ in range(_MAX_ITER):
-        g1, g2, h11, h12, h22 = _grad_hess_arrays(r1, r2, r3, a[run], b[run])
-        det = h11 * h22 - h12 * h12
-        sa, sb = -(h22 * g1 - h12 * g2) / det, -(h11 * g2 - h12 * g1) / det
-        sn = np.hypot(sa, sb)
-        clip = np.minimum(1.0, 0.5 / sn)
-        a[run] = canonical_angle(a[run] + clip * sa)
-        b[run] = canonical_angle(b[run] + clip * sb)
-        converged[run[sn <= _STEP_TOL]] = True
-        run = run[sn > _STEP_TOL]
-        if run.size == 0:
-            break
-
-    keep = np.flatnonzero(converged)
-    reps = keep[_representatives(a[keep], b[keep])]
-    g1, g2, h11, h12, h22 = _grad_hess_arrays(r1, r2, r3, a[reps], b[reps])
-    gn = np.hypot(g1, g2) / s
-    points = tuple(
-        StationaryPoint(AngularConfig(a[i], b[i]), kind, float(n))
-        for i, kind, n in zip(reps, _classify(h11, h12, h22).tolist(), gn)
-    )
-    corners = [
-        [c for c in _CORNERS if torus_distance(p.config.as_tuple(), c) <= _DEDUP_TOL]
-        for p in points
-    ]
-    if not set(_CORNERS) <= {c for near in corners for c in near}:
+    pairs = ((r1, r2, r3), (r1, r3, r2), (r2, r3, r1))  # and the third radius
+    peaks = [_torque_peak(ri, rj) for ri, rj, _ in pairs]
+    hess = _grad_hess_arrays(r1, r2, r3, *_CORNERS)[2:]
+    if min(tc for tc, _, _ in peaks) == 0.0 or not np.isfinite(hess).all():
         raise DegenerateRadii(
-            f"stationary sweep lost a corner for radii {r.as_tuple()}: a pair "
-            "distance is not resolved at unit scale"
+            f"stationary sweep lost a corner for radii {r.as_tuple()}: its Hessian "
+            "is not finite at unit scale, or a pair's critical angle rounds to 0"
         )
-    return StationaryReport(
-        points=points,
-        only_corner_points=all(corners),
-        n_starts=n0 * n0,
-        n_converged=keep.size,
-        max_grad_norm=max((p.grad_norm for p in points), default=0.0),
+    # 33 torques mu_max sin^2(pi k / 64): dense at 0 and mu_max, where S' diverges
+    mu = min(g / sp for _, g, sp in peaks) * np.sin(_PI * np.arange(33) / 64) ** 2
+    # theta[i, side, k]: pair i's angle at mu[k], the concave side first
+    both = np.repeat([0, 1], mu.size - 1)
+    theta = [_torque_angle(ri, rj, np.tile(mu[1:], 2), both)[0] for ri, rj, _ in pairs]
+    excess = np.reshape(theta, (3, 2, -1))[np.arange(3), _SIDES].sum(axis=1) - _TWO_PI
+    # S(0) = (#convex - 2) pi, else the sign of S'(0) r1 r2 r3, from 1/g'(0) =
+    # (rj - ri)^3 / (ri rj) and 1/g'(pi) = -(ri + rj)^3 / (ri rj)
+    left = (_SIDES.sum(axis=1) - 2) * _PI
+    left[left == 0.0] = sum(
+        np.where(side, -rk * (ri + rj) ** 3, rk * (rj - ri) ** 3)
+        for (ri, rj, rk), side in zip(pairs, _SIDES[left == 0.0].T)
     )
+    neg = np.column_stack([left, excess]) < 0.0
+    change = neg[:, 1:] != neg[:, :-1]
+    change[:, 0] &= left != 0.0
 
+    a, b = (list(v) for v in _CORNERS)
+    for p in np.flatnonzero(change.any(axis=1)):
+        k, sides = np.flatnonzero(change[p]), _SIDES[p]
+        # z = mu where S rises on the bracket, -mu where it falls: S(|z|) rises
+        lo, hi = np.where(neg[p, k], [mu[k], mu[k + 1]], [-mu[k + 1], -mu[k]])
+        args = [(ri, rj, c) for (ri, rj, _), c in zip(pairs, sides)]
 
-def _signed_g(ri, rj, sign, x):
-    """sign g and its slope sign g' at the angles x, from :func:`g_profile`,
-    which evaluates the pair at its own unit scale, so a subnormal squared
-    distance at the triple's scale does not overflow D^(-3/2).  g is exactly
-    0 at multiples of pi, where sin vanishes: sin(2 pi) rounds to -2.4e-16,
-    which D^(-3/2) magnifies where the radii nearly coincide."""
-    g, gp, _ = g_profile(ri, rj, x)
-    return np.where(x % _PI == 0.0, 0.0, sign * g), sign * gp
+        def sum_angles(z):
+            th, dth = zip(*(_torque_angle(*arg, np.abs(z), c) for *arg, c in args))
+            return sum(th) - _TWO_PI, np.where(z < 0.0, -1.0, 1.0) * sum(dth)
+
+        root = np.abs(_solve_increasing(sum_angles, 0.0 * lo, lo, hi, (lo + hi) / 2))
+        t12, t13 = (_torque_angle(ri, rj, root, c)[0] for ri, rj, c in args[:2])
+        a += [*t12, *-t12]
+        b += [*-t13, *t13]
+
+    order = np.lexsort((b, a))
+    a, b = np.array(a)[order], np.array(b)[order]
+    g1, g2, h11, h12, h22 = _grad_hess_arrays(r1, r2, r3, a, b)
+    kinds, norms = _classify(h11, h12, h22).tolist(), np.hypot(g1, g2) / s
+    points = tuple(
+        StationaryPoint(AngularConfig(x, y), kind, float(norm))
+        for x, y, kind, norm in zip(a, b, kinds, norms)
+    )
+    return StationaryReport(
+        points, only_corner_points=len(points) == 4, max_grad_norm=float(norms.max())
+    )
 
 
 def trace_implicit_curves(r: Radii | tuple, n_beta: int = 181) -> CurveBundle:
     """Sample the four stationarity branch curves at n_beta >= 2 betas in [0, pi].
 
-    Solves g12(alpha) = -g13(beta) for the two alpha branches and
-    g23(alpha - beta) = g13(beta) for the two alpha_hat branches.  Each
-    branch is one lockstep solve over every beta by
-    :func:`density._solve_increasing`, on a bracket between a profile peak
-    and a multiple of pi where g is monotone.  The brackets exist when
-    pairwise attraction toward the outer charge stays dominated, which is
-    what the alignment condition guarantees; a missing sign change, or a
-    bracket left empty by a critical angle that rounds to 0, raises
-    :class:`RootNotBracketed`.  Runs on the radii divided by a power of
-    two near the largest, so no output depends on the scale, and evaluates
-    each pair's g by :func:`costs.g_profile` at that pair's own unit scale.
+    The branches are alpha = 2 pi - theta12(mu) and beta + theta23(mu) at
+    the torque mu = g13(beta), each theta on either side of its pair's
+    critical angle, from :func:`costs._torque_angle`.  They exist while mu
+    stays below each pair's peak, as the alignment condition guarantees; a
+    larger mu, or a critical angle that rounds to 0, raises
+    :class:`RootNotBracketed`.  Runs at unit scale, so no output depends on
+    the scale, and solves each pair at its own.
     """
     r1, r2, r3, _ = _unit_radii(r, "curve tracing")
     n_beta = _size(n_beta, "n_beta", 2)
-    th12, th13, th23 = (
-        _critical_angle(ri, rj) for ri, rj in ((r1, r2), (r1, r3), (r2, r3))
-    )
-    # name, pair, bracket, the sign that makes sign g increasing on it, the
-    # side in g(x) = side g13(beta), and the root at a target of 0; the
-    # brackets that a critical angle of 0 leaves empty come first
-    branches = (
-        ("alpha_0", r1, r2, _TWO_PI - th12, _TWO_PI, 1.0, -1.0, _TWO_PI),
-        ("alpha_hat_0", r2, r3, 0.0, th23, 1.0, 1.0, 0.0),
-        ("alpha_pi", r1, r2, _PI, _TWO_PI - th12, -1.0, -1.0, _PI),
-        ("alpha_hat_pi", r2, r3, th23, _PI, -1.0, 1.0, _PI),
-    )
-
     betas = np.linspace(0.0, _PI, n_beta)
-    tgt = _signed_g(r1, r3, 1.0, betas)[0]
-    # below this the target is numerically indistinguishable from the
-    # exact-endpoint case beta in {0, pi} where the roots are known
-    solved = np.flatnonzero(tgt > 1e-12 * _signed_g(r1, r3, 1.0, th13)[0])
-    roots = {}
-    for what, ri, rj, lo, hi, sign, side, known in branches:
-        # lanes with a tiny target keep the known root; with no other lane
-        # no bracket end is evaluated, where near-equal radii can round D to 0
-        roots[what] = x = np.full(n_beta, known)
-        if solved.size == 0:
-            continue
-        w = sign * side * tgt[solved]
-        # a bracket that a critical angle of 0 leaves empty is one multiple
-        # of pi, where g is 0 and nearly equal radii coincide
-        ends = np.array([lo, hi])
-        f_lo, f_hi = _signed_g(ri, rj, sign, ends)[0] if lo < hi else (0.0, 0.0)
-        bad = np.flatnonzero(~((f_lo <= w) & (w <= f_hi)))
+    g13, _, th13 = g_profile(r1, r3, betas)
+    # g13 is 0 at multiples of pi, where sin does not round to 0; below
+    # 1e-12 of its peak the torque is numerically that of beta in {0, pi}
+    peak13 = g_profile(r1, r3, th13)[0]
+    mu = np.where((betas % _PI != 0.0) & (g13 > 1e-12 * peak13), g13, 0.0)
+    angles, both = [], np.repeat([0, 1], n_beta)
+    # each pair's concave branch, alpha = 2 pi - theta12 (mirrored) or
+    # beta + theta23; the convex one shares its bracket check
+    branches = (("alpha_0", r1, r2, True), ("alpha_hat_0", r2, r3, False))
+    for what, ri, rj, mirrored in branches:
+        tc, peak, sp = _torque_peak(ri, rj)
+        bad = np.flatnonzero(mu * sp > peak)
         if bad.size:
-            wb = w[bad[0]]
+            # the bracket in alpha, and g12(alpha) + mu or g23 - mu at its ends
+            m, top = mu[bad[0]], peak / sp
+            lo, hi = (_TWO_PI - tc, _TWO_PI) if mirrored else (0.0, tc)
+            f_lo, f_hi = (m - top, m) if mirrored else (-m, top - m)
             raise RootNotBracketed(
-                f"{what}: no sign change on [{lo:.6g}, {hi:.6g}] "
-                f"(f(lo)={sign * (f_lo - wb):.3e}, f(hi)={sign * (f_hi - wb):.3e}); "
-                "the alignment condition may fail for these radii or the "
-                "geometry is too extreme"
+                f"{what}: no sign change on [{lo:.6g}, {hi:.6g}] (f(lo)={f_lo:.3e}, "
+                f"f(hi)={f_hi:.3e}); the alignment condition may fail for these "
+                "radii or the geometry is too extreme"
             )
-        start = lo + (w - f_lo) / (f_hi - f_lo) * (hi - lo)
-        f = partial(_signed_g, ri, rj, sign)
-        x[solved] = _solve_increasing(f, w, lo, hi, start)
-    a_pi, a_0 = roots["alpha_pi"], roots["alpha_0"]
-    ah_0, ah_pi = betas + roots["alpha_hat_0"], betas + roots["alpha_hat_pi"]
+        angles.append(_torque_angle(ri, rj, np.tile(mu, 2), both)[0].reshape(2, -1))
+    (t12_0, t12_pi), (t23_0, t23_pi) = angles
+    a_pi, a_0 = _TWO_PI - t12_pi, _TWO_PI - t12_0
+    ah_0, ah_pi = betas + t23_0, betas + t23_pi
 
     d = r2 * (r3 - r1) ** 3
     slope_pi, slope_hat = r3 * (r1 + r2) ** 3 / d, (d - r1 * (r2 + r3) ** 3) / d

@@ -114,8 +114,7 @@ def test_03_stationary_point_census(record_criterion):
         ]
 
     ok = (
-        aligned.n_starts == 128 * 128
-        and len(aligned.points) == 4
+        len(aligned.points) == 4
         and aligned.only_corner_points
         and aligned.max_grad_norm < 1e-9
         and len(non_corner(split)) >= 1

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import radialmot
 from radialmot import (
     AllInfinite,
-    AngularConfig,
     DegenerateRadii,
     RadialMotError,
     RootNotBracketed,
@@ -24,12 +23,14 @@ from radialmot import (
     c_delta,
     c_pi,
     find_stationary_points,
+    full_cost,
+    grad_hess,
     phi_threshold,
     radial_cost,
     torus_distance,
     trace_implicit_curves,
 )
-from radialmot import minimize
+from radialmot import costs, minimize
 from radialmot.costs import (
     _energy_terms,
     _grad_hess_arrays,
@@ -354,6 +355,28 @@ def test_scaled_radii_reach_the_minimum(scale):
     assert res.value * scale == pytest.approx(base, rel=1e-10)
 
 
+# recorded from the 128 x 128 multistart sweep that the torque census
+# replaced: the census test triples and the CI smoke triples, each mapped to
+# its interior minimum with alpha > 0 (None where the corners are all there is)
+CENSUS_PINS = {
+    (1.0, 2.0, 15.0): None,
+    (1.0, 2.0, 14.0): (3.1204500433393516, -0.2502983957523437),
+    (1.0, 1.5, 20.0): None,
+    (0.3, 1.0, 9.0): None,
+    (1.0, 2.0, 3.0): (2.325976586629345, -1.9166509607975104),
+    (1.0, 2.0, 16.5): None,
+    (1.0, 2.0, 30.0): None,
+    (1e-150, 2e-150, 3e-150): (2.325976586629345, -1.9166509607975104),
+    (1e-150, 2e-150, 1.65e-149): None,
+    (1e-150, 2e-150, 3e-149): None,
+    (1.0, 2.0, 100000.0): None,
+    (1.0, 2.0, 100000000.0): None,
+    (1.0, 1.000001, 3.0): (2.594182164911693, -1.8445013116946676),
+    (1.0, 1.000001, 16.5): (3.1124542318948, -1.585363013391693),
+    (1.0, 1.000001, 30.0): (3.132722712536557, -1.575226521246597),
+}
+
+
 class TestStationaryPoints:
     def test_aligned_only_corners(self):
         rep = find_stationary_points((1.0, 2.0, 15.0))
@@ -406,60 +429,20 @@ class TestStationaryPoints:
             ]
             assert rep.max_grad_norm == base.max_grad_norm / s
 
-    def test_convergence_bookkeeping(self):
-        rep = find_stationary_points((1.0, 2.0, 15.0))
-        assert rep.n_starts == 128 * 128
-        assert rep.n_converged > 0
-
-    def test_representatives_match_greedy_loop(self):
-        # clusters at the wrap of -pi, pi and chains spaced near _DEDUP_TOL
-        rng = np.random.default_rng(5)
-        centers = rng.uniform(-PI, PI, (40, 2))
-        centers[:10] = [-PI, 0.0]
-        pts = centers.repeat(8, axis=0) + rng.uniform(-1.5e-6, 1.5e-6, (320, 2))
-        pts = np.vstack([pts, np.c_[np.arange(30) * 0.7e-6 - 1e-5, np.zeros(30)]])
-        a, b = minimize.canonical_angle(pts.T)
-        reps = []
-        for i in sorted(range(a.size), key=lambda i: (a[i], b[i])):
-            if all(torus_distance((a[i], b[i]), (a[j], b[j])) > 1e-6 for j in reps):
-                reps.append(i)
-        assert [int(i) for i in minimize._representatives(a, b)] == reps
-
-    @pytest.mark.parametrize(
-        "r", [(1.0, 2.0, 15.0), (1.0, 2.0, 14.0), (1.0, 1.5, 20.0), (0.3, 1.0, 9.0)]
-    )
-    def test_census_matches_greedy_deduplication(self, monkeypatch, r):
-        # reference: each sweep step is recomputed from the recorded
-        # derivatives, a lane whose Newton step is at most 1e-12 converges at
-        # its stepped point, and a greedy loop compares each sorted converged
-        # point with every representative so far through torus_distance
-        calls = []
-        grad_hess_arrays = minimize._grad_hess_arrays
-
-        def record(*args):
-            calls.append((args[3:], grad_hess_arrays(*args)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(minimize, "_grad_hess_arrays", record)
+    @pytest.mark.parametrize("r", list(CENSUS_PINS))
+    def test_census_matches_pins(self, r):
+        # the collinear corner (pi, 0) is a minimum where no interior pair
+        # exists and a saddle between the pair's two minima where one does
+        interior = CENSUS_PINS[r]
         rep = find_stationary_points(r)
-        converged = []
-        # the last call evaluates the representatives after the sweep
-        for (a, b), (g1, g2, h11, h12, h22) in calls[:-1]:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                det = h11 * h22 - h12 * h12
-                sa, sb = -(h22 * g1 - h12 * g2) / det, -(h11 * g2 - h12 * g1) / det
-                k = np.hypot(sa, sb) <= 1e-12
-            stepped = (a[k] + sa[k], b[k] + sb[k])
-            converged += zip(*(minimize.canonical_angle(v) for v in stepped))
-        reps = []
-        for p in sorted(converged):
-            if all(torus_distance(p, q) > 1e-6 for q in reps):
-                reps.append(p)
-        assert rep.n_converged == len(converged)
-        assert rep.configs() == tuple(AngularConfig(*p) for p in reps)
-        s = _unit_scale(r[2])
-        g1, g2, *_ = grad_hess_arrays(*(v / s for v in r), *np.array(reps).T)
-        assert [p.grad_norm for p in rep.points] == (np.hypot(g1, g2) / s).tolist()
+        pinned = [((0.0, 0.0), "max"), ((0.0, PI), "saddle"), ((PI, PI), "saddle")]
+        pinned.append(((PI, 0.0), "min" if interior is None else "saddle"))
+        if interior is not None:
+            pinned += [(interior, "min"), ((-interior[0], -interior[1]), "min")]
+        assert len(rep.points) == len(pinned)
+        for config, kind in pinned:
+            near = [p for p in rep.points if p.config.distance_to(config) <= 1e-9]
+            assert [p.classification for p in near] == [kind]
 
     @pytest.mark.parametrize(
         "r", [(1e-160, 3e-160, 1.0), (1.31e-115, 3.9e-19, 4.6e139), (1.0, 1 + 1e-13, 3.0)]
@@ -505,6 +488,33 @@ def test_census_obeys_the_morse_relation(r):
     assert kinds.count("min") - kinds.count("saddle") + kinds.count("max") == 0
 
 
+@given(r=_census_triples())
+@settings(max_examples=40, deadline=None)
+def test_census_minima_are_the_kernel_argmin(r):
+    """Where P < 0 the census's minima are the kernel's argmin and its
+    mirror, at its value; where P > 0 the census holds only the corners
+    and the kernel closes the triple in form.  The kernel stops where its
+    Newton model decrease is at most 1e-15 of the value, so on a flat
+    minimum its argmin can lie 4e-5 away: the distance e is measured by
+    e H e / 2 against that rule."""
+    rep, res = find_stationary_points(r), radial_cost(r)
+    if alignment_condition(r) > 0.0:
+        assert rep.only_corner_points
+        assert res.candidates == 0
+        return
+    m = res.argmin.as_tuple()
+    mins = [p.config.as_tuple() for p in rep.points if p.classification == "min"]
+    assert len(mins) == 2
+    for c in mins:
+        e = min(
+            (np.array([math.remainder(x - sign * y, 2 * PI) for x, y in zip(c, m)])
+             for sign in (1.0, -1.0)),
+            key=lambda v: np.abs(v).max(),
+        )
+        assert 0.5 * e @ grad_hess(r, c)[1] @ e <= 1e-15 * res.value
+        assert full_cost(r, c).total == pytest.approx(res.value, rel=1e-13)
+
+
 class TestImplicitCurves:
     @pytest.mark.parametrize("n_beta", [2.5, True, 1])
     def test_sample_count_is_an_integer_of_at_least_two(self, n_beta):
@@ -538,6 +548,30 @@ class TestImplicitCurves:
         except RadialMotError:
             pass
 
+    def test_subnormal_pair_traces_on_the_locus(self):
+        # at the triple's unit scale r1 and r2 are subnormal, near 1.6e-317
+        # and 1.1e-313, so g12 there overflows; evaluated that way it warned
+        # and put alpha_0 at 6.185 for every interior beta.  Residuals are
+        # taken at each pair's own unit scale, where g12 is of order 1e-4
+        r = (2.0966e-223, 1.4195e-219, 1.2695e94)
+        try:
+            cb = trace_implicit_curves(r)
+        except RootNotBracketed:
+            return
+        u = [v / _unit_scale(r[2]) for v in r]
+
+        def g(ri, rj, t):
+            s = _unit_scale(rj)
+            return -_inv_dist_derivs(ri / s, rj / s, t)[0], s
+
+        g13 = g(u[0], u[2], cb.beta)[0]
+        for a in (cb.alpha_pi, cb.alpha_0):
+            g12, s12 = g(u[0], u[1], a)
+            assert np.max(np.abs(g12 + s12 * g13)) < 1e-12
+        for a in (cb.alpha_hat_pi, cb.alpha_hat_0):
+            g23, s23 = g(u[1], u[2], a - cb.beta)
+            assert np.max(np.abs(g23 - s23 * g13)) < 1e-12
+
     @pytest.mark.parametrize(
         "r, bracket",
         [((1.0, 1.0000000001, 5.0), "alpha_0: no sign change on [6.28319, 6.28319]"),
@@ -554,7 +588,7 @@ class TestImplicitCurves:
         # 2 pi], where g12 stays above -g13(beta) for the larger targets; the
         # message names the first such lane, with f = g12(alpha) + g13(beta)
         # at the bracket ends and g12(2 pi) = 0
-        monkeypatch.setattr(minimize, "_critical_angle", lambda ri, rj: 1e-3)
+        monkeypatch.setattr(costs, "_critical_angle", lambda ri, rj: 1e-3)
         g12_lo = -_inv_dist_derivs(1 / 16, 2 / 16, 2 * PI - 1e-3)[0]
         g13 = -_inv_dist_derivs(1 / 16, 15 / 16, np.linspace(0.0, PI, 181))[0]
         k = np.argmax(g12_lo + g13 > 0.0)
